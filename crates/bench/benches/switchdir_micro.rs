@@ -1,7 +1,7 @@
 //! Microbenchmarks of the switch-directory device: the SRAM array and the
 //! Figure 4 FSM, at the paper's operating points.
 
-use dresar::switchdir::{PortScheduler, SwitchDirectory};
+use dresar::switchdir::{NullProbe, PortScheduler, SnoopAction, SwitchDirectory, SwitchLoc};
 use dresar_bench::harness::{bench, black_box};
 use dresar_types::config::SwitchDirConfig;
 use dresar_types::msg::{Endpoint, Message, MsgType};
@@ -19,6 +19,10 @@ fn msg(kind: MsgType, block: u64, requester: u8) -> Message {
     )
 }
 
+fn snoop(sd: &mut SwitchDirectory, m: &mut Message) -> SnoopAction {
+    sd.snoop(m, SwitchLoc::default(), 0, &mut NullProbe)
+}
+
 fn bench_snoop() {
     for entries in [256u32, 1024, 2048] {
         let cfg = SwitchDirConfig { entries, ..SwitchDirConfig::paper_default() };
@@ -29,25 +33,25 @@ fn bench_snoop() {
             bench(&format!("switchdir_snoop/write_reply_insert_{entries}"), || {
                 let mut m = msg(MsgType::WriteReply, i % (entries as u64 * 4), (i % 16) as u8);
                 i += 1;
-                black_box(sd.snoop(&mut m));
+                black_box(snoop(&mut sd, &mut m));
             });
         }
 
         {
             let mut sd = SwitchDirectory::new(cfg);
             for blk in 0..(entries as u64 / 2) {
-                sd.snoop(&mut msg(MsgType::WriteReply, blk, 1));
+                snoop(&mut sd, &mut msg(MsgType::WriteReply, blk, 1));
             }
             let mut i = 0u64;
             bench(&format!("switchdir_snoop/read_hit_{entries}"), || {
                 let blk = i % (entries as u64 / 2);
                 i += 1;
                 let mut rd = msg(MsgType::ReadRequest, blk, 2);
-                let act = sd.snoop(&mut rd);
+                let act = snoop(&mut sd, &mut rd);
                 // Clean up the transient so the hit repeats.
                 let mut cb = msg(MsgType::CopyBack, blk, 1);
-                sd.snoop(&mut cb);
-                sd.snoop(&mut msg(MsgType::WriteReply, blk, 1));
+                snoop(&mut sd, &mut cb);
+                snoop(&mut sd, &mut msg(MsgType::WriteReply, blk, 1));
                 black_box(act);
             });
         }
@@ -58,36 +62,9 @@ fn bench_snoop() {
             bench(&format!("switchdir_snoop/read_miss_{entries}"), || {
                 let mut rd = msg(MsgType::ReadRequest, 1_000_000 + i, 2);
                 i += 1;
-                black_box(sd.snoop(&mut rd));
+                black_box(snoop(&mut sd, &mut rd));
             });
         }
-    }
-}
-
-/// Overhead guard for the observability contract: `snoop` (the plain entry
-/// point) against an explicit `snoop_probed` with [`NullProbe`]. The two
-/// must monomorphize to the same code, so the paired numbers should agree
-/// within noise — a gap here means the no-probe path grew real work.
-fn bench_probe_overhead() {
-    use dresar_obs::{NullProbe, SwitchLoc};
-    let cfg = SwitchDirConfig { entries: 1024, ..SwitchDirConfig::paper_default() };
-    {
-        let mut sd = SwitchDirectory::new(cfg);
-        let mut i = 0u64;
-        bench("switchdir_overhead/snoop_plain", || {
-            let mut m = msg(MsgType::WriteReply, i % 4096, (i % 16) as u8);
-            i += 1;
-            black_box(sd.snoop(&mut m));
-        });
-    }
-    {
-        let mut sd = SwitchDirectory::new(cfg);
-        let mut i = 0u64;
-        bench("switchdir_overhead/snoop_null_probe", || {
-            let mut m = msg(MsgType::WriteReply, i % 4096, (i % 16) as u8);
-            i += 1;
-            black_box(sd.snoop_probed(&mut m, SwitchLoc::default(), 0, &mut NullProbe));
-        });
     }
 }
 
@@ -111,6 +88,5 @@ fn bench_port_scheduler() {
 
 fn main() {
     bench_snoop();
-    bench_probe_overhead();
     bench_port_scheduler();
 }

@@ -3,35 +3,32 @@
 //! The evaluation harness: everything needed to regenerate the paper's
 //! tables and figures.
 //!
-//! Binaries (all accept an optional scale argument `tiny|reduced|paper`,
-//! default `reduced`):
+//! Binaries:
 //!
-//! * `fig1` — clean vs dirty read fractions per workload (Figure 1);
-//! * `fig2` — cumulative miss/CtoC distribution over blocks for TPC-C
-//!   (Figure 2);
-//! * `fig8`–`fig11` — normalized reductions (home-node CtoC transfers,
-//!   average read latency, read stall time, execution time) across
-//!   switch-directory sizes 256–2048 (Figures 8–11);
-//! * `params` — prints the Table 2 / Table 3 configurations in use;
-//! * `dresar_cycle_budget` — the §4.2/§4.3 port-scheduling budget check
-//!   (Figures 5–7 arithmetic);
-//! * `all_figures` — runs everything and emits an EXPERIMENTS.md-style
-//!   report.
+//! * `dresar` — the paper's evaluation as subcommands sharing one strict
+//!   parser ([`cli`]): `fig <1|2|8|9|10|11>` (Figures 1, 2 and 8–11),
+//!   `figures` (all of them as one EXPERIMENTS.md-style report), `params`
+//!   (Tables 2 and 3), `cycle-budget` (the §4.2/§4.3 port-scheduling
+//!   arithmetic behind Figures 5–7), `ablations` (design-choice
+//!   comparisons), `probe` (raw figure inputs, latency breakdowns,
+//!   heatmaps, fault runs) and `scope-overhead` (the flight recorder's cost
+//!   guard). Each takes an optional scale `tiny|reduced|paper` (default
+//!   `reduced`); `fig`, `ablations` and `probe` also take `--json` to emit
+//!   one machine-readable document on stdout (see the README's
+//!   "Observability" section);
+//! * `bench_report` — the deterministic BENCH telemetry, regression gate and
+//!   the scaling/protocol figures;
+//! * `dresar_diff` — explains the cycle delta between two recorded runs.
 //!
 //! Timing benches (plain `std::time` harnesses, run with `cargo bench`):
-//! `switchdir_micro` (snoop/insert throughput), `crossbar` (flit-level
-//! arbitration), `figures` (end-to-end per-workload simulation cost) and
-//! `ablations` (design-choice comparisons).
-//!
-//! The `probe`, `ablations` and `fig*` binaries also accept `--json` to
-//! emit their results as a single machine-readable JSON document on
-//! stdout (see the README's "Observability" section).
+//! `switchdir_micro` (snoop/insert throughput) and `crossbar` (flit-level
+//! arbitration).
 
+pub mod cli;
 pub mod harness;
 pub mod sweep;
 
 use dresar::system::{RunOptions, System};
-use dresar::TransientReadPolicy;
 use dresar_faults::FaultPlan;
 use dresar_obs::{ObsReport, ObserverConfig};
 use dresar_stats::ReadStats;
@@ -39,7 +36,7 @@ use dresar_trace_sim::TraceSimulator;
 use dresar_types::config::{SwitchDirConfig, SystemConfig, TraceSimConfig};
 use dresar_types::{JsonValue, ToJson, Workload};
 use dresar_workloads::Scale;
-use std::sync::atomic::{AtomicUsize, Ordering};
+use sweep::SweepRunner;
 
 /// Figure-relevant metrics extracted from either simulator.
 #[derive(Debug, Clone, Copy, Default)]
@@ -124,9 +121,15 @@ pub fn suite(scale: Scale) -> Vec<Bench> {
     out
 }
 
+/// The paper's switch-directory geometry at `entries` entries per switch,
+/// or `None` (the base machine) when no size is given.
+pub fn switch_dir(entries: Option<u32>) -> Option<SwitchDirConfig> {
+    entries.map(|entries| SwitchDirConfig { entries, ..SwitchDirConfig::paper_default() })
+}
+
 /// Runs one workload with an optional switch-directory size.
-pub fn run_one(bench: &Bench, sd_entries: Option<u32>, policy: TransientReadPolicy) -> Metrics {
-    run_one_observed(bench, sd_entries, policy, ObserverConfig::default()).0
+pub fn run_one(bench: &Bench, sd_entries: Option<u32>) -> Metrics {
+    run_one_observed(bench, sd_entries, ObserverConfig::default()).0
 }
 
 /// [`run_one`] with observers attached. Only the execution-driven simulator
@@ -134,20 +137,14 @@ pub fn run_one(bench: &Bench, sd_entries: Option<u32>, policy: TransientReadPoli
 pub fn run_one_observed(
     bench: &Bench,
     sd_entries: Option<u32>,
-    policy: TransientReadPolicy,
     observers: ObserverConfig,
 ) -> (Metrics, Option<ObsReport>) {
-    let sd =
-        sd_entries.map(|entries| SwitchDirConfig { entries, ..SwitchDirConfig::paper_default() });
     match bench.driver {
         Driver::Execution => {
             let mut cfg = SystemConfig::paper_table2();
-            cfg.switch_dir = sd;
-            let report = System::new(cfg, &bench.workload).run(RunOptions {
-                transient_policy: policy,
-                observers,
-                ..RunOptions::default()
-            });
+            cfg.switch_dir = switch_dir(sd_entries);
+            let report = System::new(cfg, &bench.workload)
+                .run(RunOptions { observers, ..RunOptions::default() });
             (
                 Metrics {
                     reads: report.reads,
@@ -159,7 +156,7 @@ pub fn run_one_observed(
         }
         Driver::Trace => {
             let mut cfg = TraceSimConfig::paper_table3();
-            cfg.switch_dir = sd;
+            cfg.switch_dir = switch_dir(sd_entries);
             let report = TraceSimulator::new(cfg).run(&bench.workload);
             (
                 Metrics {
@@ -181,17 +178,14 @@ pub fn run_one_observed(
 pub fn run_one_faulted(
     bench: &Bench,
     sd_entries: Option<u32>,
-    policy: TransientReadPolicy,
     plan: FaultPlan,
 ) -> Option<dresar::system::ExecutionReport> {
     if bench.driver != Driver::Execution {
         return None;
     }
     let mut cfg = SystemConfig::paper_table2();
-    cfg.switch_dir =
-        sd_entries.map(|entries| SwitchDirConfig { entries, ..SwitchDirConfig::paper_default() });
+    cfg.switch_dir = switch_dir(sd_entries);
     Some(System::new(cfg, &bench.workload).run(RunOptions {
-        transient_policy: policy,
         faults: Some(plan),
         watchdog: Some(dresar_faults::WatchdogConfig::default()),
         verify_coherence: true,
@@ -199,50 +193,21 @@ pub fn run_one_faulted(
     }))
 }
 
-/// Parses `--faults <spec>` from the CLI (`key=value` pairs, comma
-/// separated — e.g. `--faults seed=7,drop_ppm=2000,disable_at=50000`).
-/// Returns `None` when the flag is absent; exits with a message on a
-/// malformed spec so a typo'd schedule never silently runs fault-free.
-pub fn faults_from_args() -> Option<FaultPlan> {
-    let mut it = std::env::args().skip(1);
-    while let Some(a) = it.next() {
-        if a == "--faults" {
-            let spec = it.next().unwrap_or_else(|| {
-                eprintln!("--faults needs a plan spec (key=value,...)");
-                std::process::exit(2);
-            });
-            return Some(FaultPlan::parse(&spec).unwrap_or_else(|e| {
-                eprintln!("bad fault plan '{spec}': {e}");
-                std::process::exit(2);
-            }));
-        }
-    }
-    None
-}
-
 /// Runs one workload and returns its deterministic component-metrics
 /// registry. Execution-driven workloads return the simulator's full
 /// snapshot; trace-driven ones get a registry assembled from the trace
 /// report's counters (the constant-latency model has no event engine or
 /// flit network to instrument).
-pub fn run_one_registry(
-    bench: &Bench,
-    sd_entries: Option<u32>,
-    policy: TransientReadPolicy,
-) -> dresar_obs::MetricsRegistry {
-    let sd =
-        sd_entries.map(|entries| SwitchDirConfig { entries, ..SwitchDirConfig::paper_default() });
+pub fn run_one_registry(bench: &Bench, sd_entries: Option<u32>) -> dresar_obs::MetricsRegistry {
     match bench.driver {
         Driver::Execution => {
             let mut cfg = SystemConfig::paper_table2();
-            cfg.switch_dir = sd;
-            System::new(cfg, &bench.workload)
-                .run(RunOptions { transient_policy: policy, ..RunOptions::default() })
-                .metrics
+            cfg.switch_dir = switch_dir(sd_entries);
+            System::new(cfg, &bench.workload).run(RunOptions::default()).metrics
         }
         Driver::Trace => {
             let mut cfg = TraceSimConfig::paper_table3();
-            cfg.switch_dir = sd;
+            cfg.switch_dir = switch_dir(sd_entries);
             let r = TraceSimulator::new(cfg).run(&bench.workload);
             let mut m = dresar_obs::MetricsRegistry::new();
             m.counter("trace.exec_cycles", r.exec_cycles);
@@ -281,86 +246,29 @@ pub struct Sweep {
     pub sized: Vec<(u32, Metrics)>,
 }
 
-/// Order-preserving parallel map over a shared worker pool (one thread per
-/// available core unless `DRESAR_SWEEP_THREADS` overrides — see
-/// [`sweep::thread_count`] — with work handed out through an atomic
-/// cursor).
-pub fn par_map<T: Sync, R: Send>(items: &[T], f: impl Fn(&T) -> R + Sync) -> Vec<R> {
-    let n = items.len();
-    let workers = sweep::thread_count().min(n);
-    if n <= 1 || workers <= 1 {
-        return items.iter().map(&f).collect();
-    }
-    let cursor = AtomicUsize::new(0);
-    let mut results: Vec<Option<R>> = (0..n).map(|_| None).collect();
-    std::thread::scope(|s| {
-        let handles: Vec<_> = (0..workers)
-            .map(|_| {
-                let f = &f;
-                let cursor = &cursor;
-                s.spawn(move || {
-                    let mut done = Vec::new();
-                    loop {
-                        let i = cursor.fetch_add(1, Ordering::Relaxed);
-                        if i >= n {
-                            return done;
-                        }
-                        done.push((i, f(&items[i])));
-                    }
-                })
-            })
-            .collect();
-        for h in handles {
-            for (i, r) in h.join().expect("bench worker panicked") {
-                results[i] = Some(r);
-            }
-        }
-    });
-    results.into_iter().map(|r| r.unwrap()).collect()
-}
+/// The switch-directory sizes of the paper's Figures 8–11.
+const SWEEP_SIZES: [u32; 4] = [256, 512, 1024, 2048];
 
 /// The paper's Figure 8–11 sweep: sizes 256–2048 vs base, across the whole
 /// suite. Parallelized over (workload x configuration).
 pub fn full_sweep(scale: Scale) -> Vec<Sweep> {
     let benches = suite(scale);
-    let sizes = [256u32, 512, 1024, 2048];
     // Flatten (workload x config) into one job list so the pool stays busy
     // even when one workload dominates the runtime.
-    let jobs: Vec<(usize, Option<u32>)> = (0..benches.len())
-        .flat_map(|bi| std::iter::once((bi, None)).chain(sizes.iter().map(move |&s| (bi, Some(s)))))
+    let jobs: Vec<(&Bench, Option<u32>)> = benches
+        .iter()
+        .flat_map(|b| std::iter::once(None).chain(SWEEP_SIZES.map(Some)).map(move |sd| (b, sd)))
         .collect();
-    let metrics = par_map(&jobs, |&(bi, sd)| run_one(&benches[bi], sd, TransientReadPolicy::Retry));
-    let stride = 1 + sizes.len();
+    let mut metrics = SweepRunner::from_env().map(&jobs, |&(b, sd)| run_one(b, sd)).into_iter();
+    let mut next = || metrics.next().expect("one result per job");
     benches
         .iter()
-        .enumerate()
-        .map(|(bi, b)| Sweep {
+        .map(|b| Sweep {
             label: b.label,
-            base: metrics[bi * stride],
-            sized: sizes
-                .iter()
-                .enumerate()
-                .map(|(si, &s)| (s, metrics[bi * stride + 1 + si]))
-                .collect(),
+            base: next(),
+            sized: SWEEP_SIZES.iter().map(|&s| (s, next())).collect(),
         })
         .collect()
-}
-
-/// Scale argument parsing shared by the binaries: first non-flag CLI arg,
-/// default `reduced`. Flags (`--json`, ...) are ignored here.
-pub fn scale_from_args() -> Scale {
-    let arg =
-        std::env::args().skip(1).find(|a| !a.starts_with("--")).unwrap_or_else(|| "reduced".into());
-    Scale::parse(&arg).unwrap_or_else(|| {
-        eprintln!("unknown scale '{arg}', expected tiny|reduced|paper; using reduced");
-        Scale::Reduced
-    })
-}
-
-/// Whether `--json` was passed: binaries switch from human-readable tables
-/// to a single JSON document on stdout.
-pub fn json_requested() -> bool {
-    std::env::args().skip(1).any(|a| a == "--json")
 }
 
 /// Starts a machine-readable JSON document. Every `--json` emitter goes
@@ -386,7 +294,7 @@ mod tests {
     #[test]
     fn run_one_produces_reads() {
         let s = suite(Scale::Tiny);
-        let m = run_one(&s[0], Some(1024), TransientReadPolicy::Retry);
+        let m = run_one(&s[0], Some(1024));
         assert!(m.reads.total() > 0);
         assert!(m.exec_cycles > 0);
     }

@@ -17,16 +17,17 @@
 //! available core); `DRESAR_SWEEP_THREADS=1` forces serial execution,
 //! which CI uses on one leg of the identity check.
 
-use crate::{run_one_faulted, run_one_observed, run_one_registry, Bench, Driver, Metrics};
+use crate::{
+    run_one_faulted, run_one_observed, run_one_registry, switch_dir, Bench, Driver, Metrics,
+};
 use dresar::system::{RunOptions, System};
-use dresar::TransientReadPolicy;
 use dresar_faults::FaultPlan;
 use dresar_interconnect::{routes, Bmin, FlitNetwork};
 use dresar_obs::{
     Heatmap, LatencyBreakdown, MetricValue, MetricsRegistry, ObserverConfig, RunTiming,
     DEFAULT_ATTRIB_WINDOW,
 };
-use dresar_types::config::{SwitchDirConfig, SystemConfig};
+use dresar_types::config::SystemConfig;
 use dresar_types::{JsonValue, Protocol, ToJson, Workload};
 use dresar_workloads::{scientific, Scale};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -81,6 +82,13 @@ impl SweepRunner {
     /// persistent pool by).
     pub fn threads(&self) -> usize {
         self.threads
+    }
+
+    /// Applies `f` to every item through [`SweepRunner::run_jobs`],
+    /// returning the results in item order.
+    pub fn map<T: Sync, R: Send>(&self, items: &[T], f: impl Fn(&T) -> R + Sync) -> Vec<R> {
+        let f = &f;
+        self.run_jobs(items.iter().map(|x| -> Job<'_, R> { Box::new(move || f(x)) }).collect())
     }
 
     /// Executes `jobs`, returning the `i`-th job's result at index `i`.
@@ -291,7 +299,7 @@ fn workload_chain(b: &Bench) -> Vec<(RunResult, f64)> {
     let mut sd1024_cycles = 0u64;
     for (tag, sd) in [("base", None), ("sd1024", Some(1024))] {
         let t0 = Instant::now();
-        let metrics = run_one_registry(b, sd, TransientReadPolicy::Retry);
+        let metrics = run_one_registry(b, sd);
         let seconds = t0.elapsed().as_secs_f64();
         if tag == "sd1024" {
             if let Some(MetricValue::Counter(c)) = metrics.get("sim.cycles") {
@@ -353,7 +361,7 @@ pub fn heatmap_runs(benches: &[Bench], runner: SweepRunner) -> Vec<HeatmapRun> {
     for b in benches.iter().filter(|b| b.driver == Driver::Execution) {
         for (tag, sd) in [("base", None), ("sd1024", Some(1024))] {
             jobs.push(Box::new(move || {
-                let (metrics, obs) = run_one_observed(b, sd, TransientReadPolicy::Retry, observers);
+                let (metrics, obs) = run_one_observed(b, sd, observers);
                 let obs = obs?;
                 Some(HeatmapRun {
                     name: format!("{}.{}", b.label, tag),
@@ -450,10 +458,8 @@ fn scaling_workloads(p: usize, scale: Scale) -> Vec<(&'static str, Workload)> {
 /// publish a figure.
 fn scaling_one(w: &Workload, nodes: usize, radix: u32, sd: Option<u32>) -> Metrics {
     let mut cfg = SystemConfig::scaled(nodes, radix);
-    cfg.switch_dir =
-        sd.map(|entries| SwitchDirConfig { entries, ..SwitchDirConfig::paper_default() });
+    cfg.switch_dir = switch_dir(sd);
     let report = System::new(cfg, w).run(RunOptions {
-        transient_policy: TransientReadPolicy::Retry,
         verify_coherence: true,
         // A config that tips into a NAK storm (see SCALING_CONFIGS) must
         // fail the sweep as a tripped watchdog, not hang it forever.
@@ -575,13 +581,9 @@ fn protocol_workloads(scale: Scale) -> Vec<(&'static str, Workload)> {
 fn protocol_one(w: &Workload, protocol: Protocol, sd: Option<u32>) -> Metrics {
     let mut cfg = SystemConfig::paper_table2();
     cfg.protocol = protocol;
-    cfg.switch_dir =
-        sd.map(|entries| SwitchDirConfig { entries, ..SwitchDirConfig::paper_default() });
-    let report = System::new(cfg, w).run(RunOptions {
-        transient_policy: TransientReadPolicy::Retry,
-        verify_coherence: true,
-        ..RunOptions::default()
-    });
+    cfg.switch_dir = switch_dir(sd);
+    let report =
+        System::new(cfg, w).run(RunOptions { verify_coherence: true, ..RunOptions::default() });
     assert!(
         report.sim_errors.is_empty(),
         "protocol run {protocol} sd={sd:?}: sim errors {:?}",
@@ -648,7 +650,7 @@ pub fn sd_degraded_run(b: &Bench, sd1024_cycles: u64) -> Option<MetricsRegistry>
         return None; // trace-driven workload: no fault machinery
     }
     let plan = FaultPlan { disable_at: (sd1024_cycles / 2).max(1), ..FaultPlan::default() };
-    let report = run_one_faulted(b, Some(1024), TransientReadPolicy::Retry, plan)?;
+    let report = run_one_faulted(b, Some(1024), plan)?;
     let mut m = report.metrics;
     if let Some(c) = &report.coherence {
         m.counter("coherence.ok", u64::from(c.ok()));

@@ -20,7 +20,10 @@
 pub mod array;
 pub mod ports;
 
-use dresar_obs::{NullProbe, Probe, SdProbeEvent, SwitchLoc};
+use dresar_obs::{Probe, SdProbeEvent};
+// Re-exported so callers without a `dresar-obs` dependency (the trace
+// simulator) can name a switch and pass the no-op probe to `snoop`.
+pub use dresar_obs::{NullProbe, SwitchLoc};
 use dresar_types::config::SwitchDirConfig;
 use dresar_types::msg::{Message, MsgType};
 use dresar_types::{BlockAddr, Cycle, FromJson, JsonError, JsonValue, NodeId, ToJson};
@@ -236,32 +239,13 @@ impl SwitchDirectory {
         self.array.transient_count()
     }
 
-    /// Snoops a message traversing this switch, applying the Figure 4 FSM.
-    /// May mutate `msg` in place (attaching carried sharer pids to
-    /// copybacks/writebacks). Message types outside Table 1 are forwarded
-    /// untouched.
-    pub fn snoop(&mut self, msg: &mut Message) -> SnoopAction {
-        self.snoop_probed(msg, SwitchLoc::default(), 0, &mut NullProbe)
-    }
-
-    /// [`SwitchDirectory::snoop`] with observability: emits an
-    /// [`SdProbeEvent`] for every notable outcome. With [`NullProbe`] this
-    /// monomorphizes to exactly the uninstrumented FSM.
-    pub fn snoop_probed<P: Probe>(
-        &mut self,
-        msg: &mut Message,
-        loc: SwitchLoc,
-        t: Cycle,
-        probe: &mut P,
-    ) -> SnoopAction {
-        let action = self.snoop_impl(msg, loc, t, probe);
-        self.stats.peak_occupancy = self.stats.peak_occupancy.max(self.array.occupancy() as u64);
-        self.stats.peak_transients =
-            self.stats.peak_transients.max(self.array.transient_count() as u64);
-        action
-    }
-
-    fn snoop_impl<P: Probe>(
+    /// Snoops a message traversing switch `loc` at cycle `t`, applying the
+    /// Figure 4 FSM. May mutate `msg` in place (attaching carried sharer
+    /// pids to copybacks/writebacks). Message types outside Table 1 are
+    /// forwarded untouched. Every notable outcome is reported to `probe`
+    /// as an [`SdProbeEvent`]; with [`NullProbe`] this monomorphizes to
+    /// exactly the uninstrumented FSM.
+    pub fn snoop<P: Probe>(
         &mut self,
         msg: &mut Message,
         loc: SwitchLoc,
@@ -272,14 +256,27 @@ impl SwitchDirectory {
             return SnoopAction::Forward;
         }
         self.stats.snoops += 1;
+        let action = self.fsm(msg, loc, t, probe);
+        self.stats.peak_occupancy = self.stats.peak_occupancy.max(self.array.occupancy() as u64);
+        self.stats.peak_transients =
+            self.stats.peak_transients.max(self.array.transient_count() as u64);
+        action
+    }
+
+    /// The Figure 4 transition for one Table 1 message.
+    fn fsm<P: Probe>(
+        &mut self,
+        msg: &mut Message,
+        loc: SwitchLoc,
+        t: Cycle,
+        probe: &mut P,
+    ) -> SnoopAction {
         let block = msg.block;
         match msg.kind {
+            // Degraded mode: never install new hints; the reply streams on
+            // to the writer untouched.
+            MsgType::WriteReply if self.disabled => SnoopAction::Forward,
             MsgType::WriteReply => {
-                if self.disabled {
-                    // Degraded mode: never install new hints; the reply
-                    // streams on to the writer untouched.
-                    return SnoopAction::Forward;
-                }
                 // Capture ownership as the reply streams toward the writer.
                 let owner = msg.requester;
                 if self.array.insert_modified(block, owner) {
@@ -560,9 +557,13 @@ mod tests {
         )
     }
 
+    fn snoop(sd: &mut SwitchDirectory, m: &mut Message) -> SnoopAction {
+        sd.snoop(m, SwitchLoc::default(), 0, &mut NullProbe)
+    }
+
     fn install(sd: &mut SwitchDirectory, block: u64, owner: NodeId) {
         let mut wr = msg(MsgType::WriteReply, block, owner);
-        assert_eq!(sd.snoop(&mut wr), SnoopAction::Forward);
+        assert_eq!(snoop(sd, &mut wr), SnoopAction::Forward);
     }
 
     #[test]
@@ -580,7 +581,7 @@ mod tests {
         let mut sd = SwitchDirectory::new(cfg());
         install(&mut sd, 5, 3);
         let mut rd = msg(MsgType::ReadRequest, 5, 7);
-        let act = sd.snoop(&mut rd);
+        let act = snoop(&mut sd, &mut rd);
         assert_eq!(
             act,
             SnoopAction::SinkSend(vec![GenMsg::CtoCRequest { owner: 3, requester: 7 }])
@@ -595,7 +596,7 @@ mod tests {
     fn read_miss_forwards() {
         let mut sd = SwitchDirectory::new(cfg());
         let mut rd = msg(MsgType::ReadRequest, 99, 7);
-        assert_eq!(sd.snoop(&mut rd), SnoopAction::Forward);
+        assert_eq!(snoop(&mut sd, &mut rd), SnoopAction::Forward);
     }
 
     #[test]
@@ -603,7 +604,7 @@ mod tests {
         let mut sd = SwitchDirectory::new(cfg());
         install(&mut sd, 5, 3);
         let mut rd = msg(MsgType::ReadRequest, 5, 3);
-        assert_eq!(sd.snoop(&mut rd), SnoopAction::Forward);
+        assert_eq!(snoop(&mut sd, &mut rd), SnoopAction::Forward);
         assert_eq!(sd.peek(BlockAddr(5)).unwrap().state, SdState::Modified);
     }
 
@@ -611,8 +612,8 @@ mod tests {
     fn transient_read_retries_under_default_policy() {
         let mut sd = SwitchDirectory::new(cfg());
         install(&mut sd, 5, 3);
-        sd.snoop(&mut msg(MsgType::ReadRequest, 5, 7)); // -> transient
-        let act = sd.snoop(&mut msg(MsgType::ReadRequest, 5, 9));
+        snoop(&mut sd, &mut msg(MsgType::ReadRequest, 5, 7)); // -> transient
+        let act = snoop(&mut sd, &mut msg(MsgType::ReadRequest, 5, 9));
         assert_eq!(act, SnoopAction::SinkSend(vec![GenMsg::Retry { to: 9 }]));
         assert_eq!(sd.stats().transient_retries, 1);
     }
@@ -621,8 +622,8 @@ mod tests {
     fn transient_read_accumulates_under_alt_policy() {
         let mut sd = SwitchDirectory::with_policy(cfg(), TransientReadPolicy::Accumulate);
         install(&mut sd, 5, 3);
-        sd.snoop(&mut msg(MsgType::ReadRequest, 5, 7));
-        let act = sd.snoop(&mut msg(MsgType::ReadRequest, 5, 9));
+        snoop(&mut sd, &mut msg(MsgType::ReadRequest, 5, 7));
+        let act = snoop(&mut sd, &mut msg(MsgType::ReadRequest, 5, 9));
         assert_eq!(act, SnoopAction::Sink);
         assert!(sd.peek(BlockAddr(5)).unwrap().sharers.contains(9));
         assert_eq!(sd.stats().readers_accumulated, 1);
@@ -632,8 +633,8 @@ mod tests {
     fn duplicate_transient_reader_is_nakked_even_when_accumulating() {
         let mut sd = SwitchDirectory::with_policy(cfg(), TransientReadPolicy::Accumulate);
         install(&mut sd, 5, 3);
-        sd.snoop(&mut msg(MsgType::ReadRequest, 5, 7));
-        let act = sd.snoop(&mut msg(MsgType::ReadRequest, 5, 7));
+        snoop(&mut sd, &mut msg(MsgType::ReadRequest, 5, 7));
+        let act = snoop(&mut sd, &mut msg(MsgType::ReadRequest, 5, 7));
         assert_eq!(act, SnoopAction::SinkSend(vec![GenMsg::Retry { to: 7 }]));
     }
 
@@ -641,7 +642,7 @@ mod tests {
     fn write_request_invalidates_modified_entry() {
         let mut sd = SwitchDirectory::new(cfg());
         install(&mut sd, 5, 3);
-        let act = sd.snoop(&mut msg(MsgType::WriteRequest, 5, 9));
+        let act = snoop(&mut sd, &mut msg(MsgType::WriteRequest, 5, 9));
         assert_eq!(act, SnoopAction::Forward);
         assert!(sd.peek(BlockAddr(5)).is_none());
         assert_eq!(sd.stats().invalidations, 1);
@@ -651,8 +652,8 @@ mod tests {
     fn write_request_on_transient_is_nakked() {
         let mut sd = SwitchDirectory::new(cfg());
         install(&mut sd, 5, 3);
-        sd.snoop(&mut msg(MsgType::ReadRequest, 5, 7));
-        let act = sd.snoop(&mut msg(MsgType::WriteRequest, 5, 9));
+        snoop(&mut sd, &mut msg(MsgType::ReadRequest, 5, 7));
+        let act = snoop(&mut sd, &mut msg(MsgType::WriteRequest, 5, 9));
         assert_eq!(act, SnoopAction::SinkSend(vec![GenMsg::Retry { to: 9 }]));
         assert_eq!(sd.peek(BlockAddr(5)).unwrap().state, SdState::Transient);
     }
@@ -662,7 +663,7 @@ mod tests {
         let mut sd = SwitchDirectory::new(cfg());
         install(&mut sd, 5, 3);
         let mut cc = msg(MsgType::CtoCRequest, 5, 9);
-        assert_eq!(sd.snoop(&mut cc), SnoopAction::Forward);
+        assert_eq!(snoop(&mut sd, &mut cc), SnoopAction::Forward);
         assert!(sd.peek(BlockAddr(5)).is_none());
     }
 
@@ -670,9 +671,9 @@ mod tests {
     fn copyback_in_transient_is_marked_and_cleans_entry() {
         let mut sd = SwitchDirectory::new(cfg());
         install(&mut sd, 5, 3);
-        sd.snoop(&mut msg(MsgType::ReadRequest, 5, 7));
+        snoop(&mut sd, &mut msg(MsgType::ReadRequest, 5, 7));
         let mut cb = msg(MsgType::CopyBack, 5, 3);
-        let act = sd.snoop(&mut cb);
+        let act = snoop(&mut sd, &mut cb);
         assert_eq!(act, SnoopAction::Forward);
         assert!(cb.carried_sharers.contains(7), "copyback must carry the served pid");
         assert!(sd.peek(BlockAddr(5)).is_none());
@@ -683,10 +684,10 @@ mod tests {
     fn copyback_serves_accumulated_readers_beyond_first() {
         let mut sd = SwitchDirectory::with_policy(cfg(), TransientReadPolicy::Accumulate);
         install(&mut sd, 5, 3);
-        sd.snoop(&mut msg(MsgType::ReadRequest, 5, 7));
-        sd.snoop(&mut msg(MsgType::ReadRequest, 5, 9));
+        snoop(&mut sd, &mut msg(MsgType::ReadRequest, 5, 7));
+        snoop(&mut sd, &mut msg(MsgType::ReadRequest, 5, 9));
         let mut cb = msg(MsgType::CopyBack, 5, 3);
-        let act = sd.snoop(&mut cb);
+        let act = snoop(&mut sd, &mut cb);
         assert_eq!(act, SnoopAction::ForwardSend(vec![GenMsg::DataReply { to: 9 }]));
         assert!(cb.carried_sharers.contains(7) && cb.carried_sharers.contains(9));
     }
@@ -695,9 +696,9 @@ mod tests {
     fn writeback_in_transient_answers_waiters_with_data() {
         let mut sd = SwitchDirectory::new(cfg());
         install(&mut sd, 5, 3);
-        sd.snoop(&mut msg(MsgType::ReadRequest, 5, 7));
+        snoop(&mut sd, &mut msg(MsgType::ReadRequest, 5, 7));
         let mut wb = msg(MsgType::WriteBack, 5, 3);
-        let act = sd.snoop(&mut wb);
+        let act = snoop(&mut sd, &mut wb);
         assert_eq!(act, SnoopAction::ForwardSend(vec![GenMsg::DataReply { to: 7 }]));
         assert!(wb.carried_sharers.contains(7));
         assert!(sd.peek(BlockAddr(5)).is_none());
@@ -709,7 +710,7 @@ mod tests {
         let mut sd = SwitchDirectory::new(cfg());
         install(&mut sd, 5, 3);
         let mut wb = msg(MsgType::WriteBack, 5, 3);
-        assert_eq!(sd.snoop(&mut wb), SnoopAction::Forward);
+        assert_eq!(snoop(&mut sd, &mut wb), SnoopAction::Forward);
         assert!(sd.peek(BlockAddr(5)).is_none());
     }
 
@@ -719,7 +720,7 @@ mod tests {
         install(&mut sd, 5, 3);
         for kind in [MsgType::Retry, MsgType::ReadReply, MsgType::CtoCData, MsgType::Invalidate] {
             let mut m = msg(kind, 5, 9);
-            assert_eq!(sd.snoop(&mut m), SnoopAction::Forward, "{kind:?}");
+            assert_eq!(snoop(&mut sd, &mut m), SnoopAction::Forward, "{kind:?}");
         }
         assert_eq!(sd.peek(BlockAddr(5)).unwrap().state, SdState::Modified);
     }
@@ -732,17 +733,17 @@ mod tests {
         install(&mut sd, 1, 3);
         install(&mut sd, 2, 3);
         // First transient OK.
-        let a1 = sd.snoop(&mut msg(MsgType::ReadRequest, 1, 7));
+        let a1 = snoop(&mut sd, &mut msg(MsgType::ReadRequest, 1, 7));
         assert!(matches!(a1, SnoopAction::SinkSend(_)));
         // Second would exceed the pending buffer: falls through to home.
-        let a2 = sd.snoop(&mut msg(MsgType::ReadRequest, 2, 7));
+        let a2 = snoop(&mut sd, &mut msg(MsgType::ReadRequest, 2, 7));
         assert_eq!(a2, SnoopAction::Forward);
         assert_eq!(sd.transient_count(), 1);
         assert_eq!(sd.stats().pending_refused, 1, "refusal counted, never silent");
         assert_eq!(sd.stats().inserts_blocked, 0, "install blocking is a separate counter");
         // The refused read was forwarded to the home, so flow control is
         // preserved; a third attempt counts again.
-        let a3 = sd.snoop(&mut msg(MsgType::ReadRequest, 2, 9));
+        let a3 = snoop(&mut sd, &mut msg(MsgType::ReadRequest, 2, 9));
         assert_eq!(a3, SnoopAction::Forward);
         assert_eq!(sd.stats().pending_refused, 2);
     }
@@ -752,7 +753,7 @@ mod tests {
         let mut sd = SwitchDirectory::new(cfg());
         install(&mut sd, 1, 3);
         install(&mut sd, 2, 4);
-        sd.snoop(&mut msg(MsgType::ReadRequest, 1, 7)); // block 1 -> TRANSIENT
+        snoop(&mut sd, &mut msg(MsgType::ReadRequest, 1, 7)); // block 1 -> TRANSIENT
         assert_eq!(sd.set_disabled(true), 1, "only the MODIFIED hint dropped");
         assert!(sd.is_disabled());
         assert_eq!(sd.peek(BlockAddr(1)).unwrap().state, SdState::Transient);
@@ -761,10 +762,10 @@ mod tests {
         install(&mut sd, 5, 9);
         assert!(sd.peek(BlockAddr(5)).is_none());
         // Reads fall through to the home path.
-        assert_eq!(sd.snoop(&mut msg(MsgType::ReadRequest, 5, 7)), SnoopAction::Forward);
+        assert_eq!(snoop(&mut sd, &mut msg(MsgType::ReadRequest, 5, 7)), SnoopAction::Forward);
         // The in-flight transfer still completes through the copyback path.
         let mut cb = msg(MsgType::CopyBack, 1, 3);
-        assert_eq!(sd.snoop(&mut cb), SnoopAction::Forward);
+        assert_eq!(snoop(&mut sd, &mut cb), SnoopAction::Forward);
         assert!(cb.carried_sharers.contains(7), "degraded switch still marks its copyback");
         assert_eq!(sd.transient_count(), 0);
         // Re-enable: installs work again.
@@ -802,11 +803,11 @@ mod tests {
         assert_eq!(sd.stats().evictions, 1);
         assert_eq!(sd.stats().evictions_transient, 0, "TRANSIENT pin holds");
         assert_eq!(sd.stats().peak_occupancy, 2);
-        sd.snoop(&mut msg(MsgType::ReadRequest, 4, 7)); // -> transient
+        snoop(&mut sd, &mut msg(MsgType::ReadRequest, 4, 7)); // -> transient
         assert_eq!(sd.stats().peak_transients, 1);
         // Peaks persist after the transient drains.
         let mut cb = msg(MsgType::CopyBack, 4, 2);
-        sd.snoop(&mut cb);
+        snoop(&mut sd, &mut cb);
         assert_eq!(sd.transient_count(), 0);
         assert_eq!(sd.stats().peak_transients, 1);
         // Merge takes the max of peaks, the sum of evictions.
@@ -820,9 +821,9 @@ mod tests {
     #[test]
     fn snoop_counts_only_relevant_messages() {
         let mut sd = SwitchDirectory::new(cfg());
-        sd.snoop(&mut msg(MsgType::ReadReply, 1, 1));
+        snoop(&mut sd, &mut msg(MsgType::ReadReply, 1, 1));
         assert_eq!(sd.stats().snoops, 0);
-        sd.snoop(&mut msg(MsgType::ReadRequest, 1, 1));
+        snoop(&mut sd, &mut msg(MsgType::ReadRequest, 1, 1));
         assert_eq!(sd.stats().snoops, 1);
     }
 }

@@ -25,7 +25,7 @@ pub use report::ExecutionReport;
 
 use crate::switchdir::{GenMsg, SnoopAction, SwitchDirectory, TransientReadPolicy};
 use dresar_cache::{AccessOutcome, CacheHierarchy, Eviction, LineState};
-use dresar_directory::{DirAction, HomeDirectory, QueuedReq, ReqKind};
+use dresar_directory::{Completion, DirAction, HomeDirectory, QueuedReq, ReqKind};
 use dresar_engine::{BankedResource, EventQueue, Resource};
 use dresar_faults::{
     FaultPlan, FaultSession, LaunchVerdict, SimError, StuckMsg, Watchdog, WatchdogConfig,
@@ -34,7 +34,8 @@ use dresar_faults::{
 use dresar_interconnect::routes::{self, Route};
 use dresar_interconnect::{Bmin, HopNetwork, SwitchId};
 use dresar_obs::{
-    MachineShape, NullProbe, ObserverConfig, ObserverSet, Probe, ServicePoint, SwitchLoc,
+    HomeReq, HomeTransition, MachineShape, NullProbe, ObserverConfig, ObserverSet, Probe,
+    ServicePoint, SwitchLoc,
 };
 use dresar_protocol::{spec, ProtoState};
 use dresar_stats::{BlockHistogram, ReadClass};
@@ -1018,7 +1019,7 @@ impl System {
             probe.msg_hop(t, &infl.msg, loc);
             let action = match self.sdirs[idx].as_mut() {
                 Some(sd) => {
-                    let action = sd.snoop_probed(&mut infl.msg, loc, t, probe);
+                    let action = sd.snoop(&mut infl.msg, loc, t, probe);
                     let sd = self.sdirs[idx].as_ref().unwrap();
                     probe.sd_occupancy(t, loc, sd.occupancy(), sd.transient_count());
                     action
@@ -1114,26 +1115,19 @@ impl System {
     }
 
     fn on_home_exec<P: Probe>(&mut self, h: NodeId, msg: Message, t: Cycle, probe: &mut P) {
+        let block = msg.block;
         match msg.kind {
             MsgType::ReadRequest => {
-                let act = self.homes[h as usize].handle_read_probed(
-                    msg.block,
-                    msg.requester,
-                    h,
-                    t,
-                    probe,
-                );
-                self.apply_dir_action(h, msg.block, act, t, probe);
+                let act = self.home_step(h, block, HomeReq::Read, t, probe, |d| {
+                    d.handle_read(block, msg.requester)
+                });
+                self.apply_dir_action(h, block, act, t, probe);
             }
             MsgType::WriteRequest => {
-                let act = self.homes[h as usize].handle_write_probed(
-                    msg.block,
-                    msg.requester,
-                    h,
-                    t,
-                    probe,
-                );
-                self.apply_dir_action(h, msg.block, act, t, probe);
+                let act = self.home_step(h, block, HomeReq::Write, t, probe, |d| {
+                    d.handle_write(block, msg.requester)
+                });
+                self.apply_dir_action(h, block, act, t, probe);
             }
             MsgType::CopyBack => {
                 let sender = match msg.src {
@@ -1143,45 +1137,62 @@ impl System {
                 // A copyback whose `owner` field is set announces that the
                 // supplier retained the line OWNED (MOESI dirty sharing).
                 let retained = msg.owner.is_some();
-                let c = self.homes[h as usize].handle_copyback_probed(
-                    msg.block,
-                    sender,
-                    msg.carried_sharers,
-                    retained,
-                    h,
-                    t,
-                    probe,
-                );
-                self.apply_completion(h, msg.block, c, t, probe);
+                let c = self.home_step(h, block, HomeReq::CopyBack, t, probe, |d| {
+                    d.handle_copyback(block, sender, msg.carried_sharers, retained)
+                });
+                self.apply_completion(h, block, c, t, probe);
             }
             MsgType::WriteBack => {
                 let sender = match msg.src {
                     Endpoint::Proc(p) => p,
                     _ => unreachable!("writebacks originate at caches"),
                 };
-                let c = self.homes[h as usize].handle_writeback_probed(
-                    msg.block,
-                    sender,
-                    msg.carried_sharers,
-                    h,
-                    t,
-                    probe,
-                );
-                self.apply_completion(h, msg.block, c, t, probe);
+                let c = self.home_step(h, block, HomeReq::WriteBack, t, probe, |d| {
+                    d.handle_writeback(block, sender, msg.carried_sharers)
+                });
+                self.apply_completion(h, block, c, t, probe);
             }
             MsgType::InvalAck => {
-                let c = self.homes[h as usize].handle_inval_ack_probed(msg.block, h, t, probe);
-                self.apply_completion(h, msg.block, c, t, probe);
+                let c = self.home_step(h, block, HomeReq::InvalAck, t, probe, |d| {
+                    d.handle_inval_ack(block)
+                });
+                self.apply_completion(h, block, c, t, probe);
             }
             other => unreachable!("home received unexpected {other:?}"),
         }
+    }
+
+    /// Runs one home-directory handler at home `h` and reports the FSM
+    /// transition it made: snapshot the block, run `handler`, snapshot
+    /// again, then emit `home_fsm`.
+    fn home_step<P: Probe, R: HomeOutcome>(
+        &mut self,
+        h: NodeId,
+        block: BlockAddr,
+        req: HomeReq,
+        t: Cycle,
+        probe: &mut P,
+        handler: impl FnOnce(&mut HomeDirectory) -> R,
+    ) -> R {
+        let dir = &mut self.homes[h as usize];
+        let (from, from_busy) = dir.fsm_state(block);
+        let out = handler(dir);
+        let (to, to_busy) = dir.fsm_state(block);
+        let (nak, queued) = out.nak_queued();
+        probe.home_fsm(
+            t,
+            h,
+            block,
+            HomeTransition { req, from, from_busy, to, to_busy, nak, queued },
+        );
+        out
     }
 
     fn apply_completion<P: Probe>(
         &mut self,
         h: NodeId,
         block: BlockAddr,
-        c: dresar_directory::Completion,
+        c: Completion,
         t: Cycle,
         probe: &mut P,
     ) {
@@ -1190,12 +1201,12 @@ impl System {
         }
         for QueuedReq { block, requester, kind } in c.replay {
             let act = match kind {
-                ReqKind::Read => {
-                    self.homes[h as usize].handle_read_probed(block, requester, h, t, probe)
-                }
-                ReqKind::Write => {
-                    self.homes[h as usize].handle_write_probed(block, requester, h, t, probe)
-                }
+                ReqKind::Read => self.home_step(h, block, HomeReq::Read, t, probe, |d| {
+                    d.handle_read(block, requester)
+                }),
+                ReqKind::Write => self.home_step(h, block, HomeReq::Write, t, probe, |d| {
+                    d.handle_write(block, requester)
+                }),
             };
             self.apply_dir_action(h, block, act, t, probe);
         }
@@ -1735,6 +1746,22 @@ impl System {
         }
     }
 }
+
+/// The `nak`/`queued` flags a home handler's result reports in its
+/// `home_fsm` transition. Completions never NAK or park a request.
+trait HomeOutcome {
+    fn nak_queued(&self) -> (bool, bool) {
+        (false, false)
+    }
+}
+
+impl HomeOutcome for DirAction {
+    fn nak_queued(&self) -> (bool, bool) {
+        (matches!(self, DirAction::Nak { .. }), matches!(self, DirAction::Queued))
+    }
+}
+
+impl HomeOutcome for Completion {}
 
 #[cfg(test)]
 mod tests {

@@ -13,12 +13,11 @@
 //! copybacks/writebacks from switch directories carry additional sharer
 //! pids that the home folds into the vector at completion time.
 
-use dresar_obs::{DirStateKind, HomeReq, HomeTransition, Probe};
+use dresar_obs::DirStateKind;
 use dresar_types::{
-    BlockAddr, Cycle, FastMap, FromJson, JsonError, JsonValue, NodeId, Protocol, SharerSet, ToJson,
+    BlockAddr, FastMap, FromJson, JsonError, JsonValue, NodeId, Protocol, SharerSet, ToJson,
     MAX_NODES,
 };
-use std::collections::hash_map::Entry;
 use std::collections::VecDeque;
 
 fn kind_of(state: &DirState) -> DirStateKind {
@@ -428,6 +427,26 @@ impl HomeDirectory {
         self.stats.peak_pending = self.stats.peak_pending.max(self.pending_now);
     }
 
+    /// Runs one request/completion handler on `block`: counts its full-map
+    /// lookup and folds the block's occupancy change into the peaks.
+    fn lookup<R>(&mut self, block: BlockAddr, handler: impl FnOnce(&mut Self) -> R) -> R {
+        let before = self.occupancy_of(block);
+        self.stats.lookups += 1;
+        let out = handler(self);
+        self.track_occupancy(block, before);
+        out
+    }
+
+    /// A block's stable-state kind and whether a transaction is in flight:
+    /// the two halves of each end of a [`HomeTransition`].
+    ///
+    /// [`HomeTransition`]: dresar_obs::HomeTransition
+    pub fn fsm_state(&self, block: BlockAddr) -> (DirStateKind, bool) {
+        self.blocks
+            .get(&block)
+            .map_or((DirStateKind::Uncached, false), |e| (kind_of(&e.state), e.busy.is_some()))
+    }
+
     /// Drops quiescent entries to bound memory in long runs.
     pub fn compact(&mut self) {
         self.blocks.retain(|_, e| !e.is_quiescent());
@@ -448,224 +467,210 @@ impl HomeDirectory {
 
     /// Handles a `ReadRequest` arriving at the home.
     pub fn handle_read(&mut self, block: BlockAddr, requester: NodeId) -> DirAction {
-        let before = self.occupancy_of(block);
-        self.stats.lookups += 1;
-        let action = self.read_impl(block, requester);
-        self.track_occupancy(block, before);
-        action
-    }
-
-    fn read_impl(&mut self, block: BlockAddr, requester: NodeId) -> DirAction {
-        if !self.node_ok("dir_read_bounds", requester) {
-            self.stats.naks += 1;
-            return DirAction::Nak { to: requester };
-        }
-        if self.entry(block).busy.is_some() {
-            return self.park(block, requester, ReqKind::Read);
-        }
-        let protocol = self.protocol;
-        let e = self.entry(block);
-        match e.state.clone() {
-            DirState::Uncached if protocol.exclusive_read_fill() => {
-                // MESI/MOESI unshared fill: grant EXCLUSIVE and book the
-                // reader as owner (it may upgrade silently). Memory serves
-                // the data, so it still counts as a clean read.
-                e.state = DirState::Modified(requester);
-                e.seq += 1;
-                let seq = e.seq;
-                self.stats.reads_clean += 1;
-                DirAction::ReadReplyExcl { to: requester, seq }
+        self.lookup(block, |d| {
+            if !d.node_ok("dir_read_bounds", requester) {
+                d.stats.naks += 1;
+                return DirAction::Nak { to: requester };
             }
-            DirState::Uncached => {
-                e.state = DirState::Shared(SharerSet::singleton(requester));
-                self.stats.reads_clean += 1;
-                DirAction::ReadReplyClean { to: requester }
+            if d.entry(block).busy.is_some() {
+                return d.park(block, requester, ReqKind::Read);
             }
-            DirState::Shared(mut set) => {
-                set.insert(requester);
-                e.state = DirState::Shared(set);
-                self.stats.reads_clean += 1;
-                DirAction::ReadReplyClean { to: requester }
+            let protocol = d.protocol;
+            let e = d.entry(block);
+            match e.state.clone() {
+                DirState::Uncached if protocol.exclusive_read_fill() => {
+                    // MESI/MOESI unshared fill: grant EXCLUSIVE and book the
+                    // reader as owner (it may upgrade silently). Memory serves
+                    // the data, so it still counts as a clean read.
+                    e.state = DirState::Modified(requester);
+                    e.seq += 1;
+                    let seq = e.seq;
+                    d.stats.reads_clean += 1;
+                    DirAction::ReadReplyExcl { to: requester, seq }
+                }
+                DirState::Uncached => {
+                    e.state = DirState::Shared(SharerSet::singleton(requester));
+                    d.stats.reads_clean += 1;
+                    DirAction::ReadReplyClean { to: requester }
+                }
+                DirState::Shared(mut set) => {
+                    set.insert(requester);
+                    e.state = DirState::Shared(set);
+                    d.stats.reads_clean += 1;
+                    DirAction::ReadReplyClean { to: requester }
+                }
+                DirState::Modified(owner) if owner == requester => {
+                    // Writeback race: the directory still names the requester as
+                    // owner, so its WriteBack must be in flight. NAK; the retry
+                    // will find the block Uncached.
+                    d.stats.naks += 1;
+                    DirAction::Nak { to: requester }
+                }
+                DirState::Modified(_) if protocol.home_read_bypass() => {
+                    // The directoryless-shared-LLC baseline: serve the read
+                    // straight from memory, no intervention, no state change.
+                    // The owner is left booked and the new reader untracked —
+                    // the documented staleness cost of the bypass.
+                    d.stats.reads_clean += 1;
+                    DirAction::ReadReplyClean { to: requester }
+                }
+                DirState::Modified(owner) => {
+                    e.busy = Some(Busy::CtoC { owner, requester, write_intent: false });
+                    let act = DirAction::ForwardCtoC {
+                        owner,
+                        requester,
+                        write_intent: false,
+                        owner_seq: e.seq,
+                    };
+                    d.stats.reads_ctoc += 1;
+                    act
+                }
+                DirState::Owned { owner, .. } if owner == requester => {
+                    // Writeback race, as for Modified.
+                    d.stats.naks += 1;
+                    DirAction::Nak { to: requester }
+                }
+                DirState::Owned { owner, .. } => {
+                    // MOESI owner-supplies rule: every read of a dirty-shared
+                    // block is served by the owner, cache to cache.
+                    e.busy = Some(Busy::CtoC { owner, requester, write_intent: false });
+                    let act = DirAction::ForwardCtoC {
+                        owner,
+                        requester,
+                        write_intent: false,
+                        owner_seq: e.seq,
+                    };
+                    d.stats.reads_ctoc += 1;
+                    act
+                }
             }
-            DirState::Modified(owner) if owner == requester => {
-                // Writeback race: the directory still names the requester as
-                // owner, so its WriteBack must be in flight. NAK; the retry
-                // will find the block Uncached.
-                self.stats.naks += 1;
-                DirAction::Nak { to: requester }
-            }
-            DirState::Modified(_) if protocol.home_read_bypass() => {
-                // The directoryless-shared-LLC baseline: serve the read
-                // straight from memory, no intervention, no state change.
-                // The owner is left booked and the new reader untracked —
-                // the documented staleness cost of the bypass.
-                self.stats.reads_clean += 1;
-                DirAction::ReadReplyClean { to: requester }
-            }
-            DirState::Modified(owner) => {
-                e.busy = Some(Busy::CtoC { owner, requester, write_intent: false });
-                let act = DirAction::ForwardCtoC {
-                    owner,
-                    requester,
-                    write_intent: false,
-                    owner_seq: e.seq,
-                };
-                self.stats.reads_ctoc += 1;
-                act
-            }
-            DirState::Owned { owner, .. } if owner == requester => {
-                // Writeback race, as for Modified.
-                self.stats.naks += 1;
-                DirAction::Nak { to: requester }
-            }
-            DirState::Owned { owner, .. } => {
-                // MOESI owner-supplies rule: every read of a dirty-shared
-                // block is served by the owner, cache to cache.
-                e.busy = Some(Busy::CtoC { owner, requester, write_intent: false });
-                let act = DirAction::ForwardCtoC {
-                    owner,
-                    requester,
-                    write_intent: false,
-                    owner_seq: e.seq,
-                };
-                self.stats.reads_ctoc += 1;
-                act
-            }
-        }
+        })
     }
 
     /// Handles a `WriteRequest` (ownership request) arriving at the home.
     pub fn handle_write(&mut self, block: BlockAddr, requester: NodeId) -> DirAction {
-        let before = self.occupancy_of(block);
-        self.stats.lookups += 1;
-        let action = self.write_impl(block, requester);
-        self.track_occupancy(block, before);
-        action
-    }
-
-    fn write_impl(&mut self, block: BlockAddr, requester: NodeId) -> DirAction {
-        if !self.node_ok("dir_write_bounds", requester) {
-            self.stats.naks += 1;
-            return DirAction::Nak { to: requester };
-        }
-        if self.entry(block).busy.is_some() {
-            return self.park(block, requester, ReqKind::Write);
-        }
-        let e = self.entry(block);
-        match e.state.clone() {
-            DirState::Uncached => {
-                e.state = DirState::Modified(requester);
-                e.seq += 1;
-                DirAction::WriteReplyGrant { to: requester, seq: e.seq }
+        self.lookup(block, |d| {
+            if !d.node_ok("dir_write_bounds", requester) {
+                d.stats.naks += 1;
+                return DirAction::Nak { to: requester };
             }
-            DirState::Shared(set) => {
-                let targets = {
-                    let mut t = set;
-                    t.remove(requester);
-                    t
-                };
-                if targets.is_empty() {
+            if d.entry(block).busy.is_some() {
+                return d.park(block, requester, ReqKind::Write);
+            }
+            let e = d.entry(block);
+            match e.state.clone() {
+                DirState::Uncached => {
                     e.state = DirState::Modified(requester);
                     e.seq += 1;
                     DirAction::WriteReplyGrant { to: requester, seq: e.seq }
-                } else {
-                    e.busy =
-                        Some(Busy::Inval { writer: requester, acks_left: targets.len() as u32 });
-                    self.stats.inval_rounds += 1;
-                    self.stats.invals_sent += targets.len() as u64;
-                    DirAction::Invalidate { targets, writer: requester }
+                }
+                DirState::Shared(set) => {
+                    let targets = {
+                        let mut t = set;
+                        t.remove(requester);
+                        t
+                    };
+                    if targets.is_empty() {
+                        e.state = DirState::Modified(requester);
+                        e.seq += 1;
+                        DirAction::WriteReplyGrant { to: requester, seq: e.seq }
+                    } else {
+                        e.busy = Some(Busy::Inval {
+                            writer: requester,
+                            acks_left: targets.len() as u32,
+                        });
+                        d.stats.inval_rounds += 1;
+                        d.stats.invals_sent += targets.len() as u64;
+                        DirAction::Invalidate { targets, writer: requester }
+                    }
+                }
+                DirState::Modified(owner) if owner == requester => {
+                    // Writeback race, as in handle_read.
+                    d.stats.naks += 1;
+                    DirAction::Nak { to: requester }
+                }
+                DirState::Modified(owner) => {
+                    e.busy = Some(Busy::CtoC { owner, requester, write_intent: true });
+                    let act = DirAction::ForwardCtoC {
+                        owner,
+                        requester,
+                        write_intent: true,
+                        owner_seq: e.seq,
+                    };
+                    d.stats.writes_ctoc += 1;
+                    act
+                }
+                DirState::Owned { owner, sharers } => {
+                    // MOESI write to a dirty-shared block: memory is fresh (the
+                    // retained copyback refreshed it), so this is an invalidation
+                    // round over owner + sharers, not an ownership transfer.
+                    let targets = {
+                        let mut t = sharers;
+                        t.insert(owner);
+                        t.remove(requester);
+                        t
+                    };
+                    if targets.is_empty() {
+                        // The owner itself upgrading with no other sharers.
+                        e.state = DirState::Modified(requester);
+                        e.seq += 1;
+                        DirAction::WriteReplyGrant { to: requester, seq: e.seq }
+                    } else {
+                        e.busy = Some(Busy::Inval {
+                            writer: requester,
+                            acks_left: targets.len() as u32,
+                        });
+                        d.stats.inval_rounds += 1;
+                        d.stats.invals_sent += targets.len() as u64;
+                        DirAction::Invalidate { targets, writer: requester }
+                    }
                 }
             }
-            DirState::Modified(owner) if owner == requester => {
-                // Writeback race, as in handle_read.
-                self.stats.naks += 1;
-                DirAction::Nak { to: requester }
-            }
-            DirState::Modified(owner) => {
-                e.busy = Some(Busy::CtoC { owner, requester, write_intent: true });
-                let act = DirAction::ForwardCtoC {
-                    owner,
-                    requester,
-                    write_intent: true,
-                    owner_seq: e.seq,
-                };
-                self.stats.writes_ctoc += 1;
-                act
-            }
-            DirState::Owned { owner, sharers } => {
-                // MOESI write to a dirty-shared block: memory is fresh (the
-                // retained copyback refreshed it), so this is an invalidation
-                // round over owner + sharers, not an ownership transfer.
-                let targets = {
-                    let mut t = sharers;
-                    t.insert(owner);
-                    t.remove(requester);
-                    t
-                };
-                if targets.is_empty() {
-                    // The owner itself upgrading with no other sharers.
-                    e.state = DirState::Modified(requester);
-                    e.seq += 1;
-                    DirAction::WriteReplyGrant { to: requester, seq: e.seq }
-                } else {
-                    e.busy =
-                        Some(Busy::Inval { writer: requester, acks_left: targets.len() as u32 });
-                    self.stats.inval_rounds += 1;
-                    self.stats.invals_sent += targets.len() as u64;
-                    DirAction::Invalidate { targets, writer: requester }
-                }
-            }
-        }
+        })
     }
 
     /// Handles an `InvalAck`. When the last ack arrives, the waiting writer
     /// gets its grant and pending requests replay.
     pub fn handle_inval_ack(&mut self, block: BlockAddr) -> Completion {
-        let before = self.occupancy_of(block);
-        self.stats.lookups += 1;
-        let c = self.inval_ack_impl(block);
-        self.track_occupancy(block, before);
-        c
-    }
-
-    fn inval_ack_impl(&mut self, block: BlockAddr) -> Completion {
-        let e = self.entry(block);
-        match e.busy {
-            Some(Busy::Inval { acks_left: 0, .. }) => {
-                // Was a debug_assert!(acks_left > 0): an inval round can
-                // never be parked with zero outstanding acks, so reaching
-                // here means a duplicated or forged ack.
-                self.record_error(
-                    "dir_inval_ack_underflow",
-                    format!("InvalAck for {block:?} with zero acks outstanding"),
-                );
-                Completion::default()
-            }
-            Some(Busy::Inval { writer, acks_left }) => {
-                if acks_left == 1 {
-                    e.busy = None;
-                    e.state = DirState::Modified(writer);
-                    e.seq += 1;
-                    let replay = std::mem::take(&mut e.pending).into_iter().collect();
-                    Completion {
-                        actions: vec![DirAction::WriteReplyGrant { to: writer, seq: e.seq }],
-                        replay,
+        self.lookup(block, |d| {
+            let e = d.entry(block);
+            match e.busy {
+                Some(Busy::Inval { acks_left: 0, .. }) => {
+                    // Was a debug_assert!(acks_left > 0): an inval round can
+                    // never be parked with zero outstanding acks, so reaching
+                    // here means a duplicated or forged ack.
+                    d.record_error(
+                        "dir_inval_ack_underflow",
+                        format!("InvalAck for {block:?} with zero acks outstanding"),
+                    );
+                    Completion::default()
+                }
+                Some(Busy::Inval { writer, acks_left }) => {
+                    if acks_left == 1 {
+                        e.busy = None;
+                        e.state = DirState::Modified(writer);
+                        e.seq += 1;
+                        let replay = std::mem::take(&mut e.pending).into_iter().collect();
+                        Completion {
+                            actions: vec![DirAction::WriteReplyGrant { to: writer, seq: e.seq }],
+                            replay,
+                        }
+                    } else {
+                        e.busy = Some(Busy::Inval { writer, acks_left: acks_left - 1 });
+                        Completion::default()
                     }
-                } else {
-                    e.busy = Some(Busy::Inval { writer, acks_left: acks_left - 1 });
+                }
+                _ => {
+                    // Was a debug_assert!(false, ...): promoted so release runs
+                    // surface the stray ack instead of silently dropping it.
+                    d.record_error(
+                        "dir_inval_ack_stray",
+                        format!("InvalAck for {block:?} with no inval round in flight"),
+                    );
                     Completion::default()
                 }
             }
-            _ => {
-                // Was a debug_assert!(false, ...): promoted so release runs
-                // surface the stray ack instead of silently dropping it.
-                self.record_error(
-                    "dir_inval_ack_stray",
-                    format!("InvalAck for {block:?} with no inval round in flight"),
-                );
-                Completion::default()
-            }
-        }
+        })
     }
 
     /// Handles a `CopyBack` from `from` — either solicited (the home
@@ -681,130 +686,127 @@ impl HomeDirectory {
         carried: SharerSet,
         retained: bool,
     ) -> Completion {
-        let before = self.occupancy_of(block);
-        self.stats.lookups += 1;
-        let c = self.copyback_impl(block, from, carried, retained);
-        self.track_occupancy(block, before);
-        c
-    }
-
-    fn copyback_impl(
-        &mut self,
-        block: BlockAddr,
-        from: NodeId,
-        carried: SharerSet,
-        retained: bool,
-    ) -> Completion {
-        if !self.node_ok("dir_copyback_bounds", from) {
-            return Completion::default();
-        }
-        let carried = self.sanitize_carried("dir_copyback_carried_bounds", carried);
-        if !carried.is_empty() {
-            self.stats.marked_completions += 1;
-        }
-        let e = self.entry(block);
-        // Sharers already recorded beside `from` when the block is Owned —
-        // an O owner re-serving a read must not wipe them.
-        let prior = match &e.state {
-            DirState::Owned { owner, sharers } if *owner == from => sharers.clone(),
-            _ => SharerSet::EMPTY,
-        };
-        match e.busy {
-            Some(Busy::CtoC { owner, requester, write_intent }) if owner == from => {
-                e.busy = None;
-                if write_intent && carried.is_empty() {
-                    // Ownership transfer completed owner -> requester. The
-                    // bumped seq matches the one `serve_intervention` stamped
-                    // on the CtoCData grant (intervened seq + 1).
-                    e.state = DirState::Modified(requester);
-                    e.seq += 1;
-                    let replay = std::mem::take(&mut e.pending).into_iter().collect();
-                    return Completion { actions: vec![], replay };
-                }
-                // Read intervention completed (or a switch-initiated read
-                // CtoC completed while we were waiting): memory is fresh;
-                // the owner downgraded to Shared — or, MOESI, kept OWNED.
-                let mut set =
-                    SharerSet::singleton(owner).union(carried.clone()).union(prior.clone());
-                if write_intent {
-                    // Our waiting transaction was a write but the owner
-                    // serviced a read CtoC first: everyone now sharing must
-                    // be invalidated before the writer gets ownership.
-                    let targets = {
-                        let mut t = set.clone();
-                        t.remove(requester);
-                        t
-                    };
-                    if targets.is_empty() {
+        self.lookup(block, |d| {
+            if !d.node_ok("dir_copyback_bounds", from) {
+                return Completion::default();
+            }
+            let carried = d.sanitize_carried("dir_copyback_carried_bounds", carried);
+            if !carried.is_empty() {
+                d.stats.marked_completions += 1;
+            }
+            let e = d.entry(block);
+            // Sharers already recorded beside `from` when the block is Owned —
+            // an O owner re-serving a read must not wipe them.
+            let prior = match &e.state {
+                DirState::Owned { owner, sharers } if *owner == from => sharers.clone(),
+                _ => SharerSet::EMPTY,
+            };
+            match e.busy {
+                Some(Busy::CtoC { owner, requester, write_intent }) if owner == from => {
+                    e.busy = None;
+                    if write_intent && carried.is_empty() {
+                        // Ownership transfer completed owner -> requester. The
+                        // bumped seq matches the one `serve_intervention` stamped
+                        // on the CtoCData grant (intervened seq + 1).
                         e.state = DirState::Modified(requester);
                         e.seq += 1;
                         let replay = std::mem::take(&mut e.pending).into_iter().collect();
+                        return Completion { actions: vec![], replay };
+                    }
+                    // Read intervention completed (or a switch-initiated read
+                    // CtoC completed while we were waiting): memory is fresh;
+                    // the owner downgraded to Shared — or, MOESI, kept OWNED.
+                    let mut set =
+                        SharerSet::singleton(owner).union(carried.clone()).union(prior.clone());
+                    if write_intent {
+                        // Our waiting transaction was a write but the owner
+                        // serviced a read CtoC first: everyone now sharing must
+                        // be invalidated before the writer gets ownership.
+                        let targets = {
+                            let mut t = set.clone();
+                            t.remove(requester);
+                            t
+                        };
+                        if targets.is_empty() {
+                            e.state = DirState::Modified(requester);
+                            e.seq += 1;
+                            let replay = std::mem::take(&mut e.pending).into_iter().collect();
+                            return Completion {
+                                actions: vec![DirAction::WriteReplyGrant {
+                                    to: requester,
+                                    seq: e.seq,
+                                }],
+                                replay,
+                            };
+                        }
+                        e.state = if retained {
+                            let mut sharers = carried.union(prior);
+                            sharers.remove(from);
+                            DirState::Owned { owner: from, sharers }
+                        } else {
+                            DirState::Shared(set)
+                        };
+                        e.busy = Some(Busy::Inval {
+                            writer: requester,
+                            acks_left: targets.len() as u32,
+                        });
+                        d.stats.inval_rounds += 1;
+                        d.stats.invals_sent += targets.len() as u64;
                         return Completion {
-                            actions: vec![DirAction::WriteReplyGrant { to: requester, seq: e.seq }],
-                            replay,
+                            actions: vec![DirAction::Invalidate { targets, writer: requester }],
+                            replay: vec![],
                         };
                     }
                     e.state = if retained {
                         let mut sharers = carried.union(prior);
+                        sharers.insert(requester);
                         sharers.remove(from);
                         DirState::Owned { owner: from, sharers }
                     } else {
+                        set.insert(requester);
                         DirState::Shared(set)
                     };
-                    e.busy =
-                        Some(Busy::Inval { writer: requester, acks_left: targets.len() as u32 });
-                    self.stats.inval_rounds += 1;
-                    self.stats.invals_sent += targets.len() as u64;
-                    return Completion {
-                        actions: vec![DirAction::Invalidate { targets, writer: requester }],
-                        replay: vec![],
-                    };
+                    let replay = std::mem::take(&mut e.pending).into_iter().collect();
+                    Completion {
+                        actions: vec![DirAction::ReadReplyClean { to: requester }],
+                        replay,
+                    }
                 }
-                e.state = if retained {
-                    let mut sharers = carried.union(prior);
-                    sharers.insert(requester);
-                    sharers.remove(from);
-                    DirState::Owned { owner: from, sharers }
-                } else {
-                    set.insert(requester);
-                    DirState::Shared(set)
-                };
-                let replay = std::mem::take(&mut e.pending).into_iter().collect();
-                Completion { actions: vec![DirAction::ReadReplyClean { to: requester }], replay }
-            }
-            _ => {
-                // Unsolicited: a switch-directory-initiated CtoC. The block
-                // must be recorded with `from` as owner; fold in carried
-                // sharers (and keep the owner OWNED when it retained).
-                match e.state.clone() {
-                    DirState::Modified(owner) if owner == from => {
-                        e.state = if retained {
-                            DirState::Owned { owner: from, sharers: carried }
-                        } else {
-                            DirState::Shared(SharerSet::singleton(from).union(carried))
-                        };
-                        let replay = std::mem::take(&mut e.pending).into_iter().collect();
-                        Completion { actions: vec![], replay }
-                    }
-                    DirState::Owned { owner, sharers } if owner == from => {
-                        // An O owner re-served another reader through a
-                        // switch; it stays owner either way.
-                        e.state = DirState::Owned { owner: from, sharers: sharers.union(carried) };
-                        let replay = std::mem::take(&mut e.pending).into_iter().collect();
-                        Completion { actions: vec![], replay }
-                    }
-                    _ => {
-                        // Stale copyback (transaction already resolved by a
-                        // racing writeback). Memory write is harmless; fold
-                        // carried sharers if the state is Shared.
-                        if let DirState::Shared(set) = e.state.clone() {
-                            e.state = DirState::Shared(set.union(carried));
+                _ => {
+                    // Unsolicited: a switch-directory-initiated CtoC. The block
+                    // must be recorded with `from` as owner; fold in carried
+                    // sharers (and keep the owner OWNED when it retained).
+                    match e.state.clone() {
+                        DirState::Modified(owner) if owner == from => {
+                            e.state = if retained {
+                                DirState::Owned { owner: from, sharers: carried }
+                            } else {
+                                DirState::Shared(SharerSet::singleton(from).union(carried))
+                            };
+                            let replay = std::mem::take(&mut e.pending).into_iter().collect();
+                            Completion { actions: vec![], replay }
                         }
-                        Completion::default()
+                        DirState::Owned { owner, sharers } if owner == from => {
+                            // An O owner re-served another reader through a
+                            // switch; it stays owner either way.
+                            e.state =
+                                DirState::Owned { owner: from, sharers: sharers.union(carried) };
+                            let replay = std::mem::take(&mut e.pending).into_iter().collect();
+                            Completion { actions: vec![], replay }
+                        }
+                        _ => {
+                            // Stale copyback (transaction already resolved by a
+                            // racing writeback). Memory write is harmless; fold
+                            // carried sharers if the state is Shared.
+                            if let DirState::Shared(set) = e.state.clone() {
+                                e.state = DirState::Shared(set.union(carried));
+                            }
+                            Completion::default()
+                        }
                     }
                 }
             }
-        }
+        })
     }
 
     /// Handles a `WriteBack` (dirty eviction) from `from`. A *marked*
@@ -817,194 +819,91 @@ impl HomeDirectory {
         from: NodeId,
         carried: SharerSet,
     ) -> Completion {
-        let before = self.occupancy_of(block);
-        self.stats.lookups += 1;
-        let c = self.writeback_impl(block, from, carried);
-        self.track_occupancy(block, before);
-        c
-    }
-
-    fn writeback_impl(&mut self, block: BlockAddr, from: NodeId, carried: SharerSet) -> Completion {
-        if !self.node_ok("dir_writeback_bounds", from) {
-            return Completion::default();
-        }
-        let carried = self.sanitize_carried("dir_writeback_carried_bounds", carried);
-        if !carried.is_empty() {
-            self.stats.marked_completions += 1;
-        }
-        let e = self.entry(block);
-        // Sharers recorded beside an OWNED `from` survive its eviction —
-        // their copies are still valid (memory is fresh under MOESI).
-        let prior = match &e.state {
-            DirState::Owned { owner, sharers } if *owner == from => sharers.clone(),
-            _ => SharerSet::EMPTY,
-        };
-        match e.busy {
-            Some(Busy::CtoC { owner, requester, write_intent }) if owner == from => {
-                // Eviction race: the owner wrote back before our intervention
-                // reached it. Serve the waiting requester from memory.
-                e.busy = None;
-                if write_intent {
-                    let targets = carried.union(prior);
-                    if targets.is_empty() {
-                        e.state = DirState::Modified(requester);
-                        e.seq += 1;
-                        let replay = std::mem::take(&mut e.pending).into_iter().collect();
+        self.lookup(block, |d| {
+            if !d.node_ok("dir_writeback_bounds", from) {
+                return Completion::default();
+            }
+            let carried = d.sanitize_carried("dir_writeback_carried_bounds", carried);
+            if !carried.is_empty() {
+                d.stats.marked_completions += 1;
+            }
+            let e = d.entry(block);
+            // Sharers recorded beside an OWNED `from` survive its eviction —
+            // their copies are still valid (memory is fresh under MOESI).
+            let prior = match &e.state {
+                DirState::Owned { owner, sharers } if *owner == from => sharers.clone(),
+                _ => SharerSet::EMPTY,
+            };
+            match e.busy {
+                Some(Busy::CtoC { owner, requester, write_intent }) if owner == from => {
+                    // Eviction race: the owner wrote back before our intervention
+                    // reached it. Serve the waiting requester from memory.
+                    e.busy = None;
+                    if write_intent {
+                        let targets = carried.union(prior);
+                        if targets.is_empty() {
+                            e.state = DirState::Modified(requester);
+                            e.seq += 1;
+                            let replay = std::mem::take(&mut e.pending).into_iter().collect();
+                            return Completion {
+                                actions: vec![DirAction::WriteReplyGrant {
+                                    to: requester,
+                                    seq: e.seq,
+                                }],
+                                replay,
+                            };
+                        }
+                        e.state = DirState::Shared(targets.clone());
+                        e.busy = Some(Busy::Inval {
+                            writer: requester,
+                            acks_left: targets.len() as u32,
+                        });
+                        d.stats.inval_rounds += 1;
+                        d.stats.invals_sent += targets.len() as u64;
                         return Completion {
-                            actions: vec![DirAction::WriteReplyGrant { to: requester, seq: e.seq }],
-                            replay,
+                            actions: vec![DirAction::Invalidate { targets, writer: requester }],
+                            replay: vec![],
                         };
                     }
-                    e.state = DirState::Shared(targets.clone());
-                    e.busy =
-                        Some(Busy::Inval { writer: requester, acks_left: targets.len() as u32 });
-                    self.stats.inval_rounds += 1;
-                    self.stats.invals_sent += targets.len() as u64;
-                    return Completion {
-                        actions: vec![DirAction::Invalidate { targets, writer: requester }],
-                        replay: vec![],
-                    };
+                    let set = SharerSet::singleton(requester).union(carried).union(prior);
+                    e.state = DirState::Shared(set);
+                    let replay = std::mem::take(&mut e.pending).into_iter().collect();
+                    Completion {
+                        actions: vec![DirAction::ReadReplyClean { to: requester }],
+                        replay,
+                    }
                 }
-                let set = SharerSet::singleton(requester).union(carried).union(prior);
-                e.state = DirState::Shared(set);
-                let replay = std::mem::take(&mut e.pending).into_iter().collect();
-                Completion { actions: vec![DirAction::ReadReplyClean { to: requester }], replay }
+                _ => match e.state.clone() {
+                    DirState::Modified(owner) if owner == from => {
+                        e.state = if carried.is_empty() {
+                            DirState::Uncached
+                        } else {
+                            DirState::Shared(carried)
+                        };
+                        let replay = std::mem::take(&mut e.pending).into_iter().collect();
+                        Completion { actions: vec![], replay }
+                    }
+                    DirState::Owned { owner, sharers } if owner == from => {
+                        // The O owner evicted; the remaining sharers keep their
+                        // clean copies (memory already has the data).
+                        let left = sharers.union(carried);
+                        e.state = if left.is_empty() {
+                            DirState::Uncached
+                        } else {
+                            DirState::Shared(left)
+                        };
+                        let replay = std::mem::take(&mut e.pending).into_iter().collect();
+                        Completion { actions: vec![], replay }
+                    }
+                    _ => {
+                        // Stale writeback (e.g. the block was already taken over
+                        // by another writer after a read-CtoC downgrade made the
+                        // evicting cache a mere sharer). Ignore.
+                        Completion::default()
+                    }
+                },
             }
-            _ => match e.state.clone() {
-                DirState::Modified(owner) if owner == from => {
-                    e.state = if carried.is_empty() {
-                        DirState::Uncached
-                    } else {
-                        DirState::Shared(carried)
-                    };
-                    let replay = std::mem::take(&mut e.pending).into_iter().collect();
-                    Completion { actions: vec![], replay }
-                }
-                DirState::Owned { owner, sharers } if owner == from => {
-                    // The O owner evicted; the remaining sharers keep their
-                    // clean copies (memory already has the data).
-                    let left = sharers.union(carried);
-                    e.state =
-                        if left.is_empty() { DirState::Uncached } else { DirState::Shared(left) };
-                    let replay = std::mem::take(&mut e.pending).into_iter().collect();
-                    Completion { actions: vec![], replay }
-                }
-                _ => {
-                    // Stale writeback (e.g. the block was already taken over
-                    // by another writer after a read-CtoC downgrade made the
-                    // evicting cache a mere sharer). Ignore.
-                    Completion::default()
-                }
-            },
-        }
-    }
-
-    fn snapshot(&self, block: BlockAddr) -> (DirStateKind, bool) {
-        (kind_of(&self.state(block)), self.is_busy(block))
-    }
-
-    #[allow(clippy::too_many_arguments)] // flattened HomeTransition fields
-    fn emit_fsm<P: Probe>(
-        &self,
-        probe: &mut P,
-        t: Cycle,
-        home: NodeId,
-        block: BlockAddr,
-        req: HomeReq,
-        before: (DirStateKind, bool),
-        nak: bool,
-        queued: bool,
-    ) {
-        let (to, to_busy) = self.snapshot(block);
-        probe.home_fsm(
-            t,
-            home,
-            block,
-            HomeTransition { req, from: before.0, from_busy: before.1, to, to_busy, nak, queued },
-        );
-    }
-
-    /// [`HomeDirectory::handle_read`] with observability: emits the FSM
-    /// transition through `probe`.
-    pub fn handle_read_probed<P: Probe>(
-        &mut self,
-        block: BlockAddr,
-        requester: NodeId,
-        home: NodeId,
-        t: Cycle,
-        probe: &mut P,
-    ) -> DirAction {
-        let before = self.snapshot(block);
-        let action = self.handle_read(block, requester);
-        let nak = matches!(action, DirAction::Nak { .. });
-        let queued = matches!(action, DirAction::Queued);
-        self.emit_fsm(probe, t, home, block, HomeReq::Read, before, nak, queued);
-        action
-    }
-
-    /// [`HomeDirectory::handle_write`] with observability.
-    pub fn handle_write_probed<P: Probe>(
-        &mut self,
-        block: BlockAddr,
-        requester: NodeId,
-        home: NodeId,
-        t: Cycle,
-        probe: &mut P,
-    ) -> DirAction {
-        let before = self.snapshot(block);
-        let action = self.handle_write(block, requester);
-        let nak = matches!(action, DirAction::Nak { .. });
-        let queued = matches!(action, DirAction::Queued);
-        self.emit_fsm(probe, t, home, block, HomeReq::Write, before, nak, queued);
-        action
-    }
-
-    /// [`HomeDirectory::handle_inval_ack`] with observability.
-    pub fn handle_inval_ack_probed<P: Probe>(
-        &mut self,
-        block: BlockAddr,
-        home: NodeId,
-        t: Cycle,
-        probe: &mut P,
-    ) -> Completion {
-        let before = self.snapshot(block);
-        let c = self.handle_inval_ack(block);
-        self.emit_fsm(probe, t, home, block, HomeReq::InvalAck, before, false, false);
-        c
-    }
-
-    /// [`HomeDirectory::handle_copyback`] with observability.
-    #[allow(clippy::too_many_arguments)] // mirrors handle_copyback + probe context
-    pub fn handle_copyback_probed<P: Probe>(
-        &mut self,
-        block: BlockAddr,
-        from: NodeId,
-        carried: SharerSet,
-        retained: bool,
-        home: NodeId,
-        t: Cycle,
-        probe: &mut P,
-    ) -> Completion {
-        let before = self.snapshot(block);
-        let c = self.handle_copyback(block, from, carried, retained);
-        self.emit_fsm(probe, t, home, block, HomeReq::CopyBack, before, false, false);
-        c
-    }
-
-    /// [`HomeDirectory::handle_writeback`] with observability.
-    pub fn handle_writeback_probed<P: Probe>(
-        &mut self,
-        block: BlockAddr,
-        from: NodeId,
-        carried: SharerSet,
-        home: NodeId,
-        t: Cycle,
-        probe: &mut P,
-    ) -> Completion {
-        let before = self.snapshot(block);
-        let c = self.handle_writeback(block, from, carried);
-        self.emit_fsm(probe, t, home, block, HomeReq::WriteBack, before, false, false);
-        c
+        })
     }
 
     /// Number of block entries currently tracked (diagnostic).
@@ -1015,22 +914,11 @@ impl HomeDirectory {
     /// Test/debug helper: force a block's stable state.
     pub fn force_state(&mut self, block: BlockAddr, state: DirState) {
         let before = self.occupancy_of(block);
-        self.force_state_impl(block, state);
+        let e = self.entry(block);
+        e.state = state;
+        e.busy = None;
+        e.pending.clear();
         self.track_occupancy(block, before);
-    }
-
-    fn force_state_impl(&mut self, block: BlockAddr, state: DirState) {
-        match self.blocks.entry(block) {
-            Entry::Occupied(mut e) => {
-                let e = e.get_mut();
-                e.state = state;
-                e.busy = None;
-                e.pending.clear();
-            }
-            Entry::Vacant(v) => {
-                v.insert(BlockEntry { state, busy: None, pending: VecDeque::new(), seq: 0 });
-            }
-        }
     }
 }
 

@@ -57,12 +57,19 @@ impl BlockHistogram {
         self.counts.values().map(|&(_, c)| c).sum()
     }
 
+    /// Per-block `(misses, ctocs)` by decreasing misses, ties broken by
+    /// block address so the ranking never depends on hash-map order.
+    fn ranked(&self) -> Vec<(u64, u64)> {
+        let mut per_block: Vec<_> = self.counts.iter().map(|(&b, &mc)| (b, mc)).collect();
+        per_block.sort_unstable_by_key(|&(b, (m, _))| (std::cmp::Reverse(m), b));
+        per_block.into_iter().map(|(_, mc)| mc).collect()
+    }
+
     /// The cumulative distribution over blocks sorted by decreasing misses
     /// (the paper's x-axis ordering), sampled at `samples` evenly spaced
     /// ranks (plus the final rank).
     pub fn cumulative(&self, samples: usize) -> Vec<CumulativePoint> {
-        let mut per_block: Vec<(u64, u64)> = self.counts.values().copied().collect();
-        per_block.sort_unstable_by_key(|&(m, _)| std::cmp::Reverse(m));
+        let per_block = self.ranked();
         let total_m = self.total_misses().max(1) as f64;
         let total_c = self.total_ctocs().max(1) as f64;
 
@@ -98,9 +105,7 @@ impl BlockHistogram {
             return 0.0;
         }
         let k = ((n as f64 * frac).ceil() as usize).clamp(1, n);
-        let mut per_block: Vec<(u64, u64)> = self.counts.values().copied().collect();
-        per_block.sort_unstable_by_key(|&(m, _)| std::cmp::Reverse(m));
-        let covered: u64 = per_block[..k].iter().map(|&(_, c)| c).sum();
+        let covered: u64 = self.ranked()[..k].iter().map(|&(_, c)| c).sum();
         covered as f64 / self.total_ctocs().max(1) as f64
     }
 }
@@ -150,6 +155,18 @@ mod tests {
         assert_eq!(last.block_rank, 10);
         assert!((last.miss_fraction - 1.0).abs() < 1e-12);
         assert!((last.ctoc_fraction - 1.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn equal_miss_counts_rank_by_block_address() {
+        // Ten one-miss blocks; only the lowest address was a CtoC. Without
+        // the address tie-break, hash-map order decides which ranks first.
+        let mut h = BlockHistogram::new();
+        for b in (0..10u64).rev() {
+            h.record_miss(BlockAddr(b), b == 0);
+        }
+        assert_eq!(h.cumulative(10)[0].ctoc_fraction, 1.0);
+        assert_eq!(h.ctoc_coverage_of_top(0.1), 1.0);
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! The Table 3 constant-latency trace simulator.
 
-use dresar::switchdir::{GenMsg, SnoopAction, SwitchDirectory};
+use dresar::switchdir::{GenMsg, NullProbe, SnoopAction, SwitchDirectory, SwitchLoc};
 use dresar_cache::{LineState, SetAssocCache};
 use dresar_directory::{DirAction, HomeDirectory};
 use dresar_interconnect::{Bmin, SwitchId};
@@ -169,7 +169,7 @@ impl TraceSimulator {
         for sw in path {
             let idx = self.linear(sw);
             let action = match self.sdirs[idx].as_mut() {
-                Some(sd) => sd.snoop(msg),
+                Some(sd) => sd.snoop(msg, SwitchLoc::default(), 0, &mut NullProbe),
                 None => SnoopAction::Forward,
             };
             match action {
