@@ -17,24 +17,19 @@
 //!              [--baseline PATH [--tolerance PCT] [--informational]]
 //! ```
 //!
-//! With `--scaling`, the machine-size sweep (16/64/256-node radix-4 BMINs,
-//! base and two switch-directory sizes, two workloads) runs and its figure
-//! is written as a markdown document: raw counters, the derived
-//! latency-reduction table, and a bar chart of the largest-SD benefit per
-//! machine size. The sweep runs inside the host-profiler window, so the
-//! main document's `host.profile` (and its VmHWM peak) covers the 256-node
-//! machines — the CI scaling leg gates on that number. The figure itself
-//! contains only deterministic counters and is byte-identical across
-//! sweep thread counts.
+//! `--scaling` and `--protocols` each write one switch-directory benefit
+//! figure as markdown ([`dresar_bench::benefit`]): the machine-size sweep
+//! (16/64/256-node radix-4 BMINs under MSI) and the coherence-protocol
+//! ablation (MSI, MESI, MOESI and the directoryless-shared-LLC baseline on
+//! the paper's 16-node machine), each at base and two switch-directory
+//! sizes on two workloads. Every run is audited, and the figure holds only
+//! deterministic counters, so it is byte-identical across sweep thread
+//! counts. The sweeps run inside the host-profiler window, so the main
+//! document's `host.profile` (and its VmHWM peak) covers the 256-node
+//! machines — the CI figure job gates on that number.
 //!
-//! With `--protocols`, the coherence-protocol ablation (MSI, MESI, MOESI
-//! and the directoryless-shared-LLC baseline, each at base and two
-//! switch-directory sizes, two workloads, the paper's 16-node machine)
-//! runs and its figure is written as a markdown document: raw counters and
-//! the per-protocol latency-reduction table, including cycles saved per
-//! switch-served cache-to-cache read. Every run is audited by the
-//! per-protocol coherence checker; the figure is byte-identical across
-//! sweep thread counts.
+//! A bad command line exits 2 with one `error[<code>]` line on stderr
+//! ([`dresar_bench::cli::CliError`]).
 //!
 //! With `--heatmap`, a second schema-versioned document is written holding
 //! the topology contention heatmap sweep: every execution-driven workload
@@ -50,10 +45,9 @@
 //! unless `--informational` downgrades the gate to reporting only (the
 //! mode CI uses on pull requests).
 
-use dresar_bench::sweep::{
-    heatmap_runs, protocol_runs, scaling_runs, standard_runs, ProtocolRun, RunResult, ScalingRun,
-    SweepRunner, SCALING_CONFIGS,
-};
+use dresar_bench::benefit::{PROTOCOLS, SCALING};
+use dresar_bench::cli::{parse_scale, CliError, ErrorCode};
+use dresar_bench::sweep::{heatmap_runs, standard_runs, RunResult, SweepRunner};
 use dresar_bench::{json_doc, suite};
 use dresar_obs::{HostProfiler, MetricsRegistry};
 use dresar_types::{FromJson, JsonValue, ToJson, SCHEMA_VERSION};
@@ -71,7 +65,7 @@ struct Args {
     informational: bool,
 }
 
-fn parse_args() -> Result<Args, String> {
+fn parse_args() -> Result<Args, CliError> {
     let mut args = Args {
         scale: Scale::Tiny,
         out: "BENCH_dresar.json".into(),
@@ -82,26 +76,48 @@ fn parse_args() -> Result<Args, String> {
         tolerance_pct: 0.0,
         informational: false,
     };
+    let mut scale: Option<String> = None;
     let mut it = std::env::args().skip(1);
     while let Some(a) = it.next() {
-        match a.as_str() {
-            "--out" => args.out = it.next().ok_or("--out needs a path")?,
-            "--heatmap" => args.heatmap = Some(it.next().ok_or("--heatmap needs a path")?),
-            "--scaling" => args.scaling = Some(it.next().ok_or("--scaling needs a path")?),
-            "--protocols" => args.protocols = Some(it.next().ok_or("--protocols needs a path")?),
-            "--baseline" => args.baseline = Some(it.next().ok_or("--baseline needs a path")?),
-            "--tolerance" => {
-                let v = it.next().ok_or("--tolerance needs a percentage")?;
-                args.tolerance_pct =
-                    v.parse().map_err(|_| format!("bad tolerance '{v}': expected a number"))?;
+        if !a.starts_with('-') {
+            if let Some(first) = &scale {
+                return Err(CliError::new(
+                    ErrorCode::UnknownField,
+                    format!("unexpected argument '{a}' after scale '{first}'"),
+                ));
             }
+            args.scale = parse_scale(&a)?;
+            scale = Some(a);
+            continue;
+        }
+        let mut value = || {
+            it.next()
+                .filter(|v| !v.starts_with("--"))
+                .ok_or_else(|| CliError::new(ErrorCode::BadField, format!("{a} needs a value")))
+        };
+        match a.as_str() {
             "--informational" => args.informational = true,
-            other if !other.starts_with("--") => {
-                args.scale = Scale::parse(other).ok_or_else(|| {
-                    format!("unknown scale '{other}', expected tiny|reduced|paper")
+            "--out" => args.out = value()?,
+            "--heatmap" => args.heatmap = Some(value()?),
+            "--scaling" => args.scaling = Some(value()?),
+            "--protocols" => args.protocols = Some(value()?),
+            "--baseline" => args.baseline = Some(value()?),
+            "--tolerance" => {
+                let v = value()?;
+                let pct = v.parse::<f64>().ok().filter(|p| p.is_finite() && *p >= 0.0);
+                args.tolerance_pct = pct.ok_or_else(|| {
+                    CliError::new(
+                        ErrorCode::BadField,
+                        format!("--tolerance wants a non-negative percentage, got '{v}'"),
+                    )
                 })?;
             }
-            other => return Err(format!("unknown flag '{other}'")),
+            _ => {
+                return Err(CliError::new(
+                    ErrorCode::UnknownField,
+                    format!("unknown flag '{a}' for bench_report"),
+                ))
+            }
         }
     }
     Ok(args)
@@ -185,274 +201,8 @@ fn compare(
     regressions
 }
 
-/// Renders the `--scaling` figure: the nodes x sd-size x workload sweep as
-/// a markdown document — a raw-counter table, the derived benefit table,
-/// and a bar chart of the largest-SD latency reduction per machine size. Every
-/// number is a deterministic simulation counter (or a fixed-precision ratio
-/// of two), so the document is byte-identical across sweep thread counts.
-fn render_scaling(scale: Scale, runs: &[ScalingRun]) -> String {
-    use std::fmt::Write as _;
-    let mut out = String::new();
-    out.push_str("# Scaling figure: switch-directory benefit vs machine size\n\n");
-    let _ = writeln!(
-        out,
-        "Generated by `bench_report {} --scaling <path>`. All numbers are\n\
-         deterministic simulation counters; the document is byte-identical\n\
-         across sweep thread counts.\n",
-        format!("{scale:?}").to_lowercase()
-    );
-    out.push_str(
-        "Each machine-size step adds one BMIN stage to the home path, so the\n\
-         paper predicts the switch-directory shortcut (serving cache-to-cache\n\
-         reads from the switch instead of the home directory) saves more read\n\
-         latency the larger the machine.\n\n",
-    );
-
-    out.push_str("## Runs\n\n");
-    out.push_str(
-        "| run | nodes | stages | sd entries | avg read latency | home CtoC | \
-         switch CtoC | SD hits | exec cycles |\n\
-         |---|--:|--:|--:|--:|--:|--:|--:|--:|\n",
-    );
-    for r in runs {
-        let sd = r.sd_entries.map_or("-".to_string(), |e| e.to_string());
-        let _ = writeln!(
-            out,
-            "| {} | {} | {} | {} | {:.2} | {} | {} | {} | {} |",
-            r.name,
-            r.nodes,
-            r.stages,
-            sd,
-            r.metrics.avg_read_latency(),
-            r.metrics.reads.ctoc_home,
-            r.metrics.reads.ctoc_switch,
-            r.metrics.sd_hits,
-            r.metrics.exec_cycles,
-        );
-    }
-
-    // Benefit per (workload, machine): latency reduction vs that machine's
-    // own base run.
-    let base = |wl: &str, nodes: usize| -> Option<f64> {
-        runs.iter()
-            .find(|r| r.workload == wl && r.nodes == nodes && r.sd_entries.is_none())
-            .map(|r| r.metrics.avg_read_latency())
-    };
-    let benefit = |r: &ScalingRun| -> Option<f64> {
-        let b = base(r.workload, r.nodes)?;
-        (b > 0.0).then(|| 100.0 * (b - r.metrics.avg_read_latency()) / b)
-    };
-
-    // Cycles saved per switch-served CtoC read: the total read-latency
-    // cycles the SD machine shaved off the base machine, amortized over the
-    // reads the switches actually served. This is the per-shortcut saving —
-    // the quantity the paper's longer-home-path argument is directly about
-    // (each extra BMIN stage is another hop plus directory occupancy the
-    // shortcut skips) — and unlike the aggregate percentage it is not
-    // diluted by how much of the workload's traffic the SD can capture.
-    let per_hit = |r: &ScalingRun| -> Option<f64> {
-        let base_run = runs
-            .iter()
-            .find(|b| b.workload == r.workload && b.nodes == r.nodes && b.sd_entries.is_none())?;
-        (r.metrics.reads.ctoc_switch > 0).then(|| {
-            (base_run.metrics.reads.latency_cycles as f64 - r.metrics.reads.latency_cycles as f64)
-                / r.metrics.reads.ctoc_switch as f64
-        })
-    };
-
-    let sd_tags: Vec<(&str, u32)> =
-        SCALING_CONFIGS.iter().filter_map(|&(tag, sd)| sd.map(|e| (tag, e))).collect();
-    // Spotlight the largest SD on the axis for the per-hit column and the
-    // bar chart: it is the config with the most capacity headroom, so its
-    // numbers isolate path length from eviction-thrash effects.
-    let (spot_tag, spot_entries) = *sd_tags.last().expect("SCALING_CONFIGS has an SD config");
-    out.push_str("\n## Benefit: read-latency reduction vs the base machine\n\n");
-    let _ = write!(out, "| workload | nodes | stages |");
-    for (tag, _) in &sd_tags {
-        let _ = write!(out, " {tag} |");
-    }
-    let _ = write!(out, " {spot_tag} cycles saved / switch CtoC |\n|---|--:|--:|");
-    for _ in 0..=sd_tags.len() {
-        out.push_str("--:|");
-    }
-    out.push('\n');
-    for probe in runs.iter().filter(|r| r.sd_entries.is_none()) {
-        let mut cells = String::new();
-        let mut saved = String::from("-");
-        for &(_, entries) in &sd_tags {
-            let run = runs.iter().find(|r| {
-                r.workload == probe.workload
-                    && r.nodes == probe.nodes
-                    && r.sd_entries == Some(entries)
-            });
-            match run.and_then(&benefit) {
-                Some(pct) => {
-                    let _ = write!(cells, " {pct:.1}% |");
-                }
-                None => cells.push_str(" - |"),
-            }
-            if entries == spot_entries {
-                if let Some(s) = run.and_then(&per_hit) {
-                    saved = format!("{s:.0}");
-                }
-            }
-        }
-        let _ = writeln!(
-            out,
-            "| {} | {} | {} |{} {saved} |",
-            probe.workload, probe.nodes, probe.stages, cells
-        );
-    }
-
-    let _ = write!(out, "\n```text\n{spot_tag} read-latency reduction (one # per percent)\n\n");
-    for probe in runs.iter().filter(|r| r.sd_entries == Some(spot_entries)) {
-        if let Some(pct) = benefit(probe) {
-            let bar = "#".repeat(pct.round().clamp(0.0, 60.0) as usize);
-            let _ = writeln!(
-                out,
-                "{:<4} n{:03} ({} stages) {:<60} {pct:5.1}%",
-                probe.workload, probe.nodes, probe.stages, bar
-            );
-        }
-    }
-    out.push_str("```\n");
-    out
-}
-
-/// Renders the `--protocols` figure: the protocol x sd-size x workload
-/// ablation as a markdown document — a raw-counter table, the derived
-/// per-protocol benefit table (including cycles saved per switch-served
-/// CtoC read), and a bar chart of the largest-SD latency reduction per
-/// protocol. Every number is a deterministic simulation counter (or a
-/// fixed-precision ratio of two), so the document is byte-identical across
-/// sweep thread counts.
-fn render_protocols(scale: Scale, runs: &[ProtocolRun]) -> String {
-    use std::fmt::Write as _;
-    let mut out = String::new();
-    out.push_str("# Protocol figure: switch-directory benefit per coherence protocol\n\n");
-    let _ = writeln!(
-        out,
-        "Generated by `bench_report {} --protocols <path>`. All numbers are\n\
-         deterministic simulation counters; the document is byte-identical\n\
-         across sweep thread counts.\n",
-        format!("{scale:?}").to_lowercase()
-    );
-    out.push_str(
-        "The switch directories are protocol-agnostic hint caches: they snoop\n\
-         the same reply/copyback traffic and shortcut dirty remote reads the\n\
-         same way under every protocol. What changes per protocol is how many\n\
-         dirty remote reads exist to shortcut — MESI's silent upgrades create\n\
-         dirty blocks the home never saw a write for, MOESI's owner keeps\n\
-         serving readers after the first shortcut, and the directoryless\n\
-         shared-LLC baseline (`dls`) serves reads at home without any\n\
-         intervention, which is the latency floor the shortcut competes\n\
-         against.\n\n",
-    );
-
-    out.push_str("## Runs\n\n");
-    out.push_str(
-        "| run | protocol | sd entries | avg read latency | home CtoC | \
-         switch CtoC | SD hits | exec cycles |\n\
-         |---|---|--:|--:|--:|--:|--:|--:|\n",
-    );
-    for r in runs {
-        let sd = r.sd_entries.map_or("-".to_string(), |e| e.to_string());
-        let _ = writeln!(
-            out,
-            "| {} | {} | {} | {:.2} | {} | {} | {} | {} |",
-            r.name,
-            r.protocol,
-            sd,
-            r.metrics.avg_read_latency(),
-            r.metrics.reads.ctoc_home,
-            r.metrics.reads.ctoc_switch,
-            r.metrics.sd_hits,
-            r.metrics.exec_cycles,
-        );
-    }
-
-    // Benefit per (workload, protocol): latency reduction vs that
-    // protocol's own base run — each protocol competes against itself, so
-    // the column isolates what the switch directories add on top of the
-    // protocol's native sharing optimizations.
-    let base = |r: &ProtocolRun| -> Option<&ProtocolRun> {
-        runs.iter().find(|b| {
-            b.workload == r.workload && b.protocol == r.protocol && b.sd_entries.is_none()
-        })
-    };
-    let benefit = |r: &ProtocolRun| -> Option<f64> {
-        let b = base(r)?.metrics.avg_read_latency();
-        (b > 0.0).then(|| 100.0 * (b - r.metrics.avg_read_latency()) / b)
-    };
-    // Cycles saved per switch-served CtoC read: total read-latency cycles
-    // the SD machine shaved off the same protocol's base machine, amortized
-    // over the reads the switches actually served — the per-shortcut saving
-    // the paper's benefit argument is about, per protocol.
-    let per_hit = |r: &ProtocolRun| -> Option<f64> {
-        let b = base(r)?;
-        (r.metrics.reads.ctoc_switch > 0).then(|| {
-            (b.metrics.reads.latency_cycles as f64 - r.metrics.reads.latency_cycles as f64)
-                / r.metrics.reads.ctoc_switch as f64
-        })
-    };
-
-    let sd_tags: Vec<(&str, u32)> =
-        SCALING_CONFIGS.iter().filter_map(|&(tag, sd)| sd.map(|e| (tag, e))).collect();
-    let (spot_tag, spot_entries) = *sd_tags.last().expect("SCALING_CONFIGS has an SD config");
-    out.push_str("\n## Benefit: read-latency reduction vs each protocol's own base machine\n\n");
-    let _ = write!(out, "| workload | protocol |");
-    for (tag, _) in &sd_tags {
-        let _ = write!(out, " {tag} |");
-    }
-    let _ = write!(out, " {spot_tag} cycles saved / switch CtoC |\n|---|---|");
-    for _ in 0..=sd_tags.len() {
-        out.push_str("--:|");
-    }
-    out.push('\n');
-    for probe in runs.iter().filter(|r| r.sd_entries.is_none()) {
-        let mut cells = String::new();
-        let mut saved = String::from("-");
-        for &(_, entries) in &sd_tags {
-            let run = runs.iter().find(|r| {
-                r.workload == probe.workload
-                    && r.protocol == probe.protocol
-                    && r.sd_entries == Some(entries)
-            });
-            match run.and_then(&benefit) {
-                Some(pct) => {
-                    let _ = write!(cells, " {pct:.1}% |");
-                }
-                None => cells.push_str(" - |"),
-            }
-            if entries == spot_entries {
-                if let Some(s) = run.and_then(&per_hit) {
-                    saved = format!("{s:.0}");
-                }
-            }
-        }
-        let _ = writeln!(out, "| {} | {} |{} {saved} |", probe.workload, probe.protocol, cells);
-    }
-
-    let _ = write!(out, "\n```text\n{spot_tag} read-latency reduction (one # per percent)\n\n");
-    for probe in runs.iter().filter(|r| r.sd_entries == Some(spot_entries)) {
-        if let Some(pct) = benefit(probe) {
-            let bar = "#".repeat(pct.round().clamp(0.0, 60.0) as usize);
-            let _ =
-                writeln!(out, "{:<4} {:<5} {:<60} {pct:5.1}%", probe.workload, probe.protocol, bar);
-        }
-    }
-    out.push_str("```\n");
-    out
-}
-
 fn main() -> ExitCode {
-    let args = match parse_args() {
-        Ok(a) => a,
-        Err(e) => {
-            eprintln!("bench_report: {e}");
-            return ExitCode::from(2);
-        }
-    };
+    let args = parse_args().unwrap_or_else(|e| e.exit());
 
     let mut prof = HostProfiler::new();
     prof.phase("sweep");
@@ -463,17 +213,20 @@ fn main() -> ExitCode {
     for t in &timings {
         prof.run_timing(&t.name, t.wall_seconds);
     }
-    // The scaling sweep runs inside the profiled window on purpose: its
-    // 256-node machines dominate peak RSS, and the CI scaling leg gates on
+    // The benefit sweeps run inside the profiled window on purpose: the
+    // 256-node machines dominate peak RSS, and the CI figure job gates on
     // the `host.profile` VmHWM this run records.
-    let scaling = args.scaling.as_ref().map(|_| {
-        prof.phase("scaling");
-        scaling_runs(args.scale, SweepRunner::from_env())
-    });
-    let protocols = args.protocols.as_ref().map(|_| {
-        prof.phase("protocols");
-        protocol_runs(args.scale, SweepRunner::from_env())
-    });
+    let figures: Vec<(String, String, String)> =
+        [(SCALING, &args.scaling), (PROTOCOLS, &args.protocols)]
+            .into_iter()
+            .filter_map(|(fig, path)| {
+                let path = path.clone()?;
+                prof.phase(fig.name);
+                let runs = fig.runs(args.scale, SweepRunner::from_env());
+                let summary = format!("{} {} runs -> {path}", runs.len(), fig.name);
+                Some((path, fig.render(args.scale, &runs), summary))
+            })
+            .collect();
     prof.phase("report");
     let sim_cycles = total_sim_cycles(&runs);
 
@@ -514,22 +267,12 @@ fn main() -> ExitCode {
         host.cycles_per_sec(sim_cycles)
     );
 
-    if let (Some(path), Some(runs)) = (&args.scaling, &scaling) {
-        let text = render_scaling(args.scale, runs);
-        if let Err(e) = std::fs::write(path, &text) {
+    for (path, text, summary) in &figures {
+        if let Err(e) = std::fs::write(path, text) {
             eprintln!("bench_report: cannot write {path}: {e}");
             return ExitCode::from(2);
         }
-        println!("bench_report: {} scaling runs -> {path}", runs.len());
-    }
-
-    if let (Some(path), Some(runs)) = (&args.protocols, &protocols) {
-        let text = render_protocols(args.scale, runs);
-        if let Err(e) = std::fs::write(path, &text) {
-            eprintln!("bench_report: cannot write {path}: {e}");
-            return ExitCode::from(2);
-        }
-        println!("bench_report: {} protocol runs -> {path}", runs.len());
+        println!("bench_report: {summary}");
     }
 
     if let Some(hm_path) = &args.heatmap {

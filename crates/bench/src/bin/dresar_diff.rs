@@ -20,6 +20,7 @@
 //! gracefully when a document carries only metrics (the CI regression gate
 //! invokes this on plain `BENCH_dresar.json` documents after a failure).
 
+use dresar_bench::cli::{CliError, ErrorCode};
 use dresar_bench::json_doc;
 use dresar_obs::PHASES;
 use dresar_types::{JsonValue, ToJson};
@@ -375,22 +376,46 @@ fn load_doc(path: &str) -> Result<JsonValue, String> {
     JsonValue::parse(&text).map_err(|e| format!("cannot parse {path}: {e}"))
 }
 
-fn usage() -> String {
-    "usage: dresar_diff BASE.json OTHER.json [--json]\n       \
-     dresar_diff DOC.json RUN_A RUN_B [--json]"
-        .into()
-}
+const USAGE: &str = "usage: dresar_diff BASE.json OTHER.json [--json]\n       \
+                     dresar_diff DOC.json RUN_A RUN_B [--json]";
 
-fn run() -> Result<Vec<PairDiff>, String> {
+/// Parses the command line into `(positional arguments, --json)`. `--help`
+/// prints the usage and exits.
+fn parse_args() -> Result<(Vec<String>, bool), CliError> {
     let mut positional = Vec::new();
+    let mut json = false;
     for a in std::env::args().skip(1) {
         match a.as_str() {
-            "--json" => {}
-            "--help" | "-h" => return Err(usage()),
-            other if !other.starts_with("--") => positional.push(other.to_string()),
-            other => return Err(format!("unknown flag '{other}'\n{}", usage())),
+            "--json" => json = true,
+            "--help" | "-h" => {
+                println!("{USAGE}");
+                std::process::exit(0)
+            }
+            _ if a.starts_with('-') => {
+                return Err(CliError::new(
+                    ErrorCode::UnknownField,
+                    format!("unknown flag '{a}' for dresar_diff (accepts --json)"),
+                ))
+            }
+            _ if positional.len() == 3 => {
+                return Err(CliError::new(
+                    ErrorCode::UnknownField,
+                    format!("unexpected argument '{a}' after three operands"),
+                ))
+            }
+            _ => positional.push(a),
         }
     }
+    if positional.len() < 2 {
+        return Err(CliError::new(
+            ErrorCode::BadField,
+            "needs BASE.json OTHER.json or DOC.json RUN_A RUN_B",
+        ));
+    }
+    Ok((positional, json))
+}
+
+fn run(positional: &[String]) -> Result<Vec<PairDiff>, String> {
     match positional.len() {
         // Two documents: match runs by name.
         2 => {
@@ -428,19 +453,20 @@ fn run() -> Result<Vec<PairDiff>, String> {
             };
             Ok(vec![diff_pair(get(&positional[1])?, get(&positional[2])?)])
         }
-        _ => Err(usage()),
+        _ => unreachable!("parse_args accepts two or three arguments"),
     }
 }
 
 fn main() -> ExitCode {
-    let pairs = match run() {
+    let (positional, json) = parse_args().unwrap_or_else(|e| e.exit());
+    let pairs = match run(&positional) {
         Ok(p) => p,
         Err(e) => {
             eprintln!("dresar_diff: {e}");
             return ExitCode::from(2);
         }
     };
-    if std::env::args().skip(1).any(|a| a == "--json") {
+    if json {
         let doc = json_doc("dresar_diff")
             .field("pairs", pairs.iter().map(pair_json).collect::<Vec<_>>())
             .build();

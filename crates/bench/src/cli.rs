@@ -16,6 +16,8 @@
 //! only its own flags. Anything else is refused with exit status 2 and one
 //! `error[<code>]: <detail>` line on stderr, using the serve tier's error
 //! codes, so a bad command line and a bad `/run` request classify alike.
+//! `bench_report` and `dresar_diff` refuse bad input through the same
+//! [`CliError`].
 
 use dresar_faults::FaultPlan;
 use dresar_workloads::Scale;
@@ -68,7 +70,8 @@ pub struct CliError {
 }
 
 impl CliError {
-    fn new(code: ErrorCode, detail: impl Into<String>) -> Self {
+    /// A refusal with the given code and specifics.
+    pub fn new(code: ErrorCode, detail: impl Into<String>) -> Self {
         CliError { code, detail: detail.into() }
     }
 
@@ -162,6 +165,16 @@ impl Default for Args {
     }
 }
 
+/// Parses a scale argument, refusing anything but `tiny|reduced|paper`.
+pub fn parse_scale(arg: &str) -> Result<Scale, CliError> {
+    Scale::parse(arg).ok_or_else(|| {
+        CliError::new(
+            ErrorCode::BadScale,
+            format!("unknown scale '{arg}'; expected tiny|reduced|paper"),
+        )
+    })
+}
+
 fn subcommand_names() -> String {
     COMMANDS.map(|(name, ..)| name).join("|")
 }
@@ -222,12 +235,7 @@ fn parse(command: &str, argv: &[String], accepted: &[&str]) -> Result<Args, CliE
                     format!("unexpected argument '{arg}' after scale '{first}'"),
                 ));
             }
-            args.scale = Scale::parse(arg).ok_or_else(|| {
-                CliError::new(
-                    ErrorCode::BadScale,
-                    format!("unknown scale '{arg}'; expected tiny|reduced|paper"),
-                )
-            })?;
+            args.scale = parse_scale(arg)?;
             scale = Some(arg);
             continue;
         }

@@ -4,11 +4,6 @@
 //! then a few timed samples; reports mean and best ns/iteration. Fancy
 //! statistics belong to profilers — these benches exist to catch order-of-
 //! magnitude regressions in the simulator hot paths.
-//!
-//! Setting the `DRESAR_BENCH_MACHINE` environment variable (any non-empty
-//! value) makes every result line followed by a machine-readable
-//! `BENCHLINE {name} {mean_ns} {best_ns} {iters}` record that tools like
-//! `bench_report` can parse without scraping the human-formatted output.
 
 use std::time::Instant;
 
@@ -86,21 +81,6 @@ fn report(name: &str, samples: &[f64], iters: u64) {
     let mean = samples.iter().sum::<f64>() / samples.len() as f64;
     let best = samples.iter().cloned().fold(f64::INFINITY, f64::min);
     println!("{name:<44} {mean:>14.1} ns/iter   (best {best:.1}, {iters} iters/sample)");
-    if std::env::var_os("DRESAR_BENCH_MACHINE").is_some_and(|v| !v.is_empty()) {
-        println!("BENCHLINE {name} {mean:.1} {best:.1} {iters}");
-    }
-}
-
-/// Parses one `BENCHLINE` record emitted under `DRESAR_BENCH_MACHINE`.
-/// Returns `(name, mean_ns, best_ns, iters)`; `None` for any other line.
-pub fn parse_benchline(line: &str) -> Option<(String, f64, f64, u64)> {
-    let rest = line.strip_prefix("BENCHLINE ")?;
-    let mut parts = rest.split_whitespace();
-    let name = parts.next()?.to_string();
-    let mean: f64 = parts.next()?.parse().ok()?;
-    let best: f64 = parts.next()?.parse().ok()?;
-    let iters: u64 = parts.next()?.parse().ok()?;
-    Some((name, mean, best, iters))
 }
 
 #[cfg(test)]
@@ -110,17 +90,5 @@ mod tests {
     #[test]
     fn setup_batch_cap_is_below_global_cap() {
         const { assert!(MAX_SETUP_BATCH < MAX_BATCH) }
-    }
-
-    #[test]
-    fn benchline_round_trips() {
-        let line = "BENCHLINE sd.snoop_hit 12.5 11.9 1048576";
-        let (name, mean, best, iters) = parse_benchline(line).unwrap();
-        assert_eq!(name, "sd.snoop_hit");
-        assert_eq!(mean, 12.5);
-        assert_eq!(best, 11.9);
-        assert_eq!(iters, 1048576);
-        assert_eq!(parse_benchline("sd.snoop_hit 12.5 ns/iter"), None);
-        assert_eq!(parse_benchline("BENCHLINE incomplete"), None);
     }
 }

@@ -17,22 +17,23 @@
 //!   one machine-readable document on stdout (see the README's
 //!   "Observability" section);
 //! * `bench_report` — the deterministic BENCH telemetry, regression gate and
-//!   the scaling/protocol figures;
+//!   the switch-directory benefit figures ([`benefit`]);
 //! * `dresar_diff` — explains the cycle delta between two recorded runs.
 //!
 //! Timing benches (plain `std::time` harnesses, run with `cargo bench`):
 //! `switchdir_micro` (snoop/insert throughput) and `crossbar` (flit-level
 //! arbitration).
 
+pub mod benefit;
 pub mod cli;
 pub mod harness;
 pub mod sweep;
 
-use dresar::system::{RunOptions, System};
+use dresar::system::{ExecutionReport, RunOptions, System};
 use dresar_faults::FaultPlan;
 use dresar_obs::{ObsReport, ObserverConfig};
 use dresar_stats::ReadStats;
-use dresar_trace_sim::TraceSimulator;
+use dresar_trace_sim::{TraceReport, TraceSimulator};
 use dresar_types::config::{SwitchDirConfig, SystemConfig, TraceSimConfig};
 use dresar_types::{JsonValue, ToJson, Workload};
 use dresar_workloads::Scale;
@@ -68,6 +69,18 @@ impl Metrics {
     /// Execution time (Figure 11 metric).
     pub fn exec(&self) -> f64 {
         self.exec_cycles as f64
+    }
+}
+
+impl From<&ExecutionReport> for Metrics {
+    fn from(r: &ExecutionReport) -> Self {
+        Metrics { reads: r.reads, exec_cycles: r.cycles, sd_hits: r.sd.read_hits }
+    }
+}
+
+impl From<&TraceReport> for Metrics {
+    fn from(r: &TraceReport) -> Self {
+        Metrics { reads: r.reads, exec_cycles: r.exec_cycles, sd_hits: r.sd.read_hits }
     }
 }
 
@@ -145,27 +158,13 @@ pub fn run_one_observed(
             cfg.switch_dir = switch_dir(sd_entries);
             let report = System::new(cfg, &bench.workload)
                 .run(RunOptions { observers, ..RunOptions::default() });
-            (
-                Metrics {
-                    reads: report.reads,
-                    exec_cycles: report.cycles,
-                    sd_hits: report.sd.read_hits,
-                },
-                report.obs,
-            )
+            (Metrics::from(&report), report.obs)
         }
         Driver::Trace => {
             let mut cfg = TraceSimConfig::paper_table3();
             cfg.switch_dir = switch_dir(sd_entries);
             let report = TraceSimulator::new(cfg).run(&bench.workload);
-            (
-                Metrics {
-                    reads: report.reads,
-                    exec_cycles: report.exec_cycles,
-                    sd_hits: report.sd.read_hits,
-                },
-                None,
-            )
+            (Metrics::from(&report), None)
         }
     }
 }

@@ -17,10 +17,7 @@
 //! available core); `DRESAR_SWEEP_THREADS=1` forces serial execution,
 //! which CI uses on one leg of the identity check.
 
-use crate::{
-    run_one_faulted, run_one_observed, run_one_registry, switch_dir, Bench, Driver, Metrics,
-};
-use dresar::system::{RunOptions, System};
+use crate::{run_one_faulted, run_one_observed, run_one_registry, Bench, Driver, Metrics};
 use dresar_faults::FaultPlan;
 use dresar_interconnect::{routes, Bmin, FlitNetwork};
 use dresar_obs::{
@@ -28,8 +25,7 @@ use dresar_obs::{
     DEFAULT_ATTRIB_WINDOW,
 };
 use dresar_types::config::SystemConfig;
-use dresar_types::{JsonValue, Protocol, ToJson, Workload};
-use dresar_workloads::{scientific, Scale};
+use dresar_types::{JsonValue, ToJson};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
@@ -373,269 +369,6 @@ pub fn heatmap_runs(benches: &[Bench], runner: SweepRunner) -> Vec<HeatmapRun> {
         }
     }
     let mut runs: Vec<HeatmapRun> = runner.run_jobs(jobs).into_iter().flatten().collect();
-    runs.sort_by(|a, b| a.name.cmp(&b.name));
-    runs
-}
-
-/// The `--scaling` machine-size ladder: the paper's 16-node 2-stage BMIN,
-/// then the 3- and 4-stage radix-4 machines up to the full 256-node
-/// `NodeId` range. Each step adds one stage to the home path, which is
-/// exactly the variable the paper's benefit argument turns on.
-pub const SCALING_POINTS: [(usize, u32); 3] = [(16, 4), (64, 4), (256, 4)];
-
-/// The switch-directory configurations each scaling point is evaluated at.
-/// `None` is the base machine; tags are zero-padded so a name sort is also
-/// a size sort. Undersized directories are deliberately absent: once the
-/// weak-scaled working set outgrows an SD's capacity, eviction thrash tips
-/// the home directories into a NAK retry storm that never converges
-/// (256 entries collapse past 16 nodes; 512 entries collapse at 256 nodes,
-/// where FFT retires ~263 k of 3.2 M references in 4 G cycles with ~100 M
-/// retries) — a congestion collapse the seed repo could never observe
-/// because machines were capped at 64 nodes. 1024 and 2048 entries stay
-/// healthy at every ladder size.
-pub const SCALING_CONFIGS: [(&str, Option<u32>); 3] =
-    [("base", None), ("sd1024", Some(1024)), ("sd2048", Some(2048))];
-
-/// One run of the `--scaling` sweep: a workload on a scaled d-ary BMIN at
-/// one switch-directory configuration.
-pub struct ScalingRun {
-    /// Run name, `<workload>.n<nodes>.<config>` (node count zero-padded so
-    /// a name sort is also a machine-size sort).
-    pub name: String,
-    /// Workload label (`"FFT"`, `"SOR"`).
-    pub workload: &'static str,
-    /// Processor count of the machine.
-    pub nodes: usize,
-    /// Switch radix of the d-ary BMIN.
-    pub radix: u32,
-    /// BMIN stage count (`radix^stages == nodes`) — the home-path length
-    /// the paper's prediction is about.
-    pub stages: u32,
-    /// Switch-directory entries per switch (`None` = base machine).
-    pub sd_entries: Option<u32>,
-    /// The run's figure metrics.
-    pub metrics: Metrics,
-}
-
-impl ToJson for ScalingRun {
-    fn to_json(&self) -> JsonValue {
-        JsonValue::obj()
-            .field("name", self.name.as_str())
-            .field("workload", self.workload)
-            .field("nodes", self.nodes as u64)
-            .field("radix", u64::from(self.radix))
-            .field("stages", u64::from(self.stages))
-            .field("sd_entries", self.sd_entries.map_or(0, u64::from))
-            .field("metrics", self.metrics.to_json())
-            .build()
-    }
-}
-
-/// The workloads evaluated at each machine size: the two execution-driven
-/// kernels with the most contrasting sharing patterns (FFT's all-to-all
-/// butterfly exchanges vs SOR's nearest-neighbour borders), partitioned
-/// across `p` processors by their own decomposition.
-/// Weak-scaled workloads for the machine-size ladder. The paper machine
-/// is 16 processors, so the problem grows with the machine — FFT points
-/// by `p/16`, the SOR grid side by `sqrt(p/16)` (work is O(n^2)) — to
-/// keep per-processor work constant across 16/64/256 nodes. Strong
-/// scaling (a fixed problem) degenerates at 256 processors: the reduced
-/// FFT leaves 16 points per processor and the SOR grid fewer rows than
-/// processors, so barrier traffic swamps the read path and the figure
-/// measures starvation, not the home-path length.
-fn scaling_workloads(p: usize, scale: Scale) -> Vec<(&'static str, Workload)> {
-    let grow = (p / 16).max(1);
-    vec![
-        ("FFT", scientific::fft(p, scale.fft_points() * grow)),
-        ("SOR", scientific::sor(p, scale.grid_n() * grow.isqrt(), scale.sor_iters())),
-    ]
-}
-
-/// Runs one scaling point. Every run doubles as a correctness probe: the
-/// end-of-run coherence audit must be clean and no structural sim error
-/// (e.g. an out-of-range sharer id) may have been recorded — a scaled
-/// machine that silently wrapped somewhere must fail the sweep, not
-/// publish a figure.
-fn scaling_one(w: &Workload, nodes: usize, radix: u32, sd: Option<u32>) -> Metrics {
-    let mut cfg = SystemConfig::scaled(nodes, radix);
-    cfg.switch_dir = switch_dir(sd);
-    let report = System::new(cfg, w).run(RunOptions {
-        verify_coherence: true,
-        // A config that tips into a NAK storm (see SCALING_CONFIGS) must
-        // fail the sweep as a tripped watchdog, not hang it forever.
-        max_cycles: 500_000_000,
-        watchdog: Some(dresar_faults::WatchdogConfig::default()),
-        ..RunOptions::default()
-    });
-    assert!(
-        report.watchdog.is_none(),
-        "scaling run {}x{radix} sd={sd:?}: watchdog tripped: {:?}",
-        nodes,
-        report.watchdog
-    );
-    assert!(
-        report.sim_errors.is_empty(),
-        "scaling run {}x{radix} sd={sd:?}: sim errors {:?}",
-        nodes,
-        report.sim_errors
-    );
-    let audit = report.coherence.as_ref().expect("verify_coherence was requested");
-    assert!(
-        audit.ok(),
-        "scaling run {}x{radix} sd={sd:?}: coherence violations {:?}",
-        nodes,
-        audit.violations
-    );
-    Metrics { reads: report.reads, exec_cycles: report.cycles, sd_hits: report.sd.read_hits }
-}
-
-/// The `--scaling` run set over [`SCALING_POINTS`], executed through
-/// `runner`. Output is byte-identical across thread counts for the same
-/// reasons as [`standard_runs`]: independent jobs, submission-order result
-/// slots, name-sorted assembly.
-pub fn scaling_runs(scale: Scale, runner: SweepRunner) -> Vec<ScalingRun> {
-    scaling_runs_at(&SCALING_POINTS, scale, runner)
-}
-
-/// [`scaling_runs`] over an explicit machine-size ladder (tests and the CI
-/// smoke leg use a reduced one).
-pub fn scaling_runs_at(
-    points: &[(usize, u32)],
-    scale: Scale,
-    runner: SweepRunner,
-) -> Vec<ScalingRun> {
-    // One job per (machine, workload, config): the kernels regenerate their
-    // streams inside the worker (generation is cheap next to simulation),
-    // so jobs share no state and the biggest machine doesn't serialize the
-    // pool behind one fat job.
-    let mut jobs: Vec<Job<'_, ScalingRun>> = Vec::new();
-    for &(nodes, radix) in points {
-        let stages = SystemConfig::scaled(nodes, radix).stages();
-        for wi in 0..scaling_workloads(nodes, scale).len() {
-            for (tag, sd) in SCALING_CONFIGS {
-                jobs.push(Box::new(move || {
-                    let (label, w) = scaling_workloads(nodes, scale).swap_remove(wi);
-                    let metrics = scaling_one(&w, nodes, radix, sd);
-                    ScalingRun {
-                        name: format!("{label}.n{nodes:03}.{tag}"),
-                        workload: label,
-                        nodes,
-                        radix,
-                        stages,
-                        sd_entries: sd,
-                        metrics,
-                    }
-                }));
-            }
-        }
-    }
-    let mut runs = runner.run_jobs(jobs);
-    runs.sort_by(|a, b| a.name.cmp(&b.name));
-    runs
-}
-
-/// One run of the `--protocols` ablation: a workload under one coherence
-/// protocol at one switch-directory configuration on the paper's 16-node
-/// machine.
-pub struct ProtocolRun {
-    /// Run name, `<workload>.<protocol>.<config>` (e.g. `"FFT.mesi.sd1024"`).
-    pub name: String,
-    /// Workload label (`"FFT"`, `"SOR"`).
-    pub workload: &'static str,
-    /// The coherence protocol the caches and home directories ran.
-    pub protocol: Protocol,
-    /// Switch-directory entries per switch (`None` = base machine).
-    pub sd_entries: Option<u32>,
-    /// The run's figure metrics.
-    pub metrics: Metrics,
-}
-
-impl ToJson for ProtocolRun {
-    fn to_json(&self) -> JsonValue {
-        JsonValue::obj()
-            .field("name", self.name.as_str())
-            .field("workload", self.workload)
-            .field("protocol", self.protocol.as_str())
-            .field("sd_entries", self.sd_entries.map_or(0, u64::from))
-            .field("metrics", self.metrics.to_json())
-            .build()
-    }
-}
-
-/// The workloads the protocol ablation evaluates: the two execution-driven
-/// kernels with the most contrasting sharing patterns (same pair as the
-/// scaling ladder), on the paper's 16-processor machine.
-fn protocol_workloads(scale: Scale) -> Vec<(&'static str, Workload)> {
-    let p = 16;
-    vec![
-        ("FFT", scientific::fft(p, scale.fft_points())),
-        ("SOR", scientific::sor(p, scale.grid_n(), scale.sor_iters())),
-    ]
-}
-
-/// Runs one protocol ablation point. Every run doubles as a correctness
-/// probe: the end-of-run per-protocol coherence audit must be clean and no
-/// structural sim error (e.g. an undefined protocol transition) may have
-/// been recorded — a protocol whose transition table has a hole must fail
-/// the sweep, not publish a figure.
-fn protocol_one(w: &Workload, protocol: Protocol, sd: Option<u32>) -> Metrics {
-    let mut cfg = SystemConfig::paper_table2();
-    cfg.protocol = protocol;
-    cfg.switch_dir = switch_dir(sd);
-    let report =
-        System::new(cfg, w).run(RunOptions { verify_coherence: true, ..RunOptions::default() });
-    assert!(
-        report.sim_errors.is_empty(),
-        "protocol run {protocol} sd={sd:?}: sim errors {:?}",
-        report.sim_errors
-    );
-    let audit = report.coherence.as_ref().expect("verify_coherence was requested");
-    assert!(
-        audit.ok(),
-        "protocol run {protocol} sd={sd:?}: coherence violations {:?}",
-        audit.violations
-    );
-    Metrics { reads: report.reads, exec_cycles: report.cycles, sd_hits: report.sd.read_hits }
-}
-
-/// The `--protocols` run set: every protocol in [`Protocol::ALL`] crossed
-/// with the [`SCALING_CONFIGS`] switch-directory axis and the two kernels,
-/// executed through `runner`. Output is byte-identical across thread counts
-/// for the same reasons as [`standard_runs`]: independent jobs,
-/// submission-order result slots, name-sorted assembly.
-pub fn protocol_runs(scale: Scale, runner: SweepRunner) -> Vec<ProtocolRun> {
-    protocol_runs_at(&Protocol::ALL, scale, runner)
-}
-
-/// [`protocol_runs`] over an explicit protocol set (tests use a reduced
-/// one).
-pub fn protocol_runs_at(
-    protocols: &[Protocol],
-    scale: Scale,
-    runner: SweepRunner,
-) -> Vec<ProtocolRun> {
-    // One job per (protocol, workload, config): the kernels regenerate
-    // their streams inside the worker (generation is cheap next to
-    // simulation), so jobs share no state.
-    let mut jobs: Vec<Job<'_, ProtocolRun>> = Vec::new();
-    for &protocol in protocols {
-        for wi in 0..protocol_workloads(scale).len() {
-            for (tag, sd) in SCALING_CONFIGS {
-                jobs.push(Box::new(move || {
-                    let (label, w) = protocol_workloads(scale).swap_remove(wi);
-                    let metrics = protocol_one(&w, protocol, sd);
-                    ProtocolRun {
-                        name: format!("{label}.{protocol}.{tag}"),
-                        workload: label,
-                        protocol,
-                        sd_entries: sd,
-                        metrics,
-                    }
-                }));
-            }
-        }
-    }
-    let mut runs = runner.run_jobs(jobs);
     runs.sort_by(|a, b| a.name.cmp(&b.name));
     runs
 }
@@ -1091,45 +824,6 @@ mod tests {
         assert_eq!(report, DrainReport { worker_panics: 1, workers_lost: 0, jobs_abandoned: 0 });
         assert!(report.clean(), "a contained panic is not a lost worker");
         assert_eq!(pool.panics(), 1);
-    }
-
-    #[test]
-    fn scaling_runs_serial_matches_parallel() {
-        // Reduced ladder at tiny scale so the test stays cheap; the full
-        // 256-node ladder is exercised by the CI scaling leg.
-        let points = [(16usize, 4u32), (64, 4)];
-        let a = scaling_runs_at(&points, Scale::Tiny, SweepRunner::serial());
-        let b = scaling_runs_at(&points, Scale::Tiny, SweepRunner::with_threads(4));
-        assert_eq!(a.len(), points.len() * 2 * SCALING_CONFIGS.len());
-        for (x, y) in a.iter().zip(&b) {
-            assert_eq!(x.name, y.name, "run order must not depend on thread count");
-            assert_eq!(
-                x.to_json().dump(),
-                y.to_json().dump(),
-                "{}: scaling runs must be byte-identical serial vs parallel",
-                x.name
-            );
-        }
-    }
-
-    #[test]
-    fn protocol_runs_serial_matches_parallel() {
-        // Reduced protocol set at tiny scale so the test stays cheap; the
-        // full MSI/MESI/MOESI/DLS matrix is exercised by the CI protocols
-        // leg and the committed FIG_protocols.md.
-        let protocols = [Protocol::Msi, Protocol::Mesi];
-        let a = protocol_runs_at(&protocols, Scale::Tiny, SweepRunner::serial());
-        let b = protocol_runs_at(&protocols, Scale::Tiny, SweepRunner::with_threads(4));
-        assert_eq!(a.len(), protocols.len() * 2 * SCALING_CONFIGS.len());
-        for (x, y) in a.iter().zip(&b) {
-            assert_eq!(x.name, y.name, "run order must not depend on thread count");
-            assert_eq!(
-                x.to_json().dump(),
-                y.to_json().dump(),
-                "{}: protocol runs must be byte-identical serial vs parallel",
-                x.name
-            );
-        }
     }
 
     #[test]

@@ -902,7 +902,7 @@ impl System {
         let flits = self.flits(&msg);
         probe.msg_send(t, &msg);
         let first_link = self.route_link(&route, 0);
-        let arrive = self.net.traverse_link_probed(first_link, t, flits, msg.kind, probe);
+        let arrive = self.net.traverse_link(first_link, t, flits, msg.kind, probe);
         self.queue.schedule_at(arrive, Ev::Msg(Box::new(InFlight { msg, route, hop: 0 })));
     }
 
@@ -1085,7 +1085,7 @@ impl System {
         let flits = self.flits(&infl.msg);
         let depart = t + self.net.core_delay();
         let link = self.route_link(&infl.route, infl.hop + 1);
-        let arrive = self.net.traverse_link_probed(link, depart, flits, infl.msg.kind, probe);
+        let arrive = self.net.traverse_link(link, depart, flits, infl.msg.kind, probe);
         infl.hop += 1;
         self.queue.schedule_at(arrive, Ev::Msg(infl));
     }

@@ -84,20 +84,12 @@ impl HopNetwork {
 
     /// Books `link` for a message of `flits` starting no earlier than
     /// `now`; returns the cycle the *head* flit arrives at the far side.
-    /// The link stays busy for the full serialization time.
-    pub fn traverse_link(&mut self, link: LinkId, now: Cycle, flits: u32) -> Cycle {
-        let duration = flits as Cycle * self.flit_time();
-        let start = self.links[self.index.index(link)].acquire(now, duration);
-        self.messages += 1;
-        self.flits += flits as u64;
-        start + self.flit_time()
-    }
-
-    /// [`HopNetwork::traverse_link`] with observability: reports the booked
-    /// busy interval (`start..start + serialization`), the message kind
-    /// carried and the queue wait (`start - now`) through `probe`, keyed by
-    /// both the packed [`LinkKey`] and the dense [`LinkIndexer`] id.
-    pub fn traverse_link_probed<P: Probe>(
+    /// The link stays busy for the full serialization time. The booked
+    /// busy interval (`start..start + serialization`), the message `kind`
+    /// carried and the queue wait (`start - now`) are reported through
+    /// `probe`, keyed by both the packed [`LinkKey`] and the dense
+    /// [`LinkIndexer`] id.
+    pub fn traverse_link<P: Probe>(
         &mut self,
         link: LinkId,
         now: Cycle,
@@ -105,18 +97,21 @@ impl HopNetwork {
         kind: MsgType,
         probe: &mut P,
     ) -> Cycle {
-        let head = self.traverse_link(link, now, flits);
-        let start = head - self.flit_time();
+        let dense = self.index.index(link);
+        let duration = flits as Cycle * self.flit_time();
+        let start = self.links[dense].acquire(now, duration);
+        self.messages += 1;
+        self.flits += flits as u64;
         probe.link_traverse(
             link_key(link),
-            self.index.index(link) as u32,
+            dense as u32,
             start,
-            start + flits as Cycle * self.flit_time(),
+            start + duration,
             flits,
             kind,
             start - now,
         );
-        head
+        start + self.flit_time()
     }
 
     /// Cycle at which `link` would next be free (no booking).
@@ -182,10 +177,15 @@ mod tests {
         HopNetwork::new(SystemConfig::paper_table2().switch, 16)
     }
 
+    /// Books `link` with no observer attached.
+    fn book(n: &mut HopNetwork, link: LinkId, now: Cycle, flits: u32) -> Cycle {
+        n.traverse_link(link, now, flits, MsgType::ReadRequest, &mut dresar_obs::NullProbe)
+    }
+
     #[test]
     fn uncontended_link_delivers_after_one_flit_time() {
         let mut n = net();
-        let arr = n.traverse_link(LinkId::ProcUp(0), 100, 5);
+        let arr = book(&mut n, LinkId::ProcUp(0), 100, 5);
         assert_eq!(arr, 104, "head arrives one flit-time later");
         assert_eq!(n.link_free_at(LinkId::ProcUp(0)), 120, "busy for 5 flits x 4 cycles");
     }
@@ -193,24 +193,24 @@ mod tests {
     #[test]
     fn contention_queues_second_message() {
         let mut n = net();
-        n.traverse_link(LinkId::ProcUp(0), 0, 5);
-        let arr = n.traverse_link(LinkId::ProcUp(0), 0, 1);
+        book(&mut n, LinkId::ProcUp(0), 0, 5);
+        let arr = book(&mut n, LinkId::ProcUp(0), 0, 1);
         assert_eq!(arr, 24, "second message starts after 20 cycles of serialization");
     }
 
     #[test]
     fn different_links_do_not_contend() {
         let mut n = net();
-        n.traverse_link(LinkId::ProcUp(0), 0, 5);
-        let arr = n.traverse_link(LinkId::ProcUp(1), 0, 5);
+        book(&mut n, LinkId::ProcUp(0), 0, 5);
+        let arr = book(&mut n, LinkId::ProcUp(1), 0, 5);
         assert_eq!(arr, 4);
     }
 
     #[test]
     fn directions_are_separate_resources() {
         let mut n = net();
-        n.traverse_link(LinkId::Up { stage: 0, lower: 1, port: 2 }, 0, 5);
-        let arr = n.traverse_link(LinkId::Down { stage: 0, lower: 1, port: 2 }, 0, 5);
+        book(&mut n, LinkId::Up { stage: 0, lower: 1, port: 2 }, 0, 5);
+        let arr = book(&mut n, LinkId::Down { stage: 0, lower: 1, port: 2 }, 0, 5);
         assert_eq!(arr, 4, "backward link unaffected by forward traffic");
     }
 
@@ -247,8 +247,8 @@ mod tests {
         let mut attrib = AttribObserver::new(1 << 20, 16, 4);
         // Two back-to-back bookings of the same link: the second waits for
         // the first's 20-cycle serialization.
-        n.traverse_link_probed(LinkId::ProcUp(0), 0, 5, MsgType::ReadReply, &mut attrib);
-        n.traverse_link_probed(LinkId::ProcUp(0), 0, 1, MsgType::ReadRequest, &mut attrib);
+        n.traverse_link(LinkId::ProcUp(0), 0, 5, MsgType::ReadReply, &mut attrib);
+        n.traverse_link(LinkId::ProcUp(0), 0, 1, MsgType::ReadRequest, &mut attrib);
         let hm = attrib.finish();
         assert_eq!(hm.links.len(), 1);
         let l = &hm.links[0];
@@ -263,9 +263,9 @@ mod tests {
     #[test]
     fn utilization_sorted_desc() {
         let mut n = net();
-        n.traverse_link(LinkId::ProcUp(0), 0, 5);
-        n.traverse_link(LinkId::ProcUp(1), 0, 1);
-        n.traverse_link(LinkId::ProcUp(0), 0, 5);
+        book(&mut n, LinkId::ProcUp(0), 0, 5);
+        book(&mut n, LinkId::ProcUp(1), 0, 1);
+        book(&mut n, LinkId::ProcUp(0), 0, 5);
         let u = n.utilization();
         assert_eq!(u[0].link, LinkId::ProcUp(0));
         assert_eq!(u[0].busy_cycles, 40);

@@ -5,7 +5,9 @@
 //! Run with: `cargo run --release --example flit_vs_hop`
 
 use dresar_interconnect::{routes, Bmin, FlitNetwork, HopNetwork};
+use dresar_obs::NullProbe;
 use dresar_types::config::SystemConfig;
+use dresar_types::msg::MsgType;
 
 fn main() {
     let bmin = Bmin::new(16, 4);
@@ -27,13 +29,15 @@ fn main() {
         flit.inject(id + 100, &rep, 5).expect("route fits the network");
 
         // Hop model: walk the same routes.
-        for (route, flits) in [(&req, 1u32), (&rep, 5u32)] {
+        for (route, flits, kind) in
+            [(&req, 1u32, MsgType::ReadRequest), (&rep, 5u32, MsgType::ReadReply)]
+        {
             let mut t = 0;
             for (i, &link) in route.links.iter().enumerate() {
                 if i > 0 {
                     t += hop.core_delay();
                 }
-                t = hop.traverse_link(link, t, flits);
+                t = hop.traverse_link(link, t, flits, kind, &mut NullProbe);
             }
             hop_latencies.push(t + hop.tail_lag(flits));
         }

@@ -2,8 +2,10 @@
 //! flit-level network (DESIGN.md: "an integration test cross-checks their
 //! latency agreement on small message batches").
 
+use dresar_obs::NullProbe;
 use dresar_workspace::interconnect::{routes, Bmin, FlitNetwork, HopNetwork};
 use dresar_workspace::types::config::SystemConfig;
+use dresar_workspace::types::msg::MsgType;
 
 fn hop_latency(hop: &mut HopNetwork, route: &routes::Route, flits: u32, start: u64) -> u64 {
     let mut t = start;
@@ -11,7 +13,7 @@ fn hop_latency(hop: &mut HopNetwork, route: &routes::Route, flits: u32, start: u
         if i > 0 {
             t += hop.core_delay();
         }
-        t = hop.traverse_link(link, t, flits);
+        t = hop.traverse_link(link, t, flits, MsgType::ReadRequest, &mut NullProbe);
     }
     t + hop.tail_lag(flits)
 }
