@@ -170,9 +170,9 @@ fn workloads(p: usize, scale: Scale) -> Vec<(&'static str, Workload)> {
 
 /// Runs one sweep point. Every run doubles as a correctness probe: the
 /// end-of-run per-protocol coherence audit must be clean, no structural sim
-/// error (an out-of-range sharer id, an undefined protocol transition) may
-/// have been recorded, and the watchdog must not have tripped — a machine
-/// that silently wrapped somewhere, a transition-table hole or a NAK
+/// error (an out-of-range sharer id, a stray invalidation ack) may have
+/// been recorded, and the watchdog must not have tripped — a machine that
+/// silently wrapped somewhere, a coherence race the audit catches or a NAK
 /// retry storm fails the sweep instead of publishing a figure.
 fn run_checked(w: &Workload, point: SweepPoint, sd: Option<u32>) -> Metrics {
     let cfg = SystemConfig {

@@ -451,9 +451,10 @@ pub enum SubmitError {
 /// [`SweepRunner`] (so `DRESAR_SWEEP_THREADS` governs serving concurrency
 /// exactly like sweep concurrency) and runs the same boxed-job shape.
 ///
-/// `pause`/`resume` gate the workers without touching the queue — tests use
-/// this to hold jobs queued while concurrent requests pile up, making
-/// coalescing and shedding assertions deterministic instead of racy.
+/// A pool started paused holds its workers idle until `resume`, without
+/// touching the queue — the server's `start_paused` uses this to hold jobs
+/// queued while concurrent requests pile up, making coalescing and
+/// shedding assertions deterministic instead of racy.
 #[derive(Debug)]
 pub struct ServicePool {
     inner: std::sync::Arc<PoolShared>,
@@ -556,11 +557,6 @@ impl ServicePool {
         drop(st);
         self.inner.takeable.notify_one();
         Ok(())
-    }
-
-    /// Holds workers idle after their current job; queued jobs stay queued.
-    pub fn pause(&self) {
-        lock_pool(&self.inner.state).paused = true;
     }
 
     /// Releases paused workers.

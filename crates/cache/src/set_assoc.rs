@@ -7,7 +7,7 @@ use dresar_types::BlockAddr;
 /// Coherence state of a cached line. Absence from the array is the implicit
 /// INVALID state. The paper's protocol (§3.2) uses only S/M; the EXCLUSIVE
 /// and OWNED states exist for the MESI/MOESI members of the protocol family
-/// (`dresar-protocol`) and are never installed under MSI.
+/// ([`dresar_types::Protocol`]) and are never installed under MSI.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum LineState {
     /// Read-only copy; memory (or the owner's copyback) is up to date.

@@ -12,7 +12,7 @@
 //!    `Modified(n)` is satisfied by `n` holding EXCLUSIVE, under MOESI a
 //!    home `Owned` requires the owner to hold OWNED.
 //! 2. **Holder tracking** — every cached copy is covered by the home state
-//!    per [`dresar_protocol::holder_allowed`] (the home's sharer vector may
+//!    per `holder_allowed` (the home's sharer vector may
 //!    be a superset: clean copies evict silently, but never the reverse;
 //!    the DLS baseline deliberately leaves read bypasses untracked).
 //! 3. **Hint soundness** — every MODIFIED switch-directory entry points at
@@ -32,8 +32,7 @@ use std::collections::BTreeMap;
 
 use dresar_cache::LineState;
 use dresar_directory::DirState;
-use dresar_protocol::{holder_allowed, HomeClaim};
-use dresar_types::{BlockAddr, JsonValue, NodeId, StreamItem, ToJson};
+use dresar_types::{BlockAddr, JsonValue, NodeId, Protocol, StreamItem, ToJson};
 
 use super::{Node, System};
 use crate::switchdir::SdState;
@@ -111,6 +110,57 @@ const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 
 fn fnv1a(hash: u64, bytes: &[u8]) -> u64 {
     bytes.iter().fold(hash, |h, &b| (h ^ u64::from(b)).wrapping_mul(FNV_PRIME))
+}
+
+/// What the home directory claims about one (block, holder) pair.
+#[derive(Clone, Copy)]
+enum HomeClaim {
+    /// The home believes nobody caches the block.
+    Uncached,
+    /// The home tracks the block as SHARED; the flag says whether this
+    /// holder is in the sharer vector.
+    SharedTracked(bool),
+    /// The home books an exclusive owner; the flag says whether this
+    /// holder is that owner.
+    ModifiedBy(bool),
+    /// The home books a MOESI owner plus sharers.
+    OwnedBy {
+        /// This holder is the recorded owner.
+        is_owner: bool,
+        /// This holder is in the sharer vector (owners count as tracked).
+        tracked: bool,
+    },
+}
+
+/// Whether a quiesced holder in `state` is compatible with what the home
+/// claims, under protocol `p`:
+///
+/// * MSI: SHARED holders must be tracked sharers, MODIFIED holders must be
+///   the recorded owner.
+/// * MESI: additionally, an EXCLUSIVE holder is legal exactly when the
+///   home books it as owner (E is clean, so the directory cannot tell E
+///   from M — by design).
+/// * MOESI: additionally, OWNED holders must be the recorded owner of an
+///   `OwnedBy` entry, whose sharers hold SHARED.
+/// * DLS: SHARED holders may be *untracked* — the bypass serves readers
+///   the directory never records; that staleness is the documented cost
+///   of the baseline.
+fn holder_allowed(p: Protocol, state: LineState, claim: HomeClaim) -> bool {
+    match (state, claim) {
+        (LineState::Shared, HomeClaim::SharedTracked(tracked)) => tracked || p.home_read_bypass(),
+        (LineState::Shared, HomeClaim::OwnedBy { tracked, .. }) => tracked,
+        // The DLS stale-shared caveat: a bypass-served copy outlives the
+        // directory's knowledge of it under any home state.
+        (LineState::Shared, HomeClaim::ModifiedBy(_) | HomeClaim::Uncached) => p.home_read_bypass(),
+        (LineState::Modified, HomeClaim::ModifiedBy(is_owner)) => is_owner,
+        (LineState::Exclusive, HomeClaim::ModifiedBy(is_owner)) => {
+            is_owner && p.exclusive_read_fill()
+        }
+        (LineState::Owned, HomeClaim::OwnedBy { is_owner, .. }) => {
+            is_owner && p.owner_retains_on_read()
+        }
+        _ => false,
+    }
 }
 
 /// Audits the final machine state. Called by `System::build_report` when
@@ -359,4 +409,54 @@ pub(super) fn check(sys: &System) -> CoherenceOutcome {
 
     out.digest = digest;
     out
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn holder_rules_differ_exactly_where_the_protocols_do() {
+        use HomeClaim as C;
+        // MSI: tracked sharers and the recorded owner only.
+        assert!(holder_allowed(Protocol::Msi, LineState::Shared, C::SharedTracked(true)));
+        assert!(!holder_allowed(Protocol::Msi, LineState::Shared, C::SharedTracked(false)));
+        assert!(holder_allowed(Protocol::Msi, LineState::Modified, C::ModifiedBy(true)));
+        assert!(!holder_allowed(Protocol::Msi, LineState::Modified, C::ModifiedBy(false)));
+        assert!(!holder_allowed(Protocol::Msi, LineState::Exclusive, C::ModifiedBy(true)));
+        // MESI: the owner record may cover a clean E holder.
+        assert!(holder_allowed(Protocol::Mesi, LineState::Exclusive, C::ModifiedBy(true)));
+        assert!(!holder_allowed(Protocol::Mesi, LineState::Exclusive, C::ModifiedBy(false)));
+        assert!(!holder_allowed(
+            Protocol::Mesi,
+            LineState::Owned,
+            C::OwnedBy { is_owner: true, tracked: true }
+        ));
+        // MOESI: O holders own OwnedBy entries; their sharers hold S.
+        assert!(holder_allowed(
+            Protocol::Moesi,
+            LineState::Owned,
+            C::OwnedBy { is_owner: true, tracked: true }
+        ));
+        assert!(!holder_allowed(
+            Protocol::Moesi,
+            LineState::Owned,
+            C::OwnedBy { is_owner: false, tracked: true }
+        ));
+        assert!(holder_allowed(
+            Protocol::Moesi,
+            LineState::Shared,
+            C::OwnedBy { is_owner: false, tracked: true }
+        ));
+        // DLS: untracked SHARED copies are the documented bypass cost.
+        assert!(holder_allowed(Protocol::Dls, LineState::Shared, C::ModifiedBy(false)));
+        assert!(holder_allowed(Protocol::Dls, LineState::Shared, C::SharedTracked(false)));
+        assert!(holder_allowed(Protocol::Dls, LineState::Shared, C::Uncached));
+        assert!(!holder_allowed(Protocol::Msi, LineState::Shared, C::Uncached));
+        // Nobody lets a dirty holder go unrecorded.
+        for p in Protocol::ALL {
+            assert!(!holder_allowed(p, LineState::Modified, C::Uncached), "{p}");
+            assert!(!holder_allowed(p, LineState::Owned, C::SharedTracked(true)), "{p}");
+        }
+    }
 }

@@ -37,12 +37,11 @@ use dresar_obs::{
     HomeReq, HomeTransition, MachineShape, NullProbe, ObserverConfig, ObserverSet, Probe,
     ServicePoint, SwitchLoc,
 };
-use dresar_protocol::{spec, ProtoState};
 use dresar_stats::{BlockHistogram, ReadClass};
 use dresar_types::addr::AddressMap;
 use dresar_types::config::SystemConfig;
 use dresar_types::msg::{Endpoint, Message, MsgType};
-use dresar_types::{BlockAddr, Cycle, NodeId, RefKind, SharerSet, StreamItem, Workload};
+use dresar_types::{BlockAddr, Cycle, NodeId, Protocol, RefKind, StreamItem, Workload};
 use std::rc::Rc;
 
 /// Options for one run.
@@ -1537,11 +1536,10 @@ impl System {
     fn on_intervention<P: Probe>(&mut self, p: NodeId, msg: Message, t: Cycle, probe: &mut P) {
         let block = msg.block;
         let t_cache = t + self.cfg.l2.access_cycles as Cycle;
-        // Which resident states can service an intervention is a protocol
-        // property: M always; E under MESI/MOESI; O under MOESI.
-        let holds_dirty = self.nodes[p as usize].hier.probe(block).is_some_and(|s| {
-            spec(self.cfg.protocol).serves_intervention(ProtoState::from_line(Some(s)))
-        });
+        let holds_dirty = self.nodes[p as usize]
+            .hier
+            .probe(block)
+            .is_some_and(|s| serves_intervention(self.cfg.protocol, s));
         let d = DeferredIntervention {
             requester: msg.requester,
             write_intent: msg.write_intent,
@@ -1736,14 +1734,16 @@ impl System {
     pub fn address_map(&self) -> AddressMap {
         self.map
     }
+}
 
-    /// Sharer set recorded at the home for a block (tests).
-    pub fn home_sharers(&self, block: BlockAddr) -> Option<SharerSet> {
-        let h = self.map.home_of_block(block);
-        match self.homes[h as usize].state(block) {
-            dresar_directory::DirState::Shared(s) => Some(s),
-            _ => None,
-        }
+/// Whether a holder in `state` serves a forwarded intervention rather than
+/// NAKing it: M always; E under MESI/MOESI; O under MOESI; S never.
+fn serves_intervention(protocol: Protocol, state: LineState) -> bool {
+    match state {
+        LineState::Modified => true,
+        LineState::Exclusive => protocol.exclusive_read_fill(),
+        LineState::Owned => protocol.owner_retains_on_read(),
+        LineState::Shared => false,
     }
 }
 
@@ -1783,6 +1783,24 @@ mod tests {
 
     fn run(cfg: SystemConfig, w: &Workload) -> ExecutionReport {
         System::new(cfg, w).run(RunOptions { max_cycles: 10_000_000, ..Default::default() })
+    }
+
+    #[test]
+    fn intervention_suppliers_per_protocol() {
+        use LineState::{Exclusive as E, Modified as M, Owned as O, Shared as S};
+        // Which holder states serve an intervention, per protocol, in the
+        // order S, E, O, M.
+        let table = [
+            (Protocol::Msi, [false, false, false, true]),
+            (Protocol::Mesi, [false, true, false, true]),
+            (Protocol::Moesi, [false, true, true, true]),
+            (Protocol::Dls, [false, false, false, true]),
+        ];
+        for (p, serves) in table {
+            for (state, want) in [S, E, O, M].into_iter().zip(serves) {
+                assert_eq!(serves_intervention(p, state), want, "{p} {state:?}");
+            }
+        }
     }
 
     #[test]

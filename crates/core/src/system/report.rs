@@ -60,11 +60,6 @@ impl ExecutionReport {
         self.reads.ctoc_home
     }
 
-    /// Switch-directory-served cache-to-cache transfers.
-    pub fn switch_ctoc(&self) -> u64 {
-        self.reads.ctoc_switch
-    }
-
     /// Average read-miss latency in cycles (Figure 9).
     pub fn avg_read_latency(&self) -> f64 {
         self.reads.avg_latency()

@@ -910,16 +910,6 @@ impl HomeDirectory {
     pub fn tracked_blocks(&self) -> usize {
         self.blocks.len()
     }
-
-    /// Test/debug helper: force a block's stable state.
-    pub fn force_state(&mut self, block: BlockAddr, state: DirState) {
-        let before = self.occupancy_of(block);
-        let e = self.entry(block);
-        e.state = state;
-        e.busy = None;
-        e.pending.clear();
-        self.track_occupancy(block, before);
-    }
 }
 
 #[cfg(test)]

@@ -124,11 +124,6 @@ impl Crossbar {
         }
     }
 
-    /// Number of outputs.
-    pub fn outputs(&self) -> usize {
-        self.locks.len()
-    }
-
     /// Free FIFO slots on `(input, vc)` — the credit count an upstream
     /// sender checks before transmitting.
     pub fn free_space(&self, input: usize, vc: usize) -> usize {
@@ -150,11 +145,6 @@ impl Crossbar {
     /// Whether any flit is buffered.
     pub fn is_idle(&self) -> bool {
         self.inputs.iter().all(|i| i.vcs.iter().all(|v| v.fifo.is_empty()))
-    }
-
-    /// Total flits granted so far.
-    pub fn flits_granted(&self) -> u64 {
-        self.stats.grants
     }
 
     /// Arbitration outcome counters.

@@ -41,16 +41,6 @@ impl TraceReport {
     pub fn avg_read_latency(&self) -> f64 {
         self.reads.avg_latency()
     }
-
-    /// Average latency over *all* reads including cache hits — the metric
-    /// read-stall reductions follow more closely.
-    pub fn avg_read_latency_incl_hits(&self, cache_access: u32) -> f64 {
-        let total = self.reads.total() + self.read_hits;
-        if total == 0 {
-            return 0.0;
-        }
-        (self.reads.latency_cycles + self.read_hits * cache_access as u64) as f64 / total as f64
-    }
 }
 
 impl dresar_types::ToJson for TraceReport {

@@ -298,13 +298,6 @@ impl JsonError {
             .ok_or_else(|| JsonError::new(format!("missing or non-integer field `{key}`")))
     }
 
-    /// Helper: fetch a required float field from an object node.
-    pub fn want_f64(v: &JsonValue, key: &str) -> Result<f64, JsonError> {
-        v.get(key)
-            .and_then(JsonValue::as_f64)
-            .ok_or_else(|| JsonError::new(format!("missing or non-numeric field `{key}`")))
-    }
-
     /// Helper: fetch a required string field from an object node.
     pub fn want_str(v: &JsonValue, key: &str) -> Result<String, JsonError> {
         v.get(key)

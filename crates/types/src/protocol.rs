@@ -4,9 +4,10 @@
 //! protocol. This module names the protocol *family* the workspace now
 //! models — the identifier lives here (the bottom of the crate graph) so
 //! configuration ([`crate::config::SystemConfig`]), request specs
-//! ([`crate::RunSpec`]) and every simulator crate can agree on it; the
-//! per-protocol line-state machine and invariant rules live in
-//! `dresar-protocol`, which builds on top of the cache and fault crates.
+//! ([`crate::RunSpec`]) and every simulator crate can agree on it. Each
+//! per-protocol rule is written once, in the code that executes it: the
+//! cache hierarchy, the system's fill and intervention handlers, the home
+//! directory and the end-of-run coherence audit (DESIGN.md §15).
 
 use crate::json::{FromJson, JsonError, JsonValue, ToJson};
 

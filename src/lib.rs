@@ -11,7 +11,6 @@ pub use dresar_directory as directory;
 pub use dresar_engine as engine;
 pub use dresar_faults as faults;
 pub use dresar_interconnect as interconnect;
-pub use dresar_protocol as protocol;
 pub use dresar_server as server;
 pub use dresar_stats as stats;
 pub use dresar_trace_sim as trace_sim;
