@@ -12,8 +12,8 @@
 //! and its bar label.
 
 use crate::sweep::{Job, SweepRunner};
-use crate::{switch_dir, Metrics};
-use dresar::system::{RunOptions, System};
+use crate::{run, switch_dir, Driver, Metrics};
+use dresar::system::RunOptions;
 use dresar_faults::WatchdogConfig;
 use dresar_types::config::SystemConfig;
 use dresar_types::{Protocol, Workload};
@@ -180,12 +180,13 @@ fn run_checked(w: &Workload, point: SweepPoint, sd: Option<u32>) -> Metrics {
         switch_dir: switch_dir(sd),
         ..SystemConfig::scaled(point.nodes, point.radix)
     };
-    let report = System::new(cfg, w).run(RunOptions {
+    let opts = RunOptions {
         verify_coherence: true,
         max_cycles: 500_000_000,
         watchdog: Some(WatchdogConfig::default()),
         ..RunOptions::default()
-    });
+    };
+    let report = run(Driver::Execution, w, cfg, opts).execution().expect("execution-driven run");
     let what = format!("{}x{} {} sd={sd:?}", point.nodes, point.radix, point.protocol);
     assert!(report.watchdog.is_none(), "run {what}: watchdog tripped: {:?}", report.watchdog);
     assert!(report.sim_errors.is_empty(), "run {what}: sim errors {:?}", report.sim_errors);

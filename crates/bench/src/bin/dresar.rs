@@ -5,21 +5,22 @@
 //! grammar and its error codes.
 
 use dresar::switchdir::PortScheduler;
-use dresar::system::{RunOptions, System};
-use dresar::TransientReadPolicy;
+use dresar::system::RunOptions;
 use dresar_bench::cli::{self, Args, Command};
 use dresar_bench::sweep::SweepRunner;
 use dresar_bench::{
-    full_sweep, json_doc, run_one, run_one_faulted, run_one_observed, suite, Bench, Metrics, Sweep,
+    catalogue_entry, fault_options, figure_options, full_sweep, json_doc, run, suite, Bench,
+    Driver, Metrics, Sweep,
 };
 use dresar_faults::FaultPlan;
 use dresar_obs::{ObserverConfig, DEFAULT_ATTRIB_WINDOW, DEFAULT_FLIGHT_CAPACITY};
 use dresar_stats::{percent_of, percent_reduction, BlockHistogram, FigureTable};
 use dresar_trace_sim::TraceSimulator;
-use dresar_types::config::{SwitchDirConfig, SystemConfig, TraceSimConfig};
+use dresar_types::config::{SwitchDirConfig, SystemConfig, TraceSimConfig, TransientReadPolicy};
 use dresar_types::msg::MsgType;
+use dresar_types::runspec::SUITE_SEED;
 use dresar_types::{JsonValue, ToJson, Workload};
-use dresar_workloads::{commercial, scientific, Scale};
+use dresar_workloads::{scientific, Scale};
 use std::time::Instant;
 
 fn main() {
@@ -67,7 +68,8 @@ fn print_table(tool: &str, args: &Args, table: &FigureTable, note: &str) {
 /// suite workload once, sharded across cores, in suite order.
 fn base_runs(scale: Scale) -> Vec<(&'static str, Metrics)> {
     let benches = suite(scale);
-    let metrics = SweepRunner::from_env().map(&benches, |b| run_one(b, None));
+    let metrics =
+        SweepRunner::from_env().map(&benches, |b| b.run(None, figure_options()).metrics());
     benches.iter().map(|b| b.label).zip(metrics).collect()
 }
 
@@ -95,7 +97,8 @@ fn fig1(args: &Args) {
 
 /// The TPC-C per-block miss histogram on the base trace-driven machine.
 fn tpcc_histogram(scale: Scale) -> BlockHistogram {
-    let workload = commercial::tpcc(16, scale.commercial_refs(), 0xD2E5_A25E);
+    let tpcc = catalogue_entry("TPC-C").expect("the catalogue holds TPC-C");
+    let workload = tpcc.workload(16, scale, SUITE_SEED);
     let mut sim = TraceSimulator::new(TraceSimConfig::paper_base());
     sim.collect_histogram();
     sim.run(&workload).histogram.expect("histogram collected")
@@ -262,20 +265,12 @@ fn figures(scale: Scale) {
 
 // ---- ablations -----------------------------------------------------------
 
-/// One ablation configuration.
-struct Variant {
-    name: &'static str,
-    cfg: SystemConfig,
-    policy: TransientReadPolicy,
-}
-
 /// The DRESAR design choices (DESIGN.md §3) against their alternatives:
 /// the paper's Retry TRANSIENT-read policy vs bit-vector Accumulate,
 /// pending-buffer capacity (§4.3), directory associativity, and 8x8
 /// two-stage vs 4x4 four-stage switches.
-fn variants() -> Vec<Variant> {
+fn variants() -> Vec<(&'static str, SystemConfig)> {
     let base = SystemConfig::paper_table2();
-    let mk = |name, cfg, policy| Variant { name, cfg, policy };
     let with_sd = |f: &dyn Fn(&mut SwitchDirConfig)| {
         let mut c = base;
         let mut sd = SwitchDirConfig::paper_default();
@@ -283,24 +278,20 @@ fn variants() -> Vec<Variant> {
         c.switch_dir = Some(sd);
         c
     };
-    let retry = TransientReadPolicy::Retry;
+    let mut radix2 = base;
+    radix2.switch.radix = 2;
     vec![
-        mk("paper default (retry, 4-way, pend=16)", base, retry),
-        mk("accumulate readers", base, TransientReadPolicy::Accumulate),
-        mk("pending buffer = 1", with_sd(&|sd| sd.pending_buffer_entries = 1), retry),
-        mk("pending buffer = 64", with_sd(&|sd| sd.pending_buffer_entries = 64), retry),
-        mk("direct-mapped directory", with_sd(&|sd| sd.ways = 1), retry),
-        mk("8-way directory", with_sd(&|sd| sd.ways = 8), retry),
-        mk(
-            "4x4 switches (4 stages)",
-            {
-                let mut c = base;
-                c.switch.radix = 2;
-                c
-            },
-            retry,
+        ("paper default (retry, 4-way, pend=16)", base),
+        (
+            "accumulate readers",
+            with_sd(&|sd| sd.transient_policy = TransientReadPolicy::Accumulate),
         ),
-        mk("no switch directory (base)", SystemConfig::paper_base(), retry),
+        ("pending buffer = 1", with_sd(&|sd| sd.pending_buffer_entries = 1)),
+        ("pending buffer = 64", with_sd(&|sd| sd.pending_buffer_entries = 64)),
+        ("direct-mapped directory", with_sd(&|sd| sd.ways = 1)),
+        ("8-way directory", with_sd(&|sd| sd.ways = 8)),
+        ("4x4 switches (4 stages)", radix2),
+        ("no switch directory (base)", SystemConfig::paper_base()),
     ]
 }
 
@@ -320,22 +311,22 @@ fn ablations(args: &Args) {
             );
         }
         let mut json_variants: Vec<JsonValue> = Vec::new();
-        for v in variants() {
-            let r = System::new(v.cfg, w)
-                .run(RunOptions { transient_policy: v.policy, ..RunOptions::default() });
+        for (name, cfg) in variants() {
+            let r = run(Driver::Execution, w, cfg, RunOptions::default());
             if json {
                 json_variants.push(
-                    JsonValue::obj().field("variant", v.name).field("report", r.to_json()).build(),
+                    JsonValue::obj().field("variant", name).field("report", r.to_json()).build(),
                 );
             } else {
+                let m = r.metrics();
                 println!(
                     "{:40} {:>9} {:>9} {:>9} {:>10.1} {:>9}",
-                    v.name,
-                    r.reads.ctoc_home,
-                    r.reads.ctoc_switch,
-                    r.reads.retries,
-                    r.avg_read_latency(),
-                    r.cycles
+                    name,
+                    m.reads.ctoc_home,
+                    m.reads.ctoc_switch,
+                    m.reads.retries,
+                    m.avg_read_latency(),
+                    m.exec_cycles
                 );
             }
         }
@@ -496,8 +487,8 @@ fn probe(scale: Scale) {
     let benches = suite(scale);
     let pairs = SweepRunner::from_env().map(&benches, |b| {
         let t0 = Instant::now();
-        let base = run_one(b, None);
-        let with = run_one(b, Some(1024));
+        let base = b.run(None, figure_options()).metrics();
+        let with = b.run(Some(1024), figure_options()).metrics();
         (base, with, t0.elapsed().as_secs_f64())
     });
     for (b, (base, with, seconds)) in benches.iter().zip(pairs) {
@@ -529,12 +520,12 @@ fn probe(scale: Scale) {
 /// and the end-of-run coherence audit. With `--json`, one document instead.
 fn probe_faulted(args: &Args, plan: FaultPlan) {
     let scale = args.scale;
-    let benches = suite(scale);
-    let runs: Vec<_> = SweepRunner::from_env()
-        .map(&benches, |b| run_one_faulted(b, Some(1024), plan).map(|r| (b.label, r)))
-        .into_iter()
-        .flatten()
-        .collect();
+    let benches: Vec<Bench> =
+        suite(scale).into_iter().filter(|b| b.driver == Driver::Execution).collect();
+    let runs = SweepRunner::from_env().map(&benches, |b| {
+        let report = b.run(Some(1024), fault_options(plan)).execution();
+        (b.label, report.expect("execution-driven run"))
+    });
     if args.json {
         let workloads: Vec<JsonValue> = runs
             .iter()
@@ -576,8 +567,12 @@ fn probe_json(args: &Args) {
     };
     let benches = suite(args.scale);
     let workloads: Vec<JsonValue> = SweepRunner::from_env().map(&benches, |b| {
-        let (base, mut base_obs) = run_one_observed(b, None, observers);
-        let (with, mut with_obs) = run_one_observed(b, Some(1024), observers);
+        let observed = |sd| {
+            let report = b.run(sd, RunOptions { observers, ..RunOptions::default() });
+            (report.metrics(), report.execution().and_then(|r| r.obs))
+        };
+        let (base, mut base_obs) = observed(None);
+        let (with, mut with_obs) = observed(Some(1024));
         let mut w = JsonValue::obj()
             .field("label", b.label)
             .field("base", base.to_json())
@@ -625,7 +620,7 @@ fn probe_json(args: &Args) {
 /// `NullProbe` fast path on FFT at sd1024 and emits one JSON document;
 /// with `--max-overhead-pct P` it exits 1 when the recorder costs more than
 /// `P` percent. Both configurations run the identical workload through
-/// [`run_one_observed`], so the ratio isolates the probe dispatch and ring
+/// [`Bench::run`], so the ratio isolates the probe dispatch and ring
 /// writes; each throughput is the best of `--repeats` runs, since
 /// minimum-noise estimators compare far more stably than means on shared
 /// hosts. `--emit-trace` instead prints one traced run's raw Chrome trace.
@@ -636,8 +631,11 @@ fn scope_overhead(args: &Args) {
 
     if args.emit_trace {
         let observers = ObserverConfig { trace: true, ..ObserverConfig::default() };
-        let (_, obs) = run_one_observed(bench, Some(1024), observers);
-        let trace = obs.and_then(|o| o.trace).expect("traced execution-driven run yields a trace");
+        let report = bench.run(Some(1024), RunOptions { observers, ..RunOptions::default() });
+        let trace = report
+            .execution()
+            .and_then(|r| r.obs?.trace)
+            .expect("traced execution-driven run yields a trace");
         print!("{trace}");
         return;
     }
@@ -646,7 +644,7 @@ fn scope_overhead(args: &Args) {
     let flight_cfg =
         ObserverConfig { flight: Some(DEFAULT_FLIGHT_CAPACITY), ..ObserverConfig::default() };
     // Warm caches/allocator once, untimed.
-    run_one_observed(bench, Some(1024), null_cfg);
+    throughput(bench, null_cfg);
 
     let mut best_null = 0.0f64;
     let mut best_flight = 0.0f64;
@@ -678,7 +676,7 @@ fn scope_overhead(args: &Args) {
 /// Simulated cycles per wall-clock second for one run under `observers`.
 fn throughput(bench: &Bench, observers: ObserverConfig) -> f64 {
     let t0 = Instant::now();
-    let (m, _) = run_one_observed(bench, Some(1024), observers);
+    let m = bench.run(Some(1024), RunOptions { observers, ..RunOptions::default() }).metrics();
     let secs = t0.elapsed().as_secs_f64().max(1e-9);
     m.exec_cycles as f64 / secs
 }

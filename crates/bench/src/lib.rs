@@ -30,13 +30,14 @@ pub mod harness;
 pub mod sweep;
 
 use dresar::system::{ExecutionReport, RunOptions, System};
-use dresar_faults::FaultPlan;
-use dresar_obs::{ObsReport, ObserverConfig};
+use dresar_faults::{FaultPlan, WatchdogConfig};
+use dresar_obs::{MetricsRegistry, ObserverConfig};
 use dresar_stats::ReadStats;
 use dresar_trace_sim::{TraceReport, TraceSimulator};
 use dresar_types::config::{SwitchDirConfig, SystemConfig, TraceSimConfig};
+use dresar_types::runspec::SUITE_SEED;
 use dresar_types::{JsonValue, ToJson, Workload};
-use dresar_workloads::Scale;
+use dresar_workloads::{commercial, scientific, Scale};
 use sweep::SweepRunner;
 
 /// Figure-relevant metrics extracted from either simulator.
@@ -95,15 +96,75 @@ impl ToJson for Metrics {
     }
 }
 
-/// A workload paired with the simulator that evaluates it (the paper runs
-/// scientific applications execution-driven and commercial traces
-/// trace-driven).
+/// The simulator that evaluates a workload (the paper runs scientific
+/// applications execution-driven and commercial traces trace-driven).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Driver {
     /// Execution-driven 16-node system (Table 2).
     Execution,
     /// Trace-driven constant-latency model (Table 3).
     Trace,
+}
+
+impl Driver {
+    /// Checks the configuration this driver would simulate for `cfg`.
+    pub fn validate(self, cfg: &SystemConfig) -> Result<(), String> {
+        match self {
+            Driver::Execution => cfg.validate(),
+            Driver::Trace => trace_config(cfg).validate(),
+        }
+    }
+}
+
+/// One workload of the paper's evaluation: its figure label, the
+/// simulator that runs it, and how to generate its reference streams.
+#[derive(Debug)]
+pub struct CatalogueEntry {
+    /// Display name matching the paper's figures.
+    pub label: &'static str,
+    /// Which simulator drives it.
+    pub driver: Driver,
+    generate: fn(usize, Scale, u64) -> Workload,
+}
+
+impl CatalogueEntry {
+    /// The workload for `processors` processors at `scale`. Scientific
+    /// kernels are pure functions of (processors, scale); the commercial
+    /// traces also fold in `seed`.
+    pub fn workload(&self, processors: usize, scale: Scale, seed: u64) -> Workload {
+        (self.generate)(processors, scale, seed)
+    }
+}
+
+/// The paper's seven workloads in figure order: the five scientific
+/// kernels (execution-driven, Table 2), then the two commercial traces
+/// (trace-driven, Table 3).
+pub static CATALOGUE: [CatalogueEntry; 7] = {
+    use Driver::{Execution, Trace};
+    const fn entry(
+        label: &'static str,
+        driver: Driver,
+        generate: fn(usize, Scale, u64) -> Workload,
+    ) -> CatalogueEntry {
+        CatalogueEntry { label, driver, generate }
+    }
+    [
+        entry("FFT", Execution, |p, s, _| scientific::fft(p, s.fft_points())),
+        entry("TC", Execution, |p, s, _| scientific::tc(p, s.matrix_n())),
+        entry("SOR", Execution, |p, s, _| scientific::sor(p, s.grid_n(), s.sor_iters())),
+        entry("FWA", Execution, |p, s, _| scientific::fwa(p, s.matrix_n())),
+        entry("GAUSS", Execution, |p, s, _| scientific::gauss(p, s.matrix_n())),
+        entry("TPC-C", Trace, |p, s, seed| commercial::tpcc(p, s.commercial_refs(), seed)),
+        // TPC-D mixes the seed so its trace is independent of TPC-C's.
+        entry("TPC-D", Trace, |p, s, seed| {
+            commercial::tpcd(p, s.commercial_refs(), seed ^ 0x9e37_79b9)
+        }),
+    ]
+};
+
+/// The catalogue entry labelled `label`, if any.
+pub fn catalogue_entry(label: &str) -> Option<&'static CatalogueEntry> {
+    CATALOGUE.iter().find(|e| e.label == label)
 }
 
 /// One evaluated workload.
@@ -116,22 +177,24 @@ pub struct Bench {
     pub driver: Driver,
 }
 
-/// The paper's seven-workload evaluation suite at a given scale.
-pub fn suite(scale: Scale) -> Vec<Bench> {
-    let p = 16;
-    let sci = dresar_workloads::scientific_suite(p, scale);
-    let mut out: Vec<Bench> = sci
-        .into_iter()
-        .zip(["FFT", "TC", "SOR", "FWA", "GAUSS"])
-        .map(|(workload, label)| Bench { label, workload, driver: Driver::Execution })
-        .collect();
-    for (workload, label) in dresar_workloads::commercial_suite(p, scale, 0xD2E5_A25E)
-        .into_iter()
-        .zip(["TPC-C", "TPC-D"])
-    {
-        out.push(Bench { label, workload, driver: Driver::Trace });
+impl Bench {
+    /// Runs this workload on [`paper_machine`]`(sd_entries)`.
+    pub fn run(&self, sd_entries: Option<u32>, opts: RunOptions) -> RunReport {
+        run(self.driver, &self.workload, paper_machine(sd_entries), opts)
     }
-    out
+}
+
+/// The paper's seven-workload evaluation suite at a given scale, on the
+/// 16-processor machine with the suite's commercial-trace seed.
+pub fn suite(scale: Scale) -> Vec<Bench> {
+    CATALOGUE
+        .iter()
+        .map(|e| Bench {
+            label: e.label,
+            workload: e.workload(16, scale, SUITE_SEED),
+            driver: e.driver,
+        })
+        .collect()
 }
 
 /// The paper's switch-directory geometry at `entries` entries per switch,
@@ -140,96 +203,121 @@ pub fn switch_dir(entries: Option<u32>) -> Option<SwitchDirConfig> {
     entries.map(|entries| SwitchDirConfig { entries, ..SwitchDirConfig::paper_default() })
 }
 
-/// Runs one workload with an optional switch-directory size.
-pub fn run_one(bench: &Bench, sd_entries: Option<u32>) -> Metrics {
-    run_one_observed(bench, sd_entries, ObserverConfig::default()).0
+/// The paper's Table 2 machine with `sd_entries` switch-directory entries
+/// per switch, or the base machine for `None`.
+pub fn paper_machine(sd_entries: Option<u32>) -> SystemConfig {
+    SystemConfig { switch_dir: switch_dir(sd_entries), ..SystemConfig::paper_table2() }
 }
 
-/// [`run_one`] with observers attached. Only the execution-driven simulator
-/// is instrumented; trace-driven workloads return `None` for the payload.
-pub fn run_one_observed(
-    bench: &Bench,
-    sd_entries: Option<u32>,
-    observers: ObserverConfig,
-) -> (Metrics, Option<ObsReport>) {
-    match bench.driver {
-        Driver::Execution => {
-            let mut cfg = SystemConfig::paper_table2();
-            cfg.switch_dir = switch_dir(sd_entries);
-            let report = System::new(cfg, &bench.workload)
-                .run(RunOptions { observers, ..RunOptions::default() });
-            (Metrics::from(&report), report.obs)
-        }
-        Driver::Trace => {
-            let mut cfg = TraceSimConfig::paper_table3();
-            cfg.switch_dir = switch_dir(sd_entries);
-            let report = TraceSimulator::new(cfg).run(&bench.workload);
-            (Metrics::from(&report), None)
-        }
+/// The trace-driven model of `cfg`: Table 3's constant latencies and
+/// cache on `cfg`'s node count, switch radix and switch-directory geometry.
+fn trace_config(cfg: &SystemConfig) -> TraceSimConfig {
+    TraceSimConfig {
+        nodes: cfg.nodes,
+        switch_radix: cfg.switch.radix,
+        switch_dir: cfg.switch_dir,
+        ..TraceSimConfig::paper_table3()
     }
 }
 
-/// Runs one execution-driven workload under a deterministic fault plan
-/// (switch-directory scrubs, eviction storms, disable windows, message
-/// drops — see [`FaultPlan::parse`]) and returns its full report. Returns
-/// `None` for trace-driven workloads: the constant-latency model has no
-/// message system to inject faults into.
-pub fn run_one_faulted(
-    bench: &Bench,
-    sd_entries: Option<u32>,
-    plan: FaultPlan,
-) -> Option<dresar::system::ExecutionReport> {
-    if bench.driver != Driver::Execution {
-        return None;
-    }
-    let mut cfg = SystemConfig::paper_table2();
-    cfg.switch_dir = switch_dir(sd_entries);
-    Some(System::new(cfg, &bench.workload).run(RunOptions {
+/// Options for a figure run: no observers, not even the always-on flight
+/// recorder.
+pub fn figure_options() -> RunOptions {
+    RunOptions { observers: ObserverConfig::default(), ..RunOptions::default() }
+}
+
+/// Options for a fault-injected run: the plan, plus the coherence watchdog
+/// and the end-of-run coherence audit that judge how the machine coped.
+pub fn fault_options(plan: FaultPlan) -> RunOptions {
+    RunOptions {
         faults: Some(plan),
-        watchdog: Some(dresar_faults::WatchdogConfig::default()),
+        watchdog: Some(WatchdogConfig::default()),
         verify_coherence: true,
         ..RunOptions::default()
-    }))
+    }
 }
 
-/// Runs one workload and returns its deterministic component-metrics
-/// registry. Execution-driven workloads return the simulator's full
-/// snapshot; trace-driven ones get a registry assembled from the trace
-/// report's counters (the constant-latency model has no event engine or
-/// flit network to instrument).
-pub fn run_one_registry(bench: &Bench, sd_entries: Option<u32>) -> dresar_obs::MetricsRegistry {
-    match bench.driver {
-        Driver::Execution => {
-            let mut cfg = SystemConfig::paper_table2();
-            cfg.switch_dir = switch_dir(sd_entries);
-            System::new(cfg, &bench.workload).run(RunOptions::default()).metrics
-        }
+/// Runs `workload` on `driver`'s simulator. The trace-driven model ignores
+/// `opts`: it has no observers, fault injector or watchdog.
+///
+/// # Panics
+/// Panics if `driver` rejects `cfg` (see [`Driver::validate`]).
+pub fn run(driver: Driver, workload: &Workload, cfg: SystemConfig, opts: RunOptions) -> RunReport {
+    match driver {
+        Driver::Execution => RunReport::Execution(Box::new(System::new(cfg, workload).run(opts))),
         Driver::Trace => {
-            let mut cfg = TraceSimConfig::paper_table3();
-            cfg.switch_dir = switch_dir(sd_entries);
-            let r = TraceSimulator::new(cfg).run(&bench.workload);
-            let mut m = dresar_obs::MetricsRegistry::new();
-            m.counter("trace.exec_cycles", r.exec_cycles);
-            m.counter("trace.read_hits", r.read_hits);
-            m.counter("trace.writes", r.writes);
-            m.counter("reads.clean", r.reads.clean);
-            m.counter("reads.ctoc_home", r.reads.ctoc_home);
-            m.counter("reads.ctoc_switch", r.reads.ctoc_switch);
-            m.counter("reads.latency_cycles", r.reads.latency_cycles);
-            m.counter("reads.stall_cycles", r.reads.stall_cycles);
-            m.counter("reads.retries", r.reads.retries);
-            m.counter("home.lookups", r.dir.lookups);
-            m.counter("home.reads_ctoc", r.dir.reads_ctoc);
-            m.counter("home.invals_sent", r.dir.invals_sent);
-            m.counter("home.naks", r.dir.naks);
-            if sd_entries.is_some() {
-                m.counter("sd.snoops", r.sd.snoops);
-                m.counter("sd.read_hits", r.sd.read_hits);
-                m.counter("sd.inserts", r.sd.inserts);
-                m.counter("sd.evictions", r.sd.evictions);
-                m.counter("sd.copybacks_marked", r.sd.copybacks_marked);
-            }
-            m
+            RunReport::Trace(Box::new(TraceSimulator::new(trace_config(&cfg)).run(workload)))
+        }
+    }
+}
+
+/// One run's report, from whichever simulator drove it.
+#[derive(Debug, Clone)]
+pub enum RunReport {
+    /// An execution-driven run.
+    Execution(Box<ExecutionReport>),
+    /// A trace-driven run.
+    Trace(Box<TraceReport>),
+}
+
+impl RunReport {
+    /// The figure metrics.
+    pub fn metrics(&self) -> Metrics {
+        match self {
+            RunReport::Execution(r) => Metrics::from(&**r),
+            RunReport::Trace(r) => Metrics::from(&**r),
+        }
+    }
+
+    /// The execution-driven report, or `None` for a trace-driven run.
+    pub fn execution(self) -> Option<ExecutionReport> {
+        match self {
+            RunReport::Execution(r) => Some(*r),
+            RunReport::Trace(_) => None,
+        }
+    }
+
+    /// The run's deterministic component-metrics registry. An
+    /// execution-driven run returns the simulator's full snapshot; a
+    /// trace-driven one gets a registry assembled from the trace report's
+    /// counters (the constant-latency model has no event engine or flit
+    /// network to instrument), with the `sd.*` block only when the run had
+    /// switch directories (`with_sd`).
+    pub fn registry(self, with_sd: bool) -> MetricsRegistry {
+        let r = match self {
+            RunReport::Execution(r) => return r.metrics,
+            RunReport::Trace(r) => r,
+        };
+        let mut m = MetricsRegistry::new();
+        m.counter("trace.exec_cycles", r.exec_cycles);
+        m.counter("trace.read_hits", r.read_hits);
+        m.counter("trace.writes", r.writes);
+        m.counter("reads.clean", r.reads.clean);
+        m.counter("reads.ctoc_home", r.reads.ctoc_home);
+        m.counter("reads.ctoc_switch", r.reads.ctoc_switch);
+        m.counter("reads.latency_cycles", r.reads.latency_cycles);
+        m.counter("reads.stall_cycles", r.reads.stall_cycles);
+        m.counter("reads.retries", r.reads.retries);
+        m.counter("home.lookups", r.dir.lookups);
+        m.counter("home.reads_ctoc", r.dir.reads_ctoc);
+        m.counter("home.invals_sent", r.dir.invals_sent);
+        m.counter("home.naks", r.dir.naks);
+        if with_sd {
+            m.counter("sd.snoops", r.sd.snoops);
+            m.counter("sd.read_hits", r.sd.read_hits);
+            m.counter("sd.inserts", r.sd.inserts);
+            m.counter("sd.evictions", r.sd.evictions);
+            m.counter("sd.copybacks_marked", r.sd.copybacks_marked);
+        }
+        m
+    }
+}
+
+impl ToJson for RunReport {
+    fn to_json(&self) -> JsonValue {
+        match self {
+            RunReport::Execution(r) => r.to_json(),
+            RunReport::Trace(r) => r.to_json(),
         }
     }
 }
@@ -258,7 +346,9 @@ pub fn full_sweep(scale: Scale) -> Vec<Sweep> {
         .iter()
         .flat_map(|b| std::iter::once(None).chain(SWEEP_SIZES.map(Some)).map(move |sd| (b, sd)))
         .collect();
-    let mut metrics = SweepRunner::from_env().map(&jobs, |&(b, sd)| run_one(b, sd)).into_iter();
+    let mut metrics = SweepRunner::from_env()
+        .map(&jobs, |&(b, sd)| b.run(sd, figure_options()).metrics())
+        .into_iter();
     let mut next = || metrics.next().expect("one result per job");
     benches
         .iter()
@@ -291,9 +381,9 @@ mod tests {
     }
 
     #[test]
-    fn run_one_produces_reads() {
+    fn bench_run_produces_reads() {
         let s = suite(Scale::Tiny);
-        let m = run_one(&s[0], Some(1024));
+        let m = s[0].run(Some(1024), RunOptions::default()).metrics();
         assert!(m.reads.total() > 0);
         assert!(m.exec_cycles > 0);
     }

@@ -17,7 +17,8 @@
 //! available core); `DRESAR_SWEEP_THREADS=1` forces serial execution,
 //! which CI uses on one leg of the identity check.
 
-use crate::{run_one_faulted, run_one_observed, run_one_registry, Bench, Driver, Metrics};
+use crate::{fault_options, Bench, Driver, Metrics};
+use dresar::system::RunOptions;
 use dresar_faults::FaultPlan;
 use dresar_interconnect::{routes, Bmin, FlitNetwork};
 use dresar_obs::{
@@ -64,7 +65,7 @@ impl SweepRunner {
         SweepRunner { threads: thread_count() }
     }
 
-    /// Runner that executes jobs one after another on the calling thread.
+    /// Runner that executes jobs one after another on a single worker.
     pub fn serial() -> Self {
         SweepRunner { threads: 1 }
     }
@@ -111,22 +112,6 @@ impl SweepRunner {
         jobs: Vec<Job<'a, R>>,
     ) -> Result<Vec<R>, SweepPanicReport> {
         let n = jobs.len();
-        if self.threads <= 1 || n <= 1 {
-            let mut results = Vec::with_capacity(n);
-            let mut panics = Vec::new();
-            for (i, job) in jobs.into_iter().enumerate() {
-                match catch_unwind(AssertUnwindSafe(job)) {
-                    Ok(r) => results.push(r),
-                    Err(payload) => {
-                        panics.push(JobPanic { job: i, message: panic_message(&*payload) })
-                    }
-                }
-            }
-            if panics.is_empty() {
-                return Ok(results);
-            }
-            return Err(SweepPanicReport { panics, completed: results.len() });
-        }
         let workers = self.threads.min(n);
         // FnOnce must be moved out to call; parking each job in its own
         // mutex slot lets borrowing worker threads claim them one by one.
@@ -295,7 +280,7 @@ fn workload_chain(b: &Bench) -> Vec<(RunResult, f64)> {
     let mut sd1024_cycles = 0u64;
     for (tag, sd) in [("base", None), ("sd1024", Some(1024))] {
         let t0 = Instant::now();
-        let metrics = run_one_registry(b, sd);
+        let metrics = b.run(sd, RunOptions::default()).registry(sd.is_some());
         let seconds = t0.elapsed().as_secs_f64();
         if tag == "sd1024" {
             if let Some(MetricValue::Counter(c)) = metrics.get("sim.cycles") {
@@ -357,8 +342,9 @@ pub fn heatmap_runs(benches: &[Bench], runner: SweepRunner) -> Vec<HeatmapRun> {
     for b in benches.iter().filter(|b| b.driver == Driver::Execution) {
         for (tag, sd) in [("base", None), ("sd1024", Some(1024))] {
             jobs.push(Box::new(move || {
-                let (metrics, obs) = run_one_observed(b, sd, observers);
-                let obs = obs?;
+                let report = b.run(sd, RunOptions { observers, ..RunOptions::default() });
+                let metrics = report.metrics();
+                let obs = report.execution()?.obs?;
                 Some(HeatmapRun {
                     name: format!("{}.{}", b.label, tag),
                     metrics,
@@ -383,7 +369,7 @@ pub fn sd_degraded_run(b: &Bench, sd1024_cycles: u64) -> Option<MetricsRegistry>
         return None; // trace-driven workload: no fault machinery
     }
     let plan = FaultPlan { disable_at: (sd1024_cycles / 2).max(1), ..FaultPlan::default() };
-    let report = run_one_faulted(b, Some(1024), plan)?;
+    let report = b.run(Some(1024), fault_options(plan)).execution()?;
     let mut m = report.metrics;
     if let Some(c) = &report.coherence {
         m.counter("coherence.ok", u64::from(c.ok()));
@@ -754,7 +740,7 @@ mod tests {
     }
 
     #[test]
-    fn try_run_jobs_reports_panics_as_data_on_both_paths() {
+    fn try_run_jobs_reports_panics_as_data_at_any_thread_count() {
         let mk = || -> Vec<Job<'static, u64>> {
             (0..6u64)
                 .map(|i| {

@@ -340,8 +340,8 @@ mod tests {
         SdArray::new(SwitchDirConfig {
             entries: 8,
             ways: 2,
-            lookup_ports: 2,
             pending_buffer_entries: 8,
+            ..SwitchDirConfig::paper_default()
         })
     }
 
@@ -395,8 +395,8 @@ mod tests {
         let mut a = SdArray::new(SwitchDirConfig {
             entries: 8,
             ways: 2,
-            lookup_ports: 2,
             pending_buffer_entries: 1,
+            ..SwitchDirConfig::paper_default()
         });
         a.insert_modified(BlockAddr(0), 1);
         a.insert_modified(BlockAddr(1), 2);

@@ -25,26 +25,12 @@ use dresar_obs::{Probe, SdProbeEvent};
 // simulator) can name a switch and pass the no-op probe to `snoop`.
 pub use dresar_obs::{NullProbe, SwitchLoc};
 use dresar_types::config::SwitchDirConfig;
+pub use dresar_types::config::TransientReadPolicy;
 use dresar_types::msg::{Message, MsgType};
-use dresar_types::{BlockAddr, Cycle, FromJson, JsonError, JsonValue, NodeId, ToJson};
+use dresar_types::{BlockAddr, Cycle, JsonValue, NodeId, ToJson};
 
 pub use array::{SdEntryView, SdState};
 pub use ports::PortScheduler;
-
-/// Policy for a `ReadRequest` that hits a TRANSIENT entry (paper §3.2
-/// discusses both alternatives; the paper *chose* `Retry` "because
-/// communication intensive blocks have very few sharers").
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum TransientReadPolicy {
-    /// Sink the read and NAK the requester (the paper's choice).
-    #[default]
-    Retry,
-    /// Sink the read and remember the requester in the entry's bit vector;
-    /// it is served with data when the owner's copyback/writeback passes
-    /// (the paper's rejected-for-complexity alternative — kept as an
-    /// ablation).
-    Accumulate,
-}
 
 /// A message the switch directory asks the switch to emit (the "CtoC &
 /// Reply Unit" of Figure 6). Routes are computed by the caller, which knows
@@ -173,29 +159,6 @@ impl ToJson for SdStats {
     }
 }
 
-impl FromJson for SdStats {
-    fn from_json(v: &JsonValue) -> Result<Self, JsonError> {
-        Ok(SdStats {
-            inserts: JsonError::want_u64(v, "inserts")?,
-            inserts_blocked: JsonError::want_u64(v, "inserts_blocked")?,
-            // Tolerant: documents written before the counter existed.
-            pending_refused: v.get("pending_refused").and_then(JsonValue::as_u64).unwrap_or(0),
-            read_hits: JsonError::want_u64(v, "read_hits")?,
-            transient_retries: JsonError::want_u64(v, "transient_retries")?,
-            readers_accumulated: JsonError::want_u64(v, "readers_accumulated")?,
-            invalidations: JsonError::want_u64(v, "invalidations")?,
-            write_retries: JsonError::want_u64(v, "write_retries")?,
-            copybacks_marked: JsonError::want_u64(v, "copybacks_marked")?,
-            writeback_replies: JsonError::want_u64(v, "writeback_replies")?,
-            snoops: JsonError::want_u64(v, "snoops")?,
-            evictions: JsonError::want_u64(v, "evictions")?,
-            evictions_transient: JsonError::want_u64(v, "evictions_transient")?,
-            peak_occupancy: JsonError::want_u64(v, "peak_occupancy")?,
-            peak_transients: JsonError::want_u64(v, "peak_transients")?,
-        })
-    }
-}
-
 /// One switch's directory cache plus its protocol FSM.
 #[derive(Debug, Clone)]
 pub struct SwitchDirectory {
@@ -211,14 +174,9 @@ pub struct SwitchDirectory {
 impl SwitchDirectory {
     /// Builds a directory from the configuration.
     pub fn new(cfg: SwitchDirConfig) -> Self {
-        Self::with_policy(cfg, TransientReadPolicy::default())
-    }
-
-    /// Builds a directory with an explicit TRANSIENT-read policy.
-    pub fn with_policy(cfg: SwitchDirConfig, policy: TransientReadPolicy) -> Self {
         SwitchDirectory {
             array: array::SdArray::new(cfg),
-            policy,
+            policy: cfg.transient_policy,
             stats: SdStats::default(),
             disabled: false,
         }
@@ -542,7 +500,15 @@ mod tests {
     use dresar_types::Cycle;
 
     fn cfg() -> SwitchDirConfig {
-        SwitchDirConfig { entries: 64, ways: 4, lookup_ports: 2, pending_buffer_entries: 8 }
+        SwitchDirConfig {
+            entries: 64,
+            pending_buffer_entries: 8,
+            ..SwitchDirConfig::paper_default()
+        }
+    }
+
+    fn accumulate() -> SwitchDirConfig {
+        SwitchDirConfig { transient_policy: TransientReadPolicy::Accumulate, ..cfg() }
     }
 
     fn msg(kind: MsgType, block: u64, requester: NodeId) -> Message {
@@ -620,7 +586,7 @@ mod tests {
 
     #[test]
     fn transient_read_accumulates_under_alt_policy() {
-        let mut sd = SwitchDirectory::with_policy(cfg(), TransientReadPolicy::Accumulate);
+        let mut sd = SwitchDirectory::new(accumulate());
         install(&mut sd, 5, 3);
         snoop(&mut sd, &mut msg(MsgType::ReadRequest, 5, 7));
         let act = snoop(&mut sd, &mut msg(MsgType::ReadRequest, 5, 9));
@@ -631,7 +597,7 @@ mod tests {
 
     #[test]
     fn duplicate_transient_reader_is_nakked_even_when_accumulating() {
-        let mut sd = SwitchDirectory::with_policy(cfg(), TransientReadPolicy::Accumulate);
+        let mut sd = SwitchDirectory::new(accumulate());
         install(&mut sd, 5, 3);
         snoop(&mut sd, &mut msg(MsgType::ReadRequest, 5, 7));
         let act = snoop(&mut sd, &mut msg(MsgType::ReadRequest, 5, 7));
@@ -682,7 +648,7 @@ mod tests {
 
     #[test]
     fn copyback_serves_accumulated_readers_beyond_first() {
-        let mut sd = SwitchDirectory::with_policy(cfg(), TransientReadPolicy::Accumulate);
+        let mut sd = SwitchDirectory::new(accumulate());
         install(&mut sd, 5, 3);
         snoop(&mut sd, &mut msg(MsgType::ReadRequest, 5, 7));
         snoop(&mut sd, &mut msg(MsgType::ReadRequest, 5, 9));
@@ -794,8 +760,8 @@ mod tests {
         let mut sd = SwitchDirectory::new(SwitchDirConfig {
             entries: 8,
             ways: 2,
-            lookup_ports: 2,
             pending_buffer_entries: 8,
+            ..SwitchDirConfig::paper_default()
         });
         install(&mut sd, 0, 1);
         install(&mut sd, 4, 2);

@@ -1,11 +1,11 @@
 //! Tier-1 observability guarantees: the latency breakdown accounts for
 //! every read-stall cycle exactly, traces are deterministic and valid
-//! Chrome trace-event documents, and the JSON reports round-trip.
+//! Chrome trace-event documents, and the JSON reports name every read class.
 
 use dresar::system::{ExecutionReport, RunOptions, System};
 use dresar_obs::{ObserverConfig, CLASS_LABELS};
 use dresar_types::config::{SwitchDirConfig, SystemConfig};
-use dresar_types::{FromJson, JsonValue, ToJson, Workload};
+use dresar_types::{JsonValue, ToJson, Workload};
 use dresar_workloads::scientific;
 
 fn cfg(switch_dir: bool) -> SystemConfig {
@@ -111,22 +111,6 @@ fn trace_is_a_valid_chrome_trace_event_document() {
     for required in ["M", "b", "e", "i", "X"] {
         assert!(phases_seen.contains(required), "missing ph={required}: {phases_seen:?}");
     }
-}
-
-#[test]
-fn execution_report_round_trips_through_json() {
-    let r = run_observed(true, ObserverConfig::default());
-    assert!(r.obs.is_none(), "default config attaches no observers");
-    let dumped = r.to_json().dump();
-    let parsed = JsonValue::parse(&dumped).expect("report JSON parses");
-    let r2 = ExecutionReport::from_json(&parsed).expect("report JSON deserializes");
-    assert_eq!(r2.cycles, r.cycles);
-    assert_eq!(r2.refs_executed, r.refs_executed);
-    assert_eq!(r2.reads.to_json().dump(), r.reads.to_json().dump());
-    assert_eq!(r2.dir.to_json().dump(), r.dir.to_json().dump());
-    assert_eq!(r2.sd.to_json().dump(), r.sd.to_json().dump());
-    // Re-serializing the reconstruction reproduces the document.
-    assert_eq!(r2.to_json().dump(), dumped);
 }
 
 #[test]

@@ -14,10 +14,7 @@
 //! pids that the home folds into the vector at completion time.
 
 use dresar_obs::DirStateKind;
-use dresar_types::{
-    BlockAddr, FastMap, FromJson, JsonError, JsonValue, NodeId, Protocol, SharerSet, ToJson,
-    MAX_NODES,
-};
+use dresar_types::{BlockAddr, FastMap, JsonValue, NodeId, Protocol, SharerSet, ToJson, MAX_NODES};
 use std::collections::VecDeque;
 
 fn kind_of(state: &DirState) -> DirStateKind {
@@ -222,24 +219,6 @@ impl ToJson for DirStats {
             .field("peak_busy", self.peak_busy)
             .field("peak_pending", self.peak_pending)
             .build()
-    }
-}
-
-impl FromJson for DirStats {
-    fn from_json(v: &JsonValue) -> Result<Self, JsonError> {
-        Ok(DirStats {
-            reads_clean: JsonError::want_u64(v, "reads_clean")?,
-            reads_ctoc: JsonError::want_u64(v, "reads_ctoc")?,
-            writes_ctoc: JsonError::want_u64(v, "writes_ctoc")?,
-            inval_rounds: JsonError::want_u64(v, "inval_rounds")?,
-            invals_sent: JsonError::want_u64(v, "invals_sent")?,
-            naks: JsonError::want_u64(v, "naks")?,
-            queued: JsonError::want_u64(v, "queued")?,
-            marked_completions: JsonError::want_u64(v, "marked_completions")?,
-            lookups: JsonError::want_u64(v, "lookups")?,
-            peak_busy: JsonError::want_u64(v, "peak_busy")?,
-            peak_pending: JsonError::want_u64(v, "peak_pending")?,
-        })
     }
 }
 

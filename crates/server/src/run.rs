@@ -3,7 +3,10 @@
 //! Validation is split from execution on purpose: the server validates
 //! *before* admission (so malformed requests are rejected instantly with a
 //! structured error and never occupy a queue slot or an engine worker), and
-//! executes only specs that are guaranteed to configure cleanly.
+//! executes only specs that are guaranteed to configure cleanly. The
+//! workload, its simulator and the run itself come from the evaluation
+//! harness ([`dresar_bench::CATALOGUE`], [`dresar_bench::run`]), so a served
+//! report is exactly the report `dresar` computes for the same machine.
 //!
 //! The served body is the existing report document — an
 //! [`dresar::system::ExecutionReport`] for the five scientific workloads
@@ -15,99 +18,62 @@
 //! to a fresh run.
 
 use crate::error::ServeError;
-use dresar::system::{RunOptions, System};
-use dresar::TransientReadPolicy;
-use dresar_faults::{FaultPlan, WatchdogConfig};
-use dresar_trace_sim::TraceSimulator;
-use dresar_types::config::{SwitchDirConfig, SystemConfig, TraceSimConfig};
-use dresar_types::{RunSpec, ToJson, Workload};
-use dresar_workloads::{commercial, scientific, Scale};
-
-/// Which simulator a workload label runs on (mirrors
-/// `dresar_bench::Driver`, but resolved from a request instead of the
-/// fixed suite).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Kind {
-    Fft,
-    Tc,
-    Sor,
-    Fwa,
-    Gauss,
-    Tpcc,
-    Tpcd,
-}
-
-impl Kind {
-    fn parse(label: &str) -> Option<Kind> {
-        match label {
-            "FFT" => Some(Kind::Fft),
-            "TC" => Some(Kind::Tc),
-            "SOR" => Some(Kind::Sor),
-            "FWA" => Some(Kind::Fwa),
-            "GAUSS" => Some(Kind::Gauss),
-            "TPC-C" => Some(Kind::Tpcc),
-            "TPC-D" => Some(Kind::Tpcd),
-            _ => None,
-        }
-    }
-
-    fn is_trace_driven(self) -> bool {
-        matches!(self, Kind::Tpcc | Kind::Tpcd)
-    }
-}
+use dresar::system::RunOptions;
+use dresar_bench::{
+    catalogue_entry, fault_options, paper_machine, run, CatalogueEntry, Driver, RunReport,
+    CATALOGUE,
+};
+use dresar_faults::FaultPlan;
+use dresar_types::config::SystemConfig;
+use dresar_types::{Protocol, RunSpec, ToJson};
+use dresar_workloads::Scale;
 
 /// A spec that passed every admission-time check and is ready to execute.
 #[derive(Debug, Clone)]
 pub struct ValidatedSpec {
     spec: RunSpec,
-    kind: Kind,
+    entry: &'static CatalogueEntry,
     scale: Scale,
-    sd: Option<SwitchDirConfig>,
+    cfg: SystemConfig,
     faults: Option<FaultPlan>,
 }
 
 /// Checks everything about a spec that can fail, mapping each failure to
 /// its distinct machine-readable [`ServeError`].
 pub fn validate(spec: &RunSpec) -> Result<ValidatedSpec, ServeError> {
-    let kind = Kind::parse(&spec.workload).ok_or_else(|| {
+    let entry = catalogue_entry(&spec.workload).ok_or_else(|| {
+        let labels: Vec<&str> = CATALOGUE.iter().map(|e| e.label).collect();
         ServeError::BadWorkload(format!(
-            "unknown workload '{}'; expected FFT|TC|SOR|FWA|GAUSS|TPC-C|TPC-D",
-            spec.workload
+            "unknown workload '{}'; expected {}",
+            spec.workload,
+            labels.join("|")
         ))
     })?;
     let scale = Scale::parse(&spec.scale).ok_or_else(|| {
         ServeError::BadScale(format!("unknown scale '{}'; expected tiny|reduced|paper", spec.scale))
     })?;
-    let sd = spec
-        .sd_entries
-        .map(|entries| {
-            let sd = SwitchDirConfig { entries, ..SwitchDirConfig::paper_default() };
-            sd.validate().map_err(ServeError::BadSdSize).map(|()| sd)
-        })
-        .transpose()?;
+    let cfg = SystemConfig {
+        nodes: spec.nodes as usize,
+        protocol: spec.protocol.unwrap_or_default(),
+        ..paper_machine(spec.sd_entries)
+    };
+    if let Some(sd) = &cfg.switch_dir {
+        sd.validate().map_err(ServeError::BadSdSize)?;
+    }
+    let trace_driven = entry.driver == Driver::Trace;
+    if trace_driven && cfg.protocol != Protocol::Msi {
+        return Err(ServeError::BadField(format!(
+            "workload '{}' is trace-driven (constant-latency model, MSI only; \
+             protocol '{}' needs the execution-driven simulator)",
+            spec.workload, cfg.protocol
+        )));
+    }
     // The full config check (node count vs switch radix, cache geometry)
     // runs against the simulator the workload will actually use.
-    if kind.is_trace_driven() {
-        if let Some(p) = spec.protocol.filter(|&p| p != dresar_types::Protocol::Msi) {
-            return Err(ServeError::BadField(format!(
-                "workload '{}' is trace-driven (constant-latency model, MSI only; \
-                 protocol '{p}' needs the execution-driven simulator)",
-                spec.workload
-            )));
-        }
-        let mut cfg = TraceSimConfig::paper_table3();
-        cfg.nodes = spec.nodes as usize;
-        cfg.switch_dir = sd;
-        cfg.validate().map_err(ServeError::BadTopology)?;
-    } else {
-        let mut cfg = SystemConfig::paper_table2();
-        cfg.nodes = spec.nodes as usize;
-        cfg.switch_dir = sd;
-        cfg.validate().map_err(ServeError::BadTopology)?;
-    }
+    entry.driver.validate(&cfg).map_err(ServeError::BadTopology)?;
     let faults = match &spec.faults {
         None => None,
-        Some(plan) if kind.is_trace_driven() => {
+        Some(plan) if trace_driven => {
             return Err(ServeError::FaultsUnsupported(format!(
                 "workload '{}' is trace-driven (constant-latency model, no message system to \
                  inject '{plan}' into)",
@@ -119,31 +85,13 @@ pub fn validate(spec: &RunSpec) -> Result<ValidatedSpec, ServeError> {
                 .map_err(|e| ServeError::BadFaults(format!("bad fault plan '{plan}': {e}")))?,
         ),
     };
-    Ok(ValidatedSpec { spec: spec.clone(), kind, scale, sd, faults })
+    Ok(ValidatedSpec { spec: spec.clone(), entry, scale, cfg, faults })
 }
 
 impl ValidatedSpec {
     /// The underlying request.
     pub fn spec(&self) -> &RunSpec {
         &self.spec
-    }
-
-    /// Generates the workload streams for this request. Scientific kernels
-    /// are pure functions of (processors, scale); commercial traces also
-    /// fold in the request seed, exactly like the bench suite.
-    fn workload(&self) -> Workload {
-        let p = self.spec.nodes as usize;
-        match self.kind {
-            Kind::Fft => scientific::fft(p, self.scale.fft_points()),
-            Kind::Tc => scientific::tc(p, self.scale.matrix_n()),
-            Kind::Sor => scientific::sor(p, self.scale.grid_n(), self.scale.sor_iters()),
-            Kind::Fwa => scientific::fwa(p, self.scale.matrix_n()),
-            Kind::Gauss => scientific::gauss(p, self.scale.matrix_n()),
-            Kind::Tpcc => commercial::tpcc(p, self.scale.commercial_refs(), self.spec.seed),
-            Kind::Tpcd => {
-                commercial::tpcd(p, self.scale.commercial_refs(), self.spec.seed ^ 0x9e37_79b9)
-            }
-        }
     }
 
     /// Runs the simulation and serializes the complete response body
@@ -158,43 +106,30 @@ impl ValidatedSpec {
     /// `traced` — the simulator's Chrome-trace document, pulled out of the
     /// report so the body itself stays identical to an untraced run.
     pub fn execute_full(&self, traced: bool) -> Result<ExecOutput, ServeError> {
-        let workload = self.workload();
+        let workload = self.entry.workload(self.spec.nodes as usize, self.scale, self.spec.seed);
+        let mut options = self.faults.map_or_else(RunOptions::default, fault_options);
+        options.observers.trace = traced;
+        let mut report = run(self.entry.driver, &workload, self.cfg, options);
         let mut flight = None;
         let mut trace = None;
-        let (driver, report_json) = if self.kind.is_trace_driven() {
-            let mut cfg = TraceSimConfig::paper_table3();
-            cfg.nodes = self.spec.nodes as usize;
-            cfg.switch_dir = self.sd;
-            let report = TraceSimulator::new(cfg).run(&workload);
-            ("trace", report.to_json())
-        } else {
-            let mut cfg = SystemConfig::paper_table2();
-            cfg.nodes = self.spec.nodes as usize;
-            cfg.switch_dir = self.sd;
-            cfg.protocol = self.spec.protocol.unwrap_or_default();
-            let mut options = RunOptions {
-                transient_policy: TransientReadPolicy::Retry,
-                faults: self.faults,
-                watchdog: self.faults.as_ref().map(|_| WatchdogConfig::default()),
-                verify_coherence: self.faults.is_some(),
-                ..RunOptions::default()
-            };
-            options.observers.trace = traced;
-            let mut report = System::new(cfg, &workload).run(options);
-            if let Some(obs) = report.obs.as_mut() {
+        if let RunReport::Execution(r) = &mut report {
+            if let Some(obs) = r.obs.as_mut() {
                 flight = obs.flight.as_ref().map(|f| f.to_json().dump());
                 trace = obs.trace.take();
                 if obs.is_empty() {
-                    report.obs = None;
+                    r.obs = None;
                 }
             }
-            ("execution", report.to_json())
+        }
+        let driver = match self.entry.driver {
+            Driver::Execution => "execution",
+            Driver::Trace => "trace",
         };
         let mut body = dresar_bench::json_doc("dresar-serve")
             .field("digest", self.spec.digest_hex().as_str())
             .field("driver", driver)
             .field("spec", self.spec.to_json())
-            .field("report", report_json)
+            .field("report", report.to_json())
             .build()
             .dump();
         body.push('\n');
@@ -223,7 +158,7 @@ mod tests {
     #[test]
     fn default_spec_validates() {
         let v = validate(&RunSpec::default()).expect("default spec is servable");
-        assert_eq!(v.kind, Kind::Fft);
+        assert_eq!(v.entry.label, "FFT");
         assert_eq!(v.scale, Scale::Tiny);
     }
 
@@ -283,6 +218,25 @@ mod tests {
             Some(spec.digest_hex().as_str())
         );
         assert!(doc.get("report").and_then(|r| r.get("cycles")).is_some());
+    }
+
+    #[test]
+    fn served_reports_equal_the_harness_runs() {
+        for bench in dresar_bench::suite(Scale::Tiny) {
+            for sd_entries in [None, Some(1024)] {
+                let spec =
+                    RunSpec { workload: bench.label.into(), sd_entries, ..RunSpec::default() };
+                let body = validate(&spec).unwrap().execute().unwrap();
+                let served = dresar_types::JsonValue::parse(&body).unwrap();
+                let harness = bench.run(sd_entries, RunOptions::default()).to_json();
+                assert_eq!(
+                    served.get("report").map(dresar_types::JsonValue::dump),
+                    Some(harness.dump()),
+                    "{} at sd {sd_entries:?}",
+                    bench.label
+                );
+            }
+        }
     }
 
     #[test]

@@ -677,76 +677,117 @@ fn attach_or_lead(
     let peak = inflight.len() as u64;
     shared.metrics.inflight_peak.fetch_max(peak, Ordering::Relaxed);
 
-    let job = {
-        let shared = Arc::clone(shared);
+    let finish = {
         let flight = Arc::clone(&flight);
-        let digest_hex = digest_hex.clone();
-        let submitted = Instant::now();
-        Box::new(move || {
-            // Dequeue-time deadline check: a job whose leader's deadline
-            // expired while it sat queued is answered 503 without burning
-            // a worker on a result nobody is waiting for.
-            if Instant::now() >= deadline {
-                shared.metrics.deadline_expired.fetch_add(1, Ordering::Relaxed);
-                lock_recover(&shared.inflight).remove(&digest);
-                flight.publish(Err(ServeError::DeadlineExceeded { deadline_ms, at: "queued" }));
-                return;
-            }
-            let queue_us = us(submitted.elapsed());
-            shared.metrics.executions.fetch_add(1, Ordering::Relaxed);
-            let t_exec = Instant::now();
-            // Panic isolation: an engine panic (or an injected chaos
-            // panic) is contained here, converted to a structured 500
-            // published to every waiter — the worker and the pool survive.
-            let result = match catch_job_panic(|| {
-                if let Some(chaos) = &shared.chaos {
-                    if chaos.before_exec() {
-                        panic!("chaos: injected worker panic");
-                    }
-                }
-                validated.execute_full(false)
-            }) {
-                Ok(executed) => executed,
-                Err(SubmitError::JobPanicked { message }) => {
-                    shared.metrics.worker_panics.fetch_add(1, Ordering::Relaxed);
-                    Err(ServeError::JobPanicked { digest: digest_hex.clone(), message })
-                }
-                Err(other) => Err(ServeError::Internal(format!("job guard: {other:?}"))),
-            };
-            let exec_us = us(t_exec.elapsed());
-            let result = result.map(|out| {
-                deposit_flight(&shared, out.flight.as_deref());
-                RunOutcome { body: Arc::new(out.body), queue_us, exec_us }
+        move |shared: &Shared, result: Result<Executed, ServeError>| {
+            let result = result.map(|done| RunOutcome {
+                body: Arc::new(done.out.body),
+                queue_us: done.queue_us,
+                exec_us: done.exec_us,
             });
             if let Ok(outcome) = &result {
                 lock_recover(&shared.cache).insert(digest, Arc::clone(&outcome.body));
-                store_save(&shared, digest, &outcome.body);
+                store_save(shared, digest, &outcome.body);
             }
             // Unregister before publishing: a request arriving after this
             // point must hit the cache (or start a fresh run), never attach
             // to a completed flight.
             lock_recover(&shared.inflight).remove(&digest);
             flight.publish(result);
+        }
+    };
+    let path = ExecPath::Cached { deadline, deadline_ms };
+    if let Err(err) = submit_execution(shared, validated, digest_hex, path, finish) {
+        inflight.remove(&digest);
+        // Any follower that attached before this lock was taken gets the
+        // same structured error instead of waiting forever.
+        flight.publish(Err(err.clone()));
+        return Err(err);
+    }
+    Ok(flight)
+}
+
+/// Which `/run` path an execution serves.
+enum ExecPath {
+    /// The shared, cached path. At dequeue a job whose leader's deadline
+    /// has passed is answered 503 without burning a worker on a result
+    /// nobody is waiting for, and chaos may inject a worker panic.
+    Cached { deadline: Instant, deadline_ms: u64 },
+    /// The instrumented `X-Dresar-Trace` path.
+    Traced,
+}
+
+/// A finished execution with its phase timings.
+#[derive(Debug, Clone)]
+struct Executed {
+    out: ExecOutput,
+    /// Microseconds the job waited in the admission queue.
+    queue_us: u64,
+    /// Microseconds the engine run and serialization took.
+    exec_us: u64,
+}
+
+/// Queues one execution of `validated` on the engine pool and hands its
+/// outcome to `finish` on the worker. The job times its queue wait and its
+/// run, counts the execution, contains a panic as a structured 500 (counted
+/// in `serve.worker_panics`; the worker and the pool survive), and deposits
+/// an anomalous run's flight dump. A refused submission is counted as shed
+/// and returned as its structured error.
+fn submit_execution(
+    shared: &Arc<Shared>,
+    validated: ValidatedSpec,
+    digest_hex: String,
+    path: ExecPath,
+    finish: impl FnOnce(&Shared, Result<Executed, ServeError>) + Send + 'static,
+) -> Result<(), ServeError> {
+    let job = {
+        let shared = Arc::clone(shared);
+        let digest_hex = digest_hex.clone();
+        let submitted = Instant::now();
+        Box::new(move || {
+            if let ExecPath::Cached { deadline, deadline_ms } = path {
+                if Instant::now() >= deadline {
+                    shared.metrics.deadline_expired.fetch_add(1, Ordering::Relaxed);
+                    let at = "queued";
+                    return finish(&shared, Err(ServeError::DeadlineExceeded { deadline_ms, at }));
+                }
+            }
+            let queue_us = us(submitted.elapsed());
+            shared.metrics.executions.fetch_add(1, Ordering::Relaxed);
+            let t_exec = Instant::now();
+            let result = match catch_job_panic(|| {
+                if let (ExecPath::Cached { .. }, Some(chaos)) = (&path, &shared.chaos) {
+                    if chaos.before_exec() {
+                        panic!("chaos: injected worker panic");
+                    }
+                }
+                validated.execute_full(matches!(path, ExecPath::Traced))
+            }) {
+                Ok(executed) => executed,
+                Err(SubmitError::JobPanicked { message }) => {
+                    shared.metrics.worker_panics.fetch_add(1, Ordering::Relaxed);
+                    Err(ServeError::JobPanicked { digest: digest_hex, message })
+                }
+                Err(other) => Err(ServeError::Internal(format!("job guard: {other:?}"))),
+            };
+            let exec_us = us(t_exec.elapsed());
+            let result = result.map(|out| {
+                deposit_flight(&shared, out.flight.as_deref());
+                Executed { out, queue_us, exec_us }
+            });
+            finish(&shared, result);
         })
     };
-    match shared.pool.try_submit(job) {
-        Ok(()) => Ok(flight),
-        Err(submit_err) => {
-            inflight.remove(&digest);
-            let err = match submit_err {
-                SubmitError::QueueFull { queue_depth } => ServeError::Overloaded { queue_depth },
-                SubmitError::ShuttingDown => ServeError::ShuttingDown,
-                SubmitError::JobPanicked { message } => {
-                    ServeError::JobPanicked { digest: digest_hex.clone(), message }
-                }
-            };
-            shared.metrics.shed.fetch_add(1, Ordering::Relaxed);
-            // Any follower that attached before this lock was taken gets
-            // the same structured error instead of waiting forever.
-            flight.publish(Err(err.clone()));
-            Err(err)
+    shared.pool.try_submit(job).map_err(|submit_err| {
+        shared.metrics.shed.fetch_add(1, Ordering::Relaxed);
+        match submit_err {
+            SubmitError::QueueFull { queue_depth } => ServeError::Overloaded { queue_depth },
+            SubmitError::ShuttingDown => ServeError::ShuttingDown,
+            SubmitError::JobPanicked { message } => {
+                ServeError::JobPanicked { digest: digest_hex, message }
+            }
         }
-    }
+    })
 }
 
 /// The traced `/run` pipeline (`X-Dresar-Trace` header). Admission runs
@@ -773,44 +814,14 @@ fn serve_run_traced(body: &str, trace_id: &str, shared: &Arc<Shared>) -> Result<
 
     // Real queue wait: the instrumented run goes through the same bounded
     // admission as every other execution.
-    let flight: Arc<Flight<(ExecOutput, u64, u64)>> = Arc::default();
+    let flight: Arc<Flight<Executed>> = Arc::default();
     let submit_off = us(t0.elapsed());
-    let job = {
-        let shared = Arc::clone(shared);
+    let finish = {
         let flight = Arc::clone(&flight);
-        let submitted = Instant::now();
-        let digest_hex = digest_hex.clone();
-        Box::new(move || {
-            let queue_us = us(submitted.elapsed());
-            shared.metrics.executions.fetch_add(1, Ordering::Relaxed);
-            let t_exec = Instant::now();
-            let result = match catch_job_panic(|| validated.execute_full(true)) {
-                Ok(executed) => executed,
-                Err(SubmitError::JobPanicked { message }) => {
-                    shared.metrics.worker_panics.fetch_add(1, Ordering::Relaxed);
-                    Err(ServeError::JobPanicked { digest: digest_hex, message })
-                }
-                Err(other) => Err(ServeError::Internal(format!("job guard: {other:?}"))),
-            };
-            let exec_us = us(t_exec.elapsed());
-            let result = result.map(|out| {
-                deposit_flight(&shared, out.flight.as_deref());
-                (out, queue_us, exec_us)
-            });
-            flight.publish(result);
-        })
+        move |_: &Shared, result| flight.publish(result)
     };
-    if let Err(submit_err) = shared.pool.try_submit(job) {
-        shared.metrics.shed.fetch_add(1, Ordering::Relaxed);
-        return Err(match submit_err {
-            SubmitError::QueueFull { queue_depth } => ServeError::Overloaded { queue_depth },
-            SubmitError::ShuttingDown => ServeError::ShuttingDown,
-            SubmitError::JobPanicked { message } => {
-                ServeError::JobPanicked { digest: digest_hex.clone(), message }
-            }
-        });
-    }
-    let (out, queue_us, exec_us) = flight.wait(deadline, deadline_ms)?;
+    submit_execution(shared, validated, digest_hex.clone(), ExecPath::Traced, finish)?;
+    let Executed { out, queue_us, exec_us } = flight.wait(deadline, deadline_ms)?;
 
     let ser_off = us(t0.elapsed());
     let sim_events = out.trace.as_deref().map(trace_inner).unwrap_or_default();

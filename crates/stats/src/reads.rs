@@ -1,6 +1,6 @@
 //! Read-miss classification and latency accounting.
 
-use dresar_types::{FromJson, JsonError, JsonValue, ToJson};
+use dresar_types::{JsonValue, ToJson};
 
 /// How a read miss was ultimately serviced.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -93,19 +93,6 @@ impl ToJson for ReadStats {
             .field("stall_cycles", self.stall_cycles)
             .field("retries", self.retries)
             .build()
-    }
-}
-
-impl FromJson for ReadStats {
-    fn from_json(v: &JsonValue) -> Result<Self, JsonError> {
-        Ok(ReadStats {
-            clean: JsonError::want_u64(v, "clean")?,
-            ctoc_home: JsonError::want_u64(v, "ctoc_home")?,
-            ctoc_switch: JsonError::want_u64(v, "ctoc_switch")?,
-            latency_cycles: JsonError::want_u64(v, "latency_cycles")?,
-            stall_cycles: JsonError::want_u64(v, "stall_cycles")?,
-            retries: JsonError::want_u64(v, "retries")?,
-        })
     }
 }
 

@@ -118,12 +118,35 @@ pub struct SwitchDirConfig {
     /// Pending-buffer entries for transient blocks in large (8x8) switches
     /// (paper §4.3: 8–16 entries).
     pub pending_buffer_entries: u32,
+    /// What a read that hits a TRANSIENT entry does (paper: retry).
+    pub transient_policy: TransientReadPolicy,
+}
+
+/// Policy for a `ReadRequest` that hits a TRANSIENT switch-directory entry
+/// (paper §3.2 discusses both alternatives; the paper *chose* `Retry`
+/// "because communication intensive blocks have very few sharers").
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub enum TransientReadPolicy {
+    /// Sink the read and NAK the requester (the paper's choice).
+    #[default]
+    Retry,
+    /// Sink the read and remember the requester in the entry's bit vector;
+    /// it is served with data when the owner's copyback/writeback passes
+    /// (the paper's rejected-for-complexity alternative — kept as an
+    /// ablation).
+    Accumulate,
 }
 
 impl SwitchDirConfig {
     /// The paper's default operating point: 1024 entries, 4-way.
     pub fn paper_default() -> Self {
-        SwitchDirConfig { entries: 1024, ways: 4, lookup_ports: 2, pending_buffer_entries: 16 }
+        SwitchDirConfig {
+            entries: 1024,
+            ways: 4,
+            lookup_ports: 2,
+            pending_buffer_entries: 16,
+            transient_policy: TransientReadPolicy::Retry,
+        }
     }
 
     /// The sweep the paper evaluates in Figures 8–11.

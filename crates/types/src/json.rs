@@ -297,14 +297,6 @@ impl JsonError {
             .and_then(JsonValue::as_u64)
             .ok_or_else(|| JsonError::new(format!("missing or non-integer field `{key}`")))
     }
-
-    /// Helper: fetch a required string field from an object node.
-    pub fn want_str(v: &JsonValue, key: &str) -> Result<String, JsonError> {
-        v.get(key)
-            .and_then(JsonValue::as_str)
-            .map(str::to_string)
-            .ok_or_else(|| JsonError::new(format!("missing or non-string field `{key}`")))
-    }
 }
 
 impl fmt::Display for JsonError {

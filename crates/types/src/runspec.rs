@@ -74,6 +74,10 @@ pub struct RunSpec {
     pub protocol: Option<Protocol>,
 }
 
+/// Seed of the synthetic commercial traces in the paper's evaluation suite,
+/// and the serving default for [`RunSpec::seed`].
+pub const SUITE_SEED: u64 = 0xD2E5_A25E;
+
 impl Default for RunSpec {
     /// The serving default: FFT at tiny scale on the paper's 16-node
     /// machine with the default 1K-entry switch directory, the suite's
@@ -84,7 +88,7 @@ impl Default for RunSpec {
             scale: "tiny".to_string(),
             nodes: 16,
             sd_entries: Some(1024),
-            seed: 0xD2E5_A25E,
+            seed: SUITE_SEED,
             faults: None,
             deadline_ms: None,
             protocol: None,

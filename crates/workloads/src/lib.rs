@@ -29,24 +29,3 @@ pub mod scientific;
 
 pub use builder::StreamRecorder;
 pub use scale::Scale;
-
-use dresar_types::Workload;
-
-/// Generates the paper's five scientific workloads at the given scale.
-pub fn scientific_suite(processors: usize, scale: Scale) -> Vec<Workload> {
-    vec![
-        scientific::fft(processors, scale.fft_points()),
-        scientific::tc(processors, scale.matrix_n()),
-        scientific::sor(processors, scale.grid_n(), scale.sor_iters()),
-        scientific::fwa(processors, scale.matrix_n()),
-        scientific::gauss(processors, scale.matrix_n()),
-    ]
-}
-
-/// Generates the two commercial workloads at the given scale.
-pub fn commercial_suite(processors: usize, scale: Scale, seed: u64) -> Vec<Workload> {
-    vec![
-        commercial::tpcc(processors, scale.commercial_refs(), seed),
-        commercial::tpcd(processors, scale.commercial_refs(), seed ^ 0x9e37_79b9),
-    ]
-}

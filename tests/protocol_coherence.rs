@@ -3,8 +3,7 @@
 //! end-to-end coherence properties that no single crate can check alone.
 
 use dresar_workspace::dresar::system::{RunOptions, System};
-use dresar_workspace::dresar::TransientReadPolicy;
-use dresar_workspace::types::config::{SwitchDirConfig, SystemConfig};
+use dresar_workspace::types::config::{SwitchDirConfig, SystemConfig, TransientReadPolicy};
 use dresar_workspace::types::rng::SmallRng;
 use dresar_workspace::types::{StreamItem, Workload};
 
@@ -122,11 +121,11 @@ fn accumulate_policy_also_coherent() {
     for seed in 30..33u64 {
         let w = random_workload(seed, 16, 120, 24);
         let total = w.total_refs() as u64;
-        let r = System::new(cfg(Some(1024)), &w).run(RunOptions {
+        let sd = SwitchDirConfig {
             transient_policy: TransientReadPolicy::Accumulate,
-            max_cycles: 500_000_000,
-            ..Default::default()
-        });
+            ..SwitchDirConfig::paper_default()
+        };
+        let r = System::new(SystemConfig { switch_dir: Some(sd), ..cfg(None) }, &w).run(opts());
         assert_eq!(r.refs_executed, total, "accumulate policy lost refs (seed {seed})");
     }
 }
