@@ -49,9 +49,9 @@ pub fn bench(name: &str, mut f: impl FnMut()) {
     report(name, &samples, iters);
 }
 
-/// Like [`bench`], but rebuilds fresh input with `setup` for every
-/// iteration, outside the timed region. Batches cap at [`MAX_SETUP_BATCH`],
-/// not [`MAX_BATCH`] — see the constant's doc for why.
+/// Like [`bench()`], but rebuilds fresh input with `setup` for every
+/// iteration, outside the timed region. Batches cap at `MAX_SETUP_BATCH`
+/// (4096), not `MAX_BATCH`, so the pre-built inputs stay small.
 pub fn bench_with_setup<T>(name: &str, mut setup: impl FnMut() -> T, mut f: impl FnMut(T)) {
     let mut iters: u64 = 1;
     loop {

@@ -282,8 +282,8 @@ impl RunReport {
     /// trace-driven one gets a registry assembled from the trace report's
     /// counters (the constant-latency model has no event engine or flit
     /// network to instrument), with the `sd.*` block only when the run had
-    /// switch directories (`with_sd`).
-    pub fn registry(self, with_sd: bool) -> MetricsRegistry {
+    /// switch directories.
+    pub fn registry(self) -> MetricsRegistry {
         let r = match self {
             RunReport::Execution(r) => return r.metrics,
             RunReport::Trace(r) => r,
@@ -302,7 +302,7 @@ impl RunReport {
         m.counter("home.reads_ctoc", r.dir.reads_ctoc);
         m.counter("home.invals_sent", r.dir.invals_sent);
         m.counter("home.naks", r.dir.naks);
-        if with_sd {
+        if r.switch_dirs {
             m.counter("sd.snoops", r.sd.snoops);
             m.counter("sd.read_hits", r.sd.read_hits);
             m.counter("sd.inserts", r.sd.inserts);

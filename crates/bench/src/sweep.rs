@@ -280,7 +280,7 @@ fn workload_chain(b: &Bench) -> Vec<(RunResult, f64)> {
     let mut sd1024_cycles = 0u64;
     for (tag, sd) in [("base", None), ("sd1024", Some(1024))] {
         let t0 = Instant::now();
-        let metrics = b.run(sd, RunOptions::default()).registry(sd.is_some());
+        let metrics = b.run(sd, RunOptions::default()).registry();
         let seconds = t0.elapsed().as_secs_f64();
         if tag == "sd1024" {
             if let Some(MetricValue::Counter(c)) = metrics.get("sim.cycles") {

@@ -3,8 +3,9 @@
 //! The hierarchy enforces inclusion: every L1-resident block is also
 //! L2-resident, so external coherence (invalidations, downgrades) only needs
 //! the L2 tags, and an L2 eviction back-invalidates L1. Dirty L1 victims are
-//! absorbed by L2; dirty L2 victims surface as [`Eviction::Writeback`]s that
-//! the protocol turns into `WriteBack` messages to the home node.
+//! absorbed by L2; an L2 victim the home books this node as owner of surfaces
+//! from [`CacheHierarchy::fill`] as a block the protocol turns into a
+//! `WriteBack` message to the home node.
 
 use crate::set_assoc::{LineState, SetAssocCache};
 use dresar_types::config::CacheGeometry;
@@ -53,20 +54,6 @@ impl AccessOutcome {
     }
 }
 
-/// A block displaced by a fill.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Eviction {
-    /// An L2 victim the home still books this node as owner of (Modified,
-    /// Owned, or MESI's clean Exclusive): must be announced to its home. A
-    /// silently dropped Exclusive line would leave the home forwarding
-    /// interventions at a cache that can no longer serve them.
-    Writeback(BlockAddr),
-    /// A clean victim, dropped silently. (The base protocol sends no
-    /// replacement hints, matching the paper's full-map scheme where clean
-    /// sharers linger in the directory vector until invalidated.)
-    Drop(BlockAddr),
-}
-
 /// Hit/miss counters.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct HierarchyStats {
@@ -84,7 +71,7 @@ pub struct HierarchyStats {
     pub write_misses: u64,
     /// Blocks installed via [`CacheHierarchy::fill`].
     pub fills: u64,
-    /// Dirty L2 victims surfaced as [`Eviction::Writeback`]s.
+    /// L2 victims [`CacheHierarchy::fill`] surfaced as owed writebacks.
     pub writebacks: u64,
     /// Modified copies surrendered to external coherence — downgrades plus
     /// invalidations that destroyed a dirty line. Each is a block this cache
@@ -193,25 +180,32 @@ impl CacheHierarchy {
         }
     }
 
-    /// Installs (or upgrades) a block with `state`, returning any external
-    /// consequences (dirty writebacks, silent drops) caused by L2 evictions.
-    pub fn fill(&mut self, block: BlockAddr, state: LineState) -> Vec<Eviction> {
-        let mut out = Vec::new();
+    /// Installs (or upgrades) a block with `state`, returning the L2 victim
+    /// this node owes its home a writeback for, if the fill displaced one.
+    ///
+    /// The home still books this node as owner of a Modified, Owned or
+    /// (MESI) clean Exclusive victim, so it must be announced: a silently
+    /// dropped Exclusive line would leave the home forwarding interventions
+    /// at a cache that can no longer serve them. A clean victim is dropped
+    /// silently; the base protocol sends no replacement hints, matching the
+    /// paper's full-map scheme where clean sharers linger in the directory
+    /// vector until invalidated.
+    pub fn fill(&mut self, block: BlockAddr, state: LineState) -> Option<BlockAddr> {
         self.stats.fills += 1;
+        let mut writeback = None;
         if let Some((victim, victim_state)) = self.l2.insert(block, state) {
             // Inclusion: the L2 victim must leave L1 too. A dirty L1 copy of
             // the victim makes the writeback carry the freshest data; either
-            // way the victim's dirtiness decides Writeback vs Drop.
+            // way the victim's dirtiness decides writeback vs silent drop.
             let l1_victim_state = self.l1.invalidate(victim);
             let owned_by_home = |s: LineState| s.is_dirty() || s == LineState::Exclusive;
-            let dirty = owned_by_home(victim_state) || l1_victim_state.is_some_and(owned_by_home);
-            if dirty {
+            if owned_by_home(victim_state) || l1_victim_state.is_some_and(owned_by_home) {
                 self.stats.writebacks += 1;
+                writeback = Some(victim);
             }
-            out.push(if dirty { Eviction::Writeback(victim) } else { Eviction::Drop(victim) });
         }
         self.fill_l1(block, state);
-        out
+        writeback
     }
 
     /// Installs into L1, absorbing a dirty L1 victim into L2. L1 evictions
@@ -323,7 +317,7 @@ mod tests {
     fn read_miss_then_fill_then_hits() {
         let mut h = tiny();
         assert_eq!(h.read(BlockAddr(0)), AccessOutcome::Miss { latency: 9 });
-        assert!(h.fill(BlockAddr(0), LineState::Shared).is_empty());
+        assert_eq!(h.fill(BlockAddr(0), LineState::Shared), None);
         assert_eq!(h.read(BlockAddr(0)), AccessOutcome::L1Hit { latency: 1 });
         assert_eq!(h.stats().l1_read_hits, 1);
         assert_eq!(h.stats().read_misses, 1);
@@ -356,7 +350,7 @@ mod tests {
         h.fill(BlockAddr(2), LineState::Shared);
         // Set 0 of L2 now has blocks 0(M) and 2(S); next fill evicts LRU = 0.
         let ev = h.fill(BlockAddr(4), LineState::Shared);
-        assert_eq!(ev, vec![Eviction::Writeback(BlockAddr(0))]);
+        assert_eq!(ev, Some(BlockAddr(0)));
         assert!(h.probe(BlockAddr(0)).is_none(), "back-invalidated from L1 too");
         assert!(h.inclusion_holds());
     }
@@ -367,7 +361,8 @@ mod tests {
         h.fill(BlockAddr(0), LineState::Shared);
         h.fill(BlockAddr(2), LineState::Shared);
         let ev = h.fill(BlockAddr(4), LineState::Shared);
-        assert_eq!(ev, vec![Eviction::Drop(BlockAddr(0))]);
+        assert_eq!(ev, None);
+        assert!(h.probe(BlockAddr(0)).is_none(), "the clean victim left the hierarchy");
     }
 
     #[test]
@@ -436,7 +431,7 @@ mod tests {
         // lose dirtiness.
         h.fill(BlockAddr(2), LineState::Shared);
         let ev = h.fill(BlockAddr(4), LineState::Shared);
-        assert_eq!(ev, vec![Eviction::Writeback(BlockAddr(0))]);
+        assert_eq!(ev, Some(BlockAddr(0)));
     }
 
     #[test]
@@ -454,7 +449,7 @@ mod tests {
         h.fill(BlockAddr(0), LineState::Exclusive);
         h.fill(BlockAddr(2), LineState::Shared);
         let ev = h.fill(BlockAddr(4), LineState::Shared);
-        assert_eq!(ev, vec![Eviction::Writeback(BlockAddr(0))], "home books us as owner");
+        assert_eq!(ev, Some(BlockAddr(0)), "home books us as owner");
     }
 
     #[test]

@@ -19,5 +19,5 @@
 pub mod hierarchy;
 pub mod set_assoc;
 
-pub use hierarchy::{AccessOutcome, CacheHierarchy, Eviction, HierarchyStats};
+pub use hierarchy::{AccessOutcome, CacheHierarchy, HierarchyStats};
 pub use set_assoc::{LineState, SetAssocCache};

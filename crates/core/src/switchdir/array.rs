@@ -26,7 +26,7 @@ pub enum SdState {
 }
 
 /// Read-only view of an entry, for the FSM and tests.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SdEntryView {
     /// Entry state.
     pub state: SdState,
@@ -38,7 +38,7 @@ pub struct SdEntryView {
     pub sharers: SharerSet,
 }
 
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Copy)]
 struct Way {
     valid: bool,
     tag: u64,
@@ -121,7 +121,7 @@ impl SdArray {
                 state: w.state,
                 owner: w.owner,
                 first_requester: w.first_requester,
-                sharers: w.sharers.clone(),
+                sharers: w.sharers,
             }
         })
     }
@@ -266,7 +266,7 @@ impl SdArray {
                     state: w.state,
                     owner: w.owner,
                     first_requester: w.first_requester,
-                    sharers: w.sharers.clone(),
+                    sharers: w.sharers,
                 },
             )
         })

@@ -10,7 +10,7 @@
 //! sink-and-generate).
 //!
 //! Module layout:
-//! * [`array`] — the entry array with TRANSIENT-pinned LRU replacement and
+//! * [`mod@array`] — the entry array with TRANSIENT-pinned LRU replacement and
 //!   the pending-buffer capacity bound of §4.3.
 //! * the FSM itself lives on [`SwitchDirectory`] in this module;
 //! * [`ports`] — the multiported-SRAM cycle-budget scheduler of §4.2
@@ -27,7 +27,7 @@ pub use dresar_obs::{NullProbe, SwitchLoc};
 use dresar_types::config::SwitchDirConfig;
 pub use dresar_types::config::TransientReadPolicy;
 use dresar_types::msg::{Message, MsgType};
-use dresar_types::{BlockAddr, Cycle, JsonValue, NodeId, ToJson};
+use dresar_types::{BlockAddr, Cycle, JsonValue, NodeId, SharerSet, ToJson};
 
 pub use array::{SdEntryView, SdState};
 pub use ports::PortScheduler;
@@ -57,18 +57,18 @@ pub enum GenMsg {
 }
 
 /// What the switch should do with the snooped message.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SnoopAction {
     /// Forward unchanged (possibly after in-place marking).
     Forward,
     /// Consume the message.
     Sink,
-    /// Consume the message and emit the generated messages.
-    SinkSend(Vec<GenMsg>),
-    /// Forward the (marked) message and also emit generated messages
-    /// (writeback passing a TRANSIENT entry: data replies to waiters plus
-    /// the marked writeback continuing to the home).
-    ForwardSend(Vec<GenMsg>),
+    /// Consume the message and emit the generated message.
+    SinkSend(GenMsg),
+    /// Forward the (marked) copyback or writeback and answer these waiting
+    /// readers with its data, one [`GenMsg::DataReply`] each, in ascending
+    /// pid order.
+    ForwardSend(SharerSet),
 }
 
 /// Counters per switch directory.
@@ -271,7 +271,7 @@ impl SwitchDirectory {
                         block,
                         SdProbeEvent::WriteNak { requester: msg.requester },
                     );
-                    SnoopAction::SinkSend(vec![GenMsg::Retry { to: msg.requester }])
+                    SnoopAction::SinkSend(GenMsg::Retry { to: msg.requester })
                 }
                 None => SnoopAction::Forward,
             },
@@ -296,7 +296,7 @@ impl SwitchDirectory {
                         block,
                         SdProbeEvent::WriteNak { requester: msg.requester },
                     );
-                    SnoopAction::SinkSend(vec![GenMsg::Retry { to: msg.requester }])
+                    SnoopAction::SinkSend(GenMsg::Retry { to: msg.requester })
                 }
                 None => SnoopAction::Forward,
             },
@@ -306,8 +306,8 @@ impl SwitchDirectory {
                     // queued so the home's full-map vector stays exact, and
                     // (Accumulate policy) answer queued readers beyond the
                     // first from the copyback's data.
-                    let served = e.sharers.clone();
-                    msg.carried_sharers = msg.carried_sharers.clone().union(served.clone());
+                    let served = e.sharers;
+                    msg.carried_sharers = msg.carried_sharers.union(served);
                     self.stats.copybacks_marked += 1;
                     probe.sd_event(
                         t,
@@ -315,18 +315,10 @@ impl SwitchDirectory {
                         block,
                         SdProbeEvent::CopybackMarked { served: served.len() as u32 },
                     );
-                    let first = e.first_requester;
                     self.array.invalidate(block);
-                    let extra: Vec<GenMsg> = served
-                        .iter()
-                        .filter(|&p| p != first)
-                        .map(|p| GenMsg::DataReply { to: p })
-                        .collect();
-                    if extra.is_empty() {
-                        SnoopAction::Forward
-                    } else {
-                        SnoopAction::ForwardSend(extra)
-                    }
+                    let mut extra = served;
+                    extra.remove(e.first_requester);
+                    Self::forward_answering(extra)
                 }
                 Some(_) => {
                     // Stale MODIFIED hint for a block completing a transfer
@@ -344,8 +336,8 @@ impl SwitchDirectory {
                     // serve every waiting reader from the writeback's data
                     // and mark the writeback so the home records them as
                     // sharers (paper §3.2).
-                    let served = e.sharers.clone();
-                    msg.carried_sharers = msg.carried_sharers.clone().union(served.clone());
+                    let served = e.sharers;
+                    msg.carried_sharers = msg.carried_sharers.union(served);
                     self.array.invalidate(block);
                     self.stats.writeback_replies += served.len() as u64;
                     probe.sd_event(
@@ -354,13 +346,7 @@ impl SwitchDirectory {
                         block,
                         SdProbeEvent::WritebackServed { served: served.len() as u32 },
                     );
-                    let replies: Vec<GenMsg> =
-                        served.iter().map(|p| GenMsg::DataReply { to: p }).collect();
-                    if replies.is_empty() {
-                        SnoopAction::Forward
-                    } else {
-                        SnoopAction::ForwardSend(replies)
-                    }
+                    Self::forward_answering(served)
                 }
                 Some(_) => {
                     self.array.invalidate(block);
@@ -378,6 +364,16 @@ impl SwitchDirectory {
                 debug_assert!(false, "snooped irrelevant message {other:?}");
                 SnoopAction::Forward
             }
+        }
+    }
+
+    /// Forwards a marked copyback/writeback, answering `readers` (if any)
+    /// with its data.
+    fn forward_answering(readers: SharerSet) -> SnoopAction {
+        if readers.is_empty() {
+            SnoopAction::Forward
+        } else {
+            SnoopAction::ForwardSend(readers)
         }
     }
 
@@ -408,7 +404,7 @@ impl SwitchDirectory {
                         block,
                         SdProbeEvent::ReadHit { owner: e.owner, requester },
                     );
-                    SnoopAction::SinkSend(vec![GenMsg::CtoCRequest { owner: e.owner, requester }])
+                    SnoopAction::SinkSend(GenMsg::CtoCRequest { owner: e.owner, requester })
                 } else {
                     // Pending buffer full: cannot track another transient
                     // block, fall through to the home path (§4.3 feedback).
@@ -425,13 +421,13 @@ impl SwitchDirectory {
                     // NAK (its data or NAK is already on the way).
                     self.stats.transient_retries += 1;
                     probe.sd_event(t, loc, block, SdProbeEvent::TransientNak { requester });
-                    return SnoopAction::SinkSend(vec![GenMsg::Retry { to: requester }]);
+                    return SnoopAction::SinkSend(GenMsg::Retry { to: requester });
                 }
                 match self.policy {
                     TransientReadPolicy::Retry => {
                         self.stats.transient_retries += 1;
                         probe.sd_event(t, loc, block, SdProbeEvent::TransientNak { requester });
-                        SnoopAction::SinkSend(vec![GenMsg::Retry { to: requester }])
+                        SnoopAction::SinkSend(GenMsg::Retry { to: requester })
                     }
                     TransientReadPolicy::Accumulate => {
                         self.array.add_sharer(block, requester);
@@ -548,10 +544,7 @@ mod tests {
         install(&mut sd, 5, 3);
         let mut rd = msg(MsgType::ReadRequest, 5, 7);
         let act = snoop(&mut sd, &mut rd);
-        assert_eq!(
-            act,
-            SnoopAction::SinkSend(vec![GenMsg::CtoCRequest { owner: 3, requester: 7 }])
-        );
+        assert_eq!(act, SnoopAction::SinkSend(GenMsg::CtoCRequest { owner: 3, requester: 7 }));
         let e = sd.peek(BlockAddr(5)).unwrap();
         assert_eq!(e.state, SdState::Transient);
         assert!(e.sharers.contains(7));
@@ -580,7 +573,7 @@ mod tests {
         install(&mut sd, 5, 3);
         snoop(&mut sd, &mut msg(MsgType::ReadRequest, 5, 7)); // -> transient
         let act = snoop(&mut sd, &mut msg(MsgType::ReadRequest, 5, 9));
-        assert_eq!(act, SnoopAction::SinkSend(vec![GenMsg::Retry { to: 9 }]));
+        assert_eq!(act, SnoopAction::SinkSend(GenMsg::Retry { to: 9 }));
         assert_eq!(sd.stats().transient_retries, 1);
     }
 
@@ -601,7 +594,7 @@ mod tests {
         install(&mut sd, 5, 3);
         snoop(&mut sd, &mut msg(MsgType::ReadRequest, 5, 7));
         let act = snoop(&mut sd, &mut msg(MsgType::ReadRequest, 5, 7));
-        assert_eq!(act, SnoopAction::SinkSend(vec![GenMsg::Retry { to: 7 }]));
+        assert_eq!(act, SnoopAction::SinkSend(GenMsg::Retry { to: 7 }));
     }
 
     #[test]
@@ -620,7 +613,7 @@ mod tests {
         install(&mut sd, 5, 3);
         snoop(&mut sd, &mut msg(MsgType::ReadRequest, 5, 7));
         let act = snoop(&mut sd, &mut msg(MsgType::WriteRequest, 5, 9));
-        assert_eq!(act, SnoopAction::SinkSend(vec![GenMsg::Retry { to: 9 }]));
+        assert_eq!(act, SnoopAction::SinkSend(GenMsg::Retry { to: 9 }));
         assert_eq!(sd.peek(BlockAddr(5)).unwrap().state, SdState::Transient);
     }
 
@@ -654,8 +647,23 @@ mod tests {
         snoop(&mut sd, &mut msg(MsgType::ReadRequest, 5, 9));
         let mut cb = msg(MsgType::CopyBack, 5, 3);
         let act = snoop(&mut sd, &mut cb);
-        assert_eq!(act, SnoopAction::ForwardSend(vec![GenMsg::DataReply { to: 9 }]));
+        assert_eq!(act, SnoopAction::ForwardSend(SharerSet::singleton(9)));
         assert!(cb.carried_sharers.contains(7) && cb.carried_sharers.contains(9));
+
+        // Readers past the first 64-bit word, accumulated out of order
+        // behind first requester 3: the marked copyback carries them all,
+        // and the data replies go out in ascending pid order.
+        let mut sd = SwitchDirectory::new(accumulate());
+        install(&mut sd, 5, 1);
+        for reader in [3, 200, 64] {
+            snoop(&mut sd, &mut msg(MsgType::ReadRequest, 5, reader));
+        }
+        let mut cb = msg(MsgType::CopyBack, 5, 1);
+        let SnoopAction::ForwardSend(readers) = snoop(&mut sd, &mut cb) else {
+            panic!("accumulated readers must be answered with the copyback's data");
+        };
+        assert_eq!(readers.iter().collect::<Vec<_>>(), vec![64, 200]);
+        assert_eq!(cb.carried_sharers.iter().collect::<Vec<_>>(), vec![3, 64, 200]);
     }
 
     #[test]
@@ -665,10 +673,27 @@ mod tests {
         snoop(&mut sd, &mut msg(MsgType::ReadRequest, 5, 7));
         let mut wb = msg(MsgType::WriteBack, 5, 3);
         let act = snoop(&mut sd, &mut wb);
-        assert_eq!(act, SnoopAction::ForwardSend(vec![GenMsg::DataReply { to: 7 }]));
+        assert_eq!(act, SnoopAction::ForwardSend(SharerSet::singleton(7)));
         assert!(wb.carried_sharers.contains(7));
         assert!(sd.peek(BlockAddr(5)).is_none());
         assert_eq!(sd.stats().writeback_replies, 1);
+
+        // Readers past the first 64-bit word, accumulated out of order
+        // behind first requester 3: the writeback's data answers every one
+        // of them in ascending pid order, and the marked writeback carries
+        // them all to the home.
+        let mut sd = SwitchDirectory::new(accumulate());
+        install(&mut sd, 5, 1);
+        for reader in [3, 200, 64] {
+            snoop(&mut sd, &mut msg(MsgType::ReadRequest, 5, reader));
+        }
+        let mut wb = msg(MsgType::WriteBack, 5, 1);
+        let SnoopAction::ForwardSend(readers) = snoop(&mut sd, &mut wb) else {
+            panic!("waiting readers must be answered with the writeback's data");
+        };
+        assert_eq!(readers.iter().collect::<Vec<_>>(), vec![3, 64, 200]);
+        assert_eq!(wb.carried_sharers.iter().collect::<Vec<_>>(), vec![3, 64, 200]);
+        assert_eq!(sd.stats().writeback_replies, 3);
     }
 
     #[test]

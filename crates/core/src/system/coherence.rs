@@ -206,7 +206,7 @@ pub(super) fn check(sys: &System) -> CoherenceOutcome {
             holders.iter().filter(|&&(_, s)| s.is_dirty()).map(|&(n, _)| n).collect();
         let excl: Vec<NodeId> =
             holders.iter().filter(|&&(_, s)| s == LineState::Exclusive).map(|&(n, _)| n).collect();
-        let (home_state, home_busy) = v.home.clone().unwrap_or((DirState::Uncached, false));
+        let (home_state, home_busy) = v.home.unwrap_or((DirState::Uncached, false));
 
         // 1. Exactly one dirty (MODIFIED/OWNED) holder, matching the home's
         // record, and an EXCLUSIVE holder is the sole copy.

@@ -24,7 +24,7 @@ pub use node::{DeferredIntervention, Mshr, MshrKind, Node, ProcState};
 pub use report::ExecutionReport;
 
 use crate::switchdir::{GenMsg, SnoopAction, SwitchDirectory};
-use dresar_cache::{AccessOutcome, CacheHierarchy, Eviction, LineState};
+use dresar_cache::{AccessOutcome, CacheHierarchy, LineState};
 use dresar_directory::{Completion, DirAction, HomeDirectory, QueuedReq, ReqKind};
 use dresar_engine::{BankedResource, EventQueue, Resource};
 use dresar_faults::{
@@ -146,13 +146,14 @@ struct BarrierState {
     max_time: Cycle,
 }
 
-/// The assembled machine.
-pub struct System {
+/// The assembled machine. It borrows each processor's reference stream
+/// from the [`Workload`] it was built with.
+pub struct System<'w> {
     cfg: SystemConfig,
     map: AddressMap,
     bmin: Bmin,
     net: HopNetwork,
-    nodes: Vec<Node>,
+    nodes: Vec<Node<'w>>,
     homes: Vec<HomeDirectory>,
     home_ctrl: Vec<Resource>,
     dram: Vec<BankedResource>,
@@ -177,13 +178,13 @@ pub struct System {
     lost_log: Vec<String>,
 }
 
-impl System {
+impl<'w> System<'w> {
     /// Builds a system for `cfg` loaded with `workload` (streams beyond
     /// `cfg.nodes` are rejected; missing streams run empty).
     ///
     /// # Panics
     /// Panics if the configuration or workload fails validation.
-    pub fn new(cfg: SystemConfig, workload: &Workload) -> Self {
+    pub fn new(cfg: SystemConfig, workload: &'w Workload) -> Self {
         cfg.validate().expect("invalid system configuration");
         workload.validate().expect("invalid workload");
         assert!(
@@ -196,7 +197,7 @@ impl System {
         let bmin = Bmin::new(cfg.nodes, cfg.switch.radix as usize);
         let nodes = (0..cfg.nodes)
             .map(|i| {
-                let stream = workload.streams.get(i).cloned().unwrap_or_default();
+                let stream = workload.streams.get(i).map_or(&[][..], Vec::as_slice);
                 Node::new(i as NodeId, CacheHierarchy::new(cfg.l1, cfg.l2), stream)
             })
             .collect();
@@ -1005,37 +1006,29 @@ impl System {
             // A sunk ReadRequest reached its service point at this switch:
             // either an SD hit (CtoC generated) or an accumulated wait.
             if infl.msg.kind == MsgType::ReadRequest
-                && matches!(action, SnoopAction::Sink | SnoopAction::SinkSend(_))
+                && matches!(
+                    action,
+                    SnoopAction::Sink | SnoopAction::SinkSend(GenMsg::CtoCRequest { .. })
+                )
             {
-                let is_service = match &action {
-                    SnoopAction::Sink => true,
-                    SnoopAction::SinkSend(gen) => {
-                        gen.iter().any(|g| matches!(g, GenMsg::CtoCRequest { .. }))
-                    }
-                    _ => false,
-                };
-                if is_service {
-                    probe.read_service_arrive(
-                        infl.msg.requester,
-                        infl.msg.block,
-                        ServicePoint::Switch(loc),
-                        t,
-                        infl.msg.txn,
-                    );
-                }
+                probe.read_service_arrive(
+                    infl.msg.requester,
+                    infl.msg.block,
+                    ServicePoint::Switch(loc),
+                    t,
+                    infl.msg.txn,
+                );
             }
             match action {
                 SnoopAction::Forward => self.forward_hop(infl, t, probe),
                 SnoopAction::Sink => probe.msg_sink(t, &infl.msg, loc),
                 SnoopAction::SinkSend(gen) => {
                     probe.msg_sink(t, &infl.msg, loc);
-                    for g in gen {
-                        self.send_from_switch(sw, g, &infl.msg, t, probe);
-                    }
+                    self.send_from_switch(sw, gen, &infl.msg, t, probe);
                 }
-                SnoopAction::ForwardSend(gen) => {
-                    for g in gen {
-                        self.send_from_switch(sw, g, &infl.msg, t, probe);
+                SnoopAction::ForwardSend(readers) => {
+                    for to in readers.iter() {
+                        self.send_from_switch(sw, GenMsg::DataReply { to }, &infl.msg, t, probe);
                     }
                     self.forward_hop(infl, t, probe);
                 }
@@ -1373,16 +1366,14 @@ impl System {
             // Invalidate would resurrect a line the home no longer tracks.
             if owning {
                 self.nodes[p as usize].owner_seq.insert(block, msg.owner_seq);
-                let evictions = self.nodes[p as usize].hier.fill(block, state);
-                self.emit_evictions(p, evictions, t, probe);
+                self.fill(p, block, state, t, probe);
             }
             return;
         };
         if owning {
             self.nodes[p as usize].owner_seq.insert(block, msg.owner_seq);
         }
-        let evictions = self.nodes[p as usize].hier.fill(block, state);
-        self.emit_evictions(p, evictions, t, probe);
+        self.fill(p, block, state, t, probe);
 
         let node = &mut self.nodes[p as usize];
         match m.kind {
@@ -1480,29 +1471,31 @@ impl System {
         }
     }
 
-    fn emit_evictions<P: Probe>(
+    /// Installs `block` in `p`'s hierarchy and sends the writeback the fill
+    /// may owe for a displaced L2 victim.
+    fn fill<P: Probe>(
         &mut self,
         p: NodeId,
-        evictions: Vec<Eviction>,
+        block: BlockAddr,
+        state: LineState,
         t: Cycle,
         probe: &mut P,
     ) {
-        for ev in evictions {
-            if let Eviction::Writeback(victim) = ev {
-                self.writebacks += 1;
-                let home = self.map.home_of_block(victim);
-                let msg = Message::new(
-                    self.next_id(),
-                    MsgType::WriteBack,
-                    victim,
-                    Endpoint::Proc(p),
-                    Endpoint::Mem(home),
-                    p,
-                    t,
-                );
-                self.send_from_proc(msg, t, probe);
-            }
-        }
+        let Some(victim) = self.nodes[p as usize].hier.fill(block, state) else {
+            return;
+        };
+        self.writebacks += 1;
+        let home = self.map.home_of_block(victim);
+        let msg = Message::new(
+            self.next_id(),
+            MsgType::WriteBack,
+            victim,
+            Endpoint::Proc(p),
+            Endpoint::Mem(home),
+            p,
+            t,
+        );
+        self.send_from_proc(msg, t, probe);
     }
 
     /// A CtoC intervention arrives at (what the sender believes is) the

@@ -80,15 +80,16 @@ pub struct Mshr {
     pub deferred_ctoc: Option<DeferredIntervention>,
 }
 
-/// One node's processor-side state.
+/// One node's processor-side state. The reference stream is borrowed from
+/// the [`dresar_types::Workload`] the system runs, never copied.
 #[derive(Debug)]
-pub struct Node {
+pub struct Node<'w> {
     /// Node id.
     pub id: NodeId,
     /// L1/L2 hierarchy.
     pub hier: CacheHierarchy,
     /// The reference stream.
-    pub items: Vec<StreamItem>,
+    pub items: &'w [StreamItem],
     /// Next stream index.
     pub pc: usize,
     /// Core state.
@@ -113,9 +114,9 @@ pub struct Node {
     pub refs_executed: u64,
 }
 
-impl Node {
-    /// Creates a node with the given stream.
-    pub fn new(id: NodeId, hier: CacheHierarchy, items: Vec<StreamItem>) -> Self {
+impl<'w> Node<'w> {
+    /// Creates a node executing `items`.
+    pub fn new(id: NodeId, hier: CacheHierarchy, items: &'w [StreamItem]) -> Self {
         Node {
             id,
             hier,

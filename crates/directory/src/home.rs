@@ -27,7 +27,7 @@ fn kind_of(state: &DirState) -> DirStateKind {
 }
 
 /// Stable directory state of a block.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DirState {
     /// No cache holds the block; memory is the only copy.
     Uncached,
@@ -70,7 +70,7 @@ pub struct QueuedReq {
 }
 
 /// What the home directory wants the surrounding simulator to do.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DirAction {
     /// Send the requester a clean `ReadReply` from memory.
     ReadReplyClean {
@@ -355,7 +355,7 @@ impl HomeDirectory {
     /// Current stable state of a block (`Uncached` if never touched).
     /// Busy blocks report their pre-transaction stable state.
     pub fn state(&self, block: BlockAddr) -> DirState {
-        self.blocks.get(&block).map(|e| e.state.clone()).unwrap_or(DirState::Uncached)
+        self.blocks.get(&block).map(|e| e.state).unwrap_or(DirState::Uncached)
     }
 
     /// Whether a transaction is in flight for the block.
@@ -367,7 +367,7 @@ impl HomeDirectory {
     /// transaction is mid-flight. Order is arbitrary (hash map); callers
     /// needing determinism must sort.
     pub fn blocks(&self) -> impl Iterator<Item = (BlockAddr, DirState, bool)> + '_ {
-        self.blocks.iter().map(|(&b, e)| (b, e.state.clone(), e.busy.is_some()))
+        self.blocks.iter().map(|(&b, e)| (b, e.state, e.busy.is_some()))
     }
 
     /// Counters.
@@ -456,7 +456,7 @@ impl HomeDirectory {
             }
             let protocol = d.protocol;
             let e = d.entry(block);
-            match e.state.clone() {
+            match e.state {
                 DirState::Uncached if protocol.exclusive_read_fill() => {
                     // MESI/MOESI unshared fill: grant EXCLUSIVE and book the
                     // reader as owner (it may upgrade silently). Memory serves
@@ -537,7 +537,7 @@ impl HomeDirectory {
                 return d.park(block, requester, ReqKind::Write);
             }
             let e = d.entry(block);
-            match e.state.clone() {
+            match e.state {
                 DirState::Uncached => {
                     e.state = DirState::Modified(requester);
                     e.seq += 1;
@@ -676,8 +676,8 @@ impl HomeDirectory {
             let e = d.entry(block);
             // Sharers already recorded beside `from` when the block is Owned —
             // an O owner re-serving a read must not wipe them.
-            let prior = match &e.state {
-                DirState::Owned { owner, sharers } if *owner == from => sharers.clone(),
+            let prior = match e.state {
+                DirState::Owned { owner, sharers } if owner == from => sharers,
                 _ => SharerSet::EMPTY,
             };
             match e.busy {
@@ -695,14 +695,13 @@ impl HomeDirectory {
                     // Read intervention completed (or a switch-initiated read
                     // CtoC completed while we were waiting): memory is fresh;
                     // the owner downgraded to Shared — or, MOESI, kept OWNED.
-                    let mut set =
-                        SharerSet::singleton(owner).union(carried.clone()).union(prior.clone());
+                    let mut set = SharerSet::singleton(owner).union(carried).union(prior);
                     if write_intent {
                         // Our waiting transaction was a write but the owner
                         // serviced a read CtoC first: everyone now sharing must
                         // be invalidated before the writer gets ownership.
                         let targets = {
-                            let mut t = set.clone();
+                            let mut t = set;
                             t.remove(requester);
                             t
                         };
@@ -755,7 +754,7 @@ impl HomeDirectory {
                     // Unsolicited: a switch-directory-initiated CtoC. The block
                     // must be recorded with `from` as owner; fold in carried
                     // sharers (and keep the owner OWNED when it retained).
-                    match e.state.clone() {
+                    match e.state {
                         DirState::Modified(owner) if owner == from => {
                             e.state = if retained {
                                 DirState::Owned { owner: from, sharers: carried }
@@ -777,7 +776,7 @@ impl HomeDirectory {
                             // Stale copyback (transaction already resolved by a
                             // racing writeback). Memory write is harmless; fold
                             // carried sharers if the state is Shared.
-                            if let DirState::Shared(set) = e.state.clone() {
+                            if let DirState::Shared(set) = e.state {
                                 e.state = DirState::Shared(set.union(carried));
                             }
                             Completion::default()
@@ -809,8 +808,8 @@ impl HomeDirectory {
             let e = d.entry(block);
             // Sharers recorded beside an OWNED `from` survive its eviction —
             // their copies are still valid (memory is fresh under MOESI).
-            let prior = match &e.state {
-                DirState::Owned { owner, sharers } if *owner == from => sharers.clone(),
+            let prior = match e.state {
+                DirState::Owned { owner, sharers } if owner == from => sharers,
                 _ => SharerSet::EMPTY,
             };
             match e.busy {
@@ -832,7 +831,7 @@ impl HomeDirectory {
                                 replay,
                             };
                         }
-                        e.state = DirState::Shared(targets.clone());
+                        e.state = DirState::Shared(targets);
                         e.busy = Some(Busy::Inval {
                             writer: requester,
                             acks_left: targets.len() as u32,
@@ -852,7 +851,7 @@ impl HomeDirectory {
                         replay,
                     }
                 }
-                _ => match e.state.clone() {
+                _ => match e.state {
                     DirState::Modified(owner) if owner == from => {
                         e.state = if carried.is_empty() {
                             DirState::Uncached

@@ -120,7 +120,7 @@ fn sd_code(ev: SdProbeEvent) -> u64 {
     }
 }
 
-/// The fourth observer: a bounded ring buffer of [`Record`]s.
+/// The fourth observer: a bounded ring buffer of fixed-size event records.
 #[derive(Debug)]
 pub struct FlightRecorder {
     ring: Vec<Record>,

@@ -27,6 +27,8 @@ pub struct TraceReport {
     pub dir: dresar_directory::DirStats,
     /// Aggregated switch-directory counters.
     pub sd: dresar::switchdir::SdStats,
+    /// Whether the simulator had switch directories. Not serialized.
+    pub switch_dirs: bool,
     /// Per-block histogram (Figure 2), if requested.
     pub histogram: Option<BlockHistogram>,
 }
@@ -202,20 +204,20 @@ impl TraceSimulator {
         let mut req = self.mk_msg(MsgType::ReadRequest, block, p, home);
         if let Some((_, action)) = self.walk_path(p, home, &mut req, true) {
             match action {
-                SnoopAction::SinkSend(gen) => {
-                    if let Some(GenMsg::CtoCRequest { owner, requester }) = gen.first().copied() {
-                        debug_assert_eq!(requester, p);
-                        debug_assert_eq!(
-                            self.caches[owner as usize].probe(block),
-                            Some(LineState::Modified),
-                            "switch-directory hint must point at the true owner \
-                             (transactions are atomic in the trace model)"
-                        );
-                        self.complete_read_ctoc(block, owner, p);
-                        self.fill(p, block, LineState::Shared);
-                        self.record_read(block, ReadClass::DirtyCtoCSwitch);
-                        return lat.switch_dir_hit as Cycle;
-                    }
+                SnoopAction::SinkSend(GenMsg::CtoCRequest { owner, requester }) => {
+                    debug_assert_eq!(requester, p);
+                    debug_assert_eq!(
+                        self.caches[owner as usize].probe(block),
+                        Some(LineState::Modified),
+                        "switch-directory hint must point at the true owner \
+                         (transactions are atomic in the trace model)"
+                    );
+                    self.complete_read_ctoc(block, owner, p);
+                    self.fill(p, block, LineState::Shared);
+                    self.record_read(block, ReadClass::DirtyCtoCSwitch);
+                    return lat.switch_dir_hit as Cycle;
+                }
+                SnoopAction::SinkSend(_) => {
                     // A Retry cannot occur: transients resolve within one
                     // atomic transaction.
                     unreachable!("unexpected switch-directory generation for a read");
@@ -395,6 +397,7 @@ impl TraceSimulator {
             writes: self.writes,
             dir: self.dir.stats(),
             sd,
+            switch_dirs: self.cfg.switch_dir.is_some(),
             histogram: self.histogram,
         }
     }

@@ -10,7 +10,7 @@ use crate::addr::AddressMap;
 use crate::protocol::Protocol;
 
 /// Largest supported machine: the full range a `NodeId` (`u8`) can
-/// address. The hybrid `SharerSet` bitmap covers exactly this range, so no
+/// address. The flat `SharerSet` bitmap covers exactly this range, so no
 /// valid configuration can ever wrap a directory bit vector.
 pub const MAX_NODES: usize = 256;
 

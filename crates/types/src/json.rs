@@ -1,13 +1,15 @@
 //! Minimal JSON document model, writer and parser.
 //!
-//! The bench binaries emit machine-readable run telemetry (`--json`) and the
-//! observability layer round-trips full [`ExecutionReport`]s, so the
-//! workspace needs a JSON layer that works in a hermetic, offline build.
-//! This module provides one: a [`JsonValue`] tree, a deterministic compact
-//! writer (object keys keep insertion order, integers print without a
-//! fractional part), a recursive-descent parser for round-tripping, and the
-//! [`ToJson`]/[`FromJson`] conversion traits the stats and report types
-//! implement.
+//! The bench binaries emit machine-readable run telemetry (`--json`), the
+//! simulators serialize their run reports, and `bench_report`/`dresar_diff`
+//! read committed telemetry documents back, so the workspace needs a JSON
+//! layer that works in a hermetic, offline build. This module provides one:
+//! a [`JsonValue`] tree, a deterministic compact writer (object keys keep
+//! insertion order, integers print without a fractional part), a
+//! recursive-descent parser, and the [`ToJson`]/[`FromJson`] conversion
+//! traits. Stats and report types serialize through [`ToJson`]; only the
+//! metrics registry also decodes through [`FromJson`] — run reports are
+//! written, never read back.
 //!
 //! Determinism matters here: two identical simulator runs must serialize to
 //! byte-identical output, so objects are ordered vectors (never hash maps)

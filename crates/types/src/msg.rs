@@ -170,7 +170,7 @@ impl MsgType {
 /// "single bit in the header flit" that lets cache and directory controllers
 /// distinguish them (paper §3.2) — and marked copybacks/writebacks carry the
 /// extra sharer pids for the home directory in `carried_sharers`.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Message {
     /// Unique id (monotone per simulation), for tracing and determinism.
     pub id: u64,

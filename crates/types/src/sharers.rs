@@ -2,46 +2,26 @@
 //!
 //! The full-map directory keeps one bit per node for every memory block
 //! (paper §3.2); the switch directory entries likewise carry "a bit vector
-//! for marking subsequent sharers" (§4.2). Machines up to 64 nodes — the
-//! overwhelmingly common case — stay on an inline `u64` fast path; larger
-//! machines (up to the 256 ids a [`NodeId`] can express) transparently
-//! promote to a boxed 4-word bitmap. Because the set covers the full
-//! `NodeId` range, an id can never silently wrap a mask bit: out-of-range
-//! ids (relative to a machine's configured node count) are a *machine*
-//! bounds violation and are rejected with structured errors at the
-//! directory/system layer, never here.
-//!
-//! Representation invariant: a set whose members all fit in word 0 is
-//! always held inline (`Small`); `Big` demotes eagerly whenever its upper
-//! words drain to zero. This keeps the derived `PartialEq`/`Eq`/`Hash`
-//! canonical — equal sets always share one representation.
+//! for marking subsequent sharers" (§4.2). A [`SharerSet`] is exactly that:
+//! one flat 256-bit map, a plain `Copy` value that covers every id a
+//! [`NodeId`] can express. Because the set covers the full `NodeId` range,
+//! an id can never silently wrap a mask bit: out-of-range ids (relative to a
+//! machine's configured node count) are a *machine* bounds violation and are
+//! rejected with structured errors at the directory/system layer, never here.
 
 use crate::addr::NodeId;
 
-/// Words in the heap representation: 4 × 64 bits covers every `NodeId`.
+/// Words in the bitmap: 4 × 64 bits covers every `NodeId`.
 const WORDS: usize = 4;
 
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-enum Repr {
-    /// Members all `< 64`: one inline word, no allocation.
-    Small(u64),
-    /// At least one member `>= 64`: boxed fixed-size bitmap.
-    Big(Box<[u64; WORDS]>),
-}
-
-/// A set of node ids represented as a hybrid small/heap bitmap.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-pub struct SharerSet(Repr);
-
-impl Default for SharerSet {
-    fn default() -> Self {
-        SharerSet::EMPTY
-    }
-}
+/// A set of node ids, held as a flat bitmap (word `i` holds ids
+/// `64*i..64*i+63`).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
+pub struct SharerSet([u64; WORDS]);
 
 impl SharerSet {
     /// The empty set.
-    pub const EMPTY: SharerSet = SharerSet(Repr::Small(0));
+    pub const EMPTY: SharerSet = SharerSet([0; WORDS]);
 
     /// Creates a set containing exactly one node.
     #[inline]
@@ -51,78 +31,26 @@ impl SharerSet {
         s
     }
 
-    /// Creates a set from an iterator of node ids.
-    #[allow(clippy::should_implement_trait)] // also provided via FromIterator below
-    pub fn from_iter<I: IntoIterator<Item = NodeId>>(iter: I) -> Self {
-        let mut s = SharerSet::EMPTY;
-        for n in iter {
-            s.insert(n);
-        }
-        s
-    }
-
     #[inline]
     fn word_bit(node: NodeId) -> (usize, u64) {
         ((node >> 6) as usize, 1u64 << (node & 63))
-    }
-
-    /// Demotes `Big` back to `Small` when the upper words are all zero,
-    /// restoring the canonical-representation invariant after removals.
-    #[inline]
-    fn normalize(&mut self) {
-        if let Repr::Big(words) = &self.0 {
-            if words[1..].iter().all(|&w| w == 0) {
-                self.0 = Repr::Small(words[0]);
-            }
-        }
     }
 
     /// Inserts a node; returns `true` if it was newly added.
     #[inline]
     pub fn insert(&mut self, node: NodeId) -> bool {
         let (w, bit) = Self::word_bit(node);
-        match &mut self.0 {
-            Repr::Small(word) => {
-                if w == 0 {
-                    let added = *word & bit == 0;
-                    *word |= bit;
-                    added
-                } else {
-                    let mut words = Box::new([0u64; WORDS]);
-                    words[0] = *word;
-                    words[w] |= bit;
-                    self.0 = Repr::Big(words);
-                    true
-                }
-            }
-            Repr::Big(words) => {
-                let added = words[w] & bit == 0;
-                words[w] |= bit;
-                added
-            }
-        }
+        let added = self.0[w] & bit == 0;
+        self.0[w] |= bit;
+        added
     }
 
     /// Removes a node; returns `true` if it was present.
     #[inline]
     pub fn remove(&mut self, node: NodeId) -> bool {
         let (w, bit) = Self::word_bit(node);
-        let present = match &mut self.0 {
-            Repr::Small(word) => {
-                if w != 0 {
-                    return false;
-                }
-                let present = *word & bit != 0;
-                *word &= !bit;
-                return present;
-            }
-            Repr::Big(words) => {
-                let present = words[w] & bit != 0;
-                words[w] &= !bit;
-                present
-            }
-        };
-        self.normalize();
+        let present = self.0[w] & bit != 0;
+        self.0[w] &= !bit;
         present
     }
 
@@ -130,106 +58,53 @@ impl SharerSet {
     #[inline]
     pub fn contains(&self, node: NodeId) -> bool {
         let (w, bit) = Self::word_bit(node);
-        match &self.0 {
-            Repr::Small(word) => w == 0 && *word & bit != 0,
-            Repr::Big(words) => words[w] & bit != 0,
-        }
+        self.0[w] & bit != 0
     }
 
     /// Whether the set is empty.
     #[inline]
     pub fn is_empty(&self) -> bool {
-        match &self.0 {
-            Repr::Small(word) => *word == 0,
-            // Canonical: Big always has a nonzero upper word.
-            Repr::Big(_) => false,
-        }
+        self.0 == [0; WORDS]
     }
 
     /// Number of nodes in the set.
     #[inline]
     pub fn len(&self) -> usize {
-        match &self.0 {
-            Repr::Small(word) => word.count_ones() as usize,
-            Repr::Big(words) => words.iter().map(|w| w.count_ones() as usize).sum(),
-        }
+        self.0.iter().map(|w| w.count_ones() as usize).sum()
     }
 
     /// The set's bits as a fixed word array (word `i` holds ids
     /// `64*i..64*i+63`). Used for canonical digests and compact logging.
     #[inline]
     pub fn words(&self) -> [u64; WORDS] {
-        match &self.0 {
-            Repr::Small(word) => {
-                let mut ws = [0u64; WORDS];
-                ws[0] = *word;
-                ws
-            }
-            Repr::Big(words) => **words,
-        }
+        self.0
     }
 
     /// Union with another set.
     #[inline]
     pub fn union(self, other: SharerSet) -> SharerSet {
-        match (&self.0, &other.0) {
-            (Repr::Small(a), Repr::Small(b)) => SharerSet(Repr::Small(a | b)),
-            _ => {
-                let (a, b) = (self.words(), other.words());
-                let mut words = Box::new([0u64; WORDS]);
-                for i in 0..WORDS {
-                    words[i] = a[i] | b[i];
-                }
-                let mut s = SharerSet(Repr::Big(words));
-                s.normalize();
-                s
-            }
-        }
+        SharerSet(std::array::from_fn(|i| self.0[i] | other.0[i]))
     }
 
     /// Set difference `self \ other`.
     #[inline]
     pub fn difference(self, other: SharerSet) -> SharerSet {
-        match (&self.0, &other.0) {
-            (Repr::Small(a), Repr::Small(b)) => SharerSet(Repr::Small(a & !b)),
-            _ => {
-                let (a, b) = (self.words(), other.words());
-                let mut words = Box::new([0u64; WORDS]);
-                for i in 0..WORDS {
-                    words[i] = a[i] & !b[i];
-                }
-                let mut s = SharerSet(Repr::Big(words));
-                s.normalize();
-                s
-            }
-        }
+        SharerSet(std::array::from_fn(|i| self.0[i] & !other.0[i]))
     }
 
     /// If the set holds exactly one node, returns it.
     #[inline]
     pub fn sole_member(&self) -> Option<NodeId> {
-        match &self.0 {
-            Repr::Small(word) => {
-                if word.count_ones() == 1 {
-                    Some(word.trailing_zeros() as NodeId)
-                } else {
-                    None
-                }
-            }
-            Repr::Big(_) => {
-                if self.len() == 1 {
-                    self.iter().next()
-                } else {
-                    None
-                }
-            }
+        if self.len() == 1 {
+            self.iter().next()
+        } else {
+            None
         }
     }
 
-    /// Iterates the members in ascending id order (identical order for
-    /// both representations).
-    pub fn iter(&self) -> impl Iterator<Item = NodeId> + '_ {
-        let words = self.words();
+    /// Iterates the members in ascending id order.
+    pub fn iter(&self) -> impl Iterator<Item = NodeId> {
+        let words = self.0;
         let mut w = 0usize;
         let mut bits = words[0];
         std::iter::from_fn(move || loop {
@@ -245,18 +120,15 @@ impl SharerSet {
             bits = words[w];
         })
     }
-
-    /// Whether the set currently uses the inline (no-allocation)
-    /// representation. Exposed for representation-equivalence tests only.
-    #[doc(hidden)]
-    pub fn is_inline(&self) -> bool {
-        matches!(self.0, Repr::Small(_))
-    }
 }
 
 impl FromIterator<NodeId> for SharerSet {
     fn from_iter<I: IntoIterator<Item = NodeId>>(iter: I) -> Self {
-        SharerSet::from_iter(iter)
+        let mut s = SharerSet::EMPTY;
+        for n in iter {
+            s.insert(n);
+        }
+        s
     }
 }
 
@@ -305,8 +177,6 @@ mod tests {
         let a: SharerSet = [1u8, 2, 3].into_iter().collect();
         let b: SharerSet = [3u8, 4].into_iter().collect();
         assert_eq!(a.union(b).len(), 4);
-        let a: SharerSet = [1u8, 2, 3].into_iter().collect();
-        let b: SharerSet = [3u8, 4].into_iter().collect();
         let d = a.difference(b);
         assert!(d.contains(1) && d.contains(2) && !d.contains(3));
     }
@@ -318,11 +188,9 @@ mod tests {
     }
 
     #[test]
-    fn high_ids_promote_and_behave_identically() {
+    fn high_ids_behave_like_low_ids() {
         let mut s = SharerSet::EMPTY;
-        assert!(s.is_inline());
         assert!(s.insert(200));
-        assert!(!s.is_inline());
         assert!(s.contains(200) && !s.contains(72));
         assert_eq!(s.sole_member(), Some(200));
         assert!(s.insert(5));
@@ -333,11 +201,9 @@ mod tests {
     }
 
     #[test]
-    fn removal_demotes_back_to_inline_canonically() {
+    fn equal_sets_compare_and_hash_equal_across_history() {
         let mut big: SharerSet = [1u8, 255].into_iter().collect();
-        assert!(!big.is_inline());
         assert!(big.remove(255));
-        assert!(big.is_inline(), "upper words drained: must demote");
         let small = SharerSet::singleton(1);
         assert_eq!(big, small, "equal sets must compare equal across history");
         use std::collections::hash_map::DefaultHasher;
@@ -351,25 +217,21 @@ mod tests {
     }
 
     #[test]
-    fn set_algebra_spans_the_representation_boundary() {
+    fn set_algebra_spans_word_boundaries() {
         let a: SharerSet = [63u8, 64, 130].into_iter().collect();
         let b: SharerSet = [64u8, 7].into_iter().collect();
-        let u = a.clone().union(b.clone());
+        let u = a.union(b);
         assert_eq!(u.iter().collect::<Vec<_>>(), vec![7, 63, 64, 130]);
-        let d = a.clone().difference(b.clone());
+        let d = a.difference(b);
         assert_eq!(d.iter().collect::<Vec<_>>(), vec![63, 130]);
-        // Difference that erases every high bit must demote.
         let high: SharerSet = [64u8, 130].into_iter().collect();
-        let low = a.difference(high);
-        assert!(low.is_inline());
-        assert_eq!(low, SharerSet::singleton(63));
-        // Union of two smalls stays inline.
+        assert_eq!(a.difference(high), SharerSet::singleton(63));
         let s = SharerSet::singleton(1).union(SharerSet::singleton(63));
-        assert!(s.is_inline());
+        assert_eq!(s.words(), [(1u64 << 63) | 2, 0, 0, 0]);
     }
 
     #[test]
-    fn words_round_trip_both_representations() {
+    fn words_lay_out_ids_by_word() {
         let small: SharerSet = [0u8, 63].into_iter().collect();
         assert_eq!(small.words(), [(1u64 << 63) | 1, 0, 0, 0]);
         let big: SharerSet = [0u8, 64, 255].into_iter().collect();
@@ -391,6 +253,7 @@ mod tests {
         for n in (0..=255u8).rev() {
             assert!(s.remove(n));
         }
-        assert!(s.is_empty() && s.is_inline());
+        assert!(s.is_empty());
+        assert_eq!(s, SharerSet::EMPTY);
     }
 }

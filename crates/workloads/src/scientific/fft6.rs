@@ -9,7 +9,8 @@
 //! communication structure of the SPLASH FFT the paper ran on RSIM: short
 //! ownership-reuse distances that switch directories capture well, unlike
 //! the per-stage global exchange of the plain Stockham formulation in
-//! [`super::fft`]. Both are exported; the evaluation suite uses this one.
+//! [`super::fft`]. Both are exported; the evaluation suite runs the Stockham
+//! one, and `examples/fft_variants.rs` compares the two.
 //!
 //! Row FFT references are recorded as a streaming read+write of the row
 //! with the butterfly arithmetic charged as per-element work — the

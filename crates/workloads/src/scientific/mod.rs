@@ -23,7 +23,7 @@
 //! six-step ([`fft_six_step`], the SPLASH-2 communication structure).
 //! Both compute identical transforms (cross-checked in tests); they differ
 //! in ownership-reuse distance, which the FFT ablation in
-//! `examples/`/`dresar-bench` exposes.
+//! `examples/fft_variants.rs` exposes.
 
 mod fft;
 mod fft6;
