@@ -50,12 +50,13 @@ pub struct RunOptions {
     /// Abort (panic) if simulated time exceeds this bound — catches
     /// protocol livelock in tests instead of hanging.
     pub max_cycles: Cycle,
-    /// Observers to attach (latency breakdown, time series, trace, flight
-    /// recorder). By default only the bounded flight recorder is on — it is
-    /// the always-on black box, surfaced in the report only when the run is
-    /// anomalous (watchdog trip, coherence failure, lost messages or sim
-    /// errors). Pass `ObserverConfig::default()` explicitly for a fully
-    /// uninstrumented run.
+    /// Observers to attach: latency breakdown, time series, contention
+    /// heatmap, and the event log with its two renderings (trace and
+    /// flight dump). By default only the event log's bounded flight ring
+    /// is on — it is the always-on black box, surfaced in the report only
+    /// when the run is anomalous (watchdog trip, coherence failure, lost
+    /// messages or sim errors). Pass `ObserverConfig::default()` explicitly
+    /// for a fully uninstrumented run.
     pub observers: ObserverConfig,
     /// Deterministic fault-injection plan. `None` (and an inert
     /// [`FaultPlan::default`]) run fault-free.
@@ -366,7 +367,7 @@ impl<'w> System<'w> {
                 break;
             }
             if self.faults.is_some() {
-                self.apply_fault_epochs(t, probe);
+                self.apply_fault_epochs(t);
             }
             self.end_time = self.end_time.max(t);
             probe.tick(t, self.queue.len());
@@ -436,7 +437,7 @@ impl<'w> System<'w> {
 
     /// Fires any fault epochs (ECC scrub pulses, the eviction storm, the
     /// whole-switch disable/enable latches) that became due at `t`.
-    fn apply_fault_epochs<P: Probe>(&mut self, t: Cycle, _probe: &mut P) {
+    fn apply_fault_epochs(&mut self, t: Cycle) {
         let Some(fs) = self.faults.as_mut() else { return };
         let scrubs = fs.due_scrubs(t);
         let storm = fs.storm_due(t);

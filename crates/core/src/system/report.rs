@@ -30,8 +30,9 @@ pub struct ExecutionReport {
     pub writebacks: u64,
     /// Total memory references executed.
     pub refs_executed: u64,
-    /// Observer payloads (latency breakdown, time series, trace), present
-    /// when [`crate::system::RunOptions::observers`] enabled any.
+    /// Observer payloads (latency breakdown, time series, heatmap, trace,
+    /// and the flight dump on anomalous runs), present when
+    /// [`crate::system::RunOptions::observers`] enabled any.
     pub obs: Option<ObsReport>,
     /// Deterministic component-metrics snapshot (queue depths, arbitration,
     /// directory occupancy, cache traffic...), assembled after the run from

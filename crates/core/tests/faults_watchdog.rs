@@ -5,6 +5,7 @@
 
 use dresar::system::{RunOptions, System};
 use dresar_faults::{FaultPlan, WatchdogConfig, WatchdogKind};
+use dresar_obs::{ObserverConfig, DEFAULT_ATTRIB_WINDOW};
 use dresar_types::config::{SwitchDirConfig, SystemConfig};
 use dresar_types::msg::MsgType;
 use dresar_types::{StreamItem, ToJson, Workload};
@@ -111,7 +112,8 @@ fn budget_overrun_reports_instead_of_panicking() {
 fn watchdog_trip_attaches_a_deterministic_flight_dump() {
     // The default RunOptions keep the flight recorder armed; tripping the
     // watchdog must surface its dump, and replaying the identical run must
-    // reproduce it byte for byte.
+    // reproduce it byte for byte. Turning every observer on (the event log
+    // then keeps every record for the trace) must not change the dump.
     let plan =
         FaultPlan { lose_kind: Some(MsgType::WriteReply), lose_nth: 1, ..FaultPlan::default() };
     let opts = RunOptions {
@@ -135,6 +137,16 @@ fn watchdog_trip_attaches_a_deterministic_flight_dump() {
         .and_then(|o| o.flight.as_ref())
         .expect("the deterministic replay must attach a dump too");
     assert_eq!(fa.to_json().dump(), fb.to_json().dump(), "dumps must be byte-identical");
+    let observers = ObserverConfig::all(DEFAULT_ATTRIB_WINDOW);
+    let c = System::new(cfg(), &one_write_workload()).run(RunOptions { observers, ..opts });
+    let obs = c.obs.as_ref().expect("a tripped run with every observer on reports them");
+    assert!(obs.trace.is_some(), "the trace is on");
+    let fc = obs.flight.as_ref().expect("the traced run must attach the flight dump too");
+    assert_eq!(
+        fa.to_json().dump(),
+        fc.to_json().dump(),
+        "the flight dump must not depend on whether the trace is on"
+    );
 }
 
 #[test]
