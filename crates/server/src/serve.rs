@@ -963,7 +963,7 @@ fn serve_metrics_stream(stream: &mut TcpStream, request: &Request, shared: &Arc<
     let _ = write_sse_end(stream);
 }
 
-/// The event lines of a Tracer document (strips the enclosing JSON array
+/// The event lines of a trace document (strips the enclosing JSON array
 /// brackets so the events splice into a larger `traceEvents` array).
 fn trace_inner(doc: &str) -> &str {
     let inner = doc.strip_prefix("[\n").unwrap_or(doc);
