@@ -42,7 +42,6 @@ use dresar_types::addr::AddressMap;
 use dresar_types::config::SystemConfig;
 use dresar_types::msg::{Endpoint, Message, MsgType};
 use dresar_types::{BlockAddr, Cycle, NodeId, Protocol, RefKind, StreamItem, Workload};
-use std::rc::Rc;
 
 /// Options for one run.
 #[derive(Debug, Clone, Copy)]
@@ -89,7 +88,7 @@ impl Default for RunOptions {
 enum Ev {
     /// Processor resumes stream execution.
     Proc(NodeId),
-    /// A message header arrives at `route.links[hop]`'s far side.
+    /// A message header arrives at `route.link(hop)`'s far side.
     Msg(Box<InFlight>),
     /// The home directory/DRAM finished processing `msg`; execute the FSM.
     HomeExec {
@@ -114,27 +113,10 @@ enum Ev {
     },
 }
 
-/// Handle to a message's route. Static forward/backward routes live in
-/// the [`RouteTable`] arenas owned by the [`System`] — the handle is just
-/// the endpoint pair, so the send path allocates nothing and 256-node
-/// machines avoid n² individually boxed routes. Dynamically computed
-/// routes (proc-to-proc transfers, switch-originated messages) still ride
-/// an `Rc<Route>`; a `System` is single-threaded by construction (one per
-/// run; sweeps parallelise across systems), so `Rc` is sufficient.
-#[derive(Clone)]
-enum RouteRef {
-    /// Forward proc `p` -> mem `home` route from the forward table.
-    Fwd(NodeId, NodeId),
-    /// Backward mem `home` -> proc `p` route from the backward table.
-    Bwd(NodeId, NodeId),
-    /// A dynamically computed route.
-    Dyn(Rc<Route>),
-}
-
 /// A message in transit.
 struct InFlight {
     msg: Message,
-    route: RouteRef,
+    route: Route,
     hop: usize,
 }
 
@@ -160,10 +142,6 @@ pub struct System<'w> {
     dram: Vec<BankedResource>,
     sdirs: Vec<Option<SwitchDirectory>>,
     queue: EventQueue<Ev>,
-    /// Precomputed proc->mem routes (structure-of-arrays arena).
-    fwd_routes: routes::RouteTable,
-    /// Precomputed mem->proc routes (structure-of-arrays arena).
-    bwd_routes: routes::RouteTable,
     msg_seq: u64,
     /// Transaction ids: one per tracked miss, stable across retries,
     /// coalesced upgrades and cache-to-cache forwards. Distinct from
@@ -204,11 +182,6 @@ impl<'w> System<'w> {
             .collect();
         let sdirs =
             (0..bmin.total_switches()).map(|_| cfg.switch_dir.map(SwitchDirectory::new)).collect();
-        // Static routes are a function of (endpoint pair) only; computing
-        // the full n*n tables once keeps route construction off the
-        // per-message hot path.
-        let fwd_routes = routes::RouteTable::forward(&bmin);
-        let bwd_routes = routes::RouteTable::backward(&bmin);
         System {
             map,
             bmin,
@@ -223,8 +196,6 @@ impl<'w> System<'w> {
                 .collect(),
             sdirs,
             queue: EventQueue::new(),
-            fwd_routes,
-            bwd_routes,
             msg_seq: 0,
             txn_seq: 0,
             barrier: BarrierState::default(),
@@ -256,36 +227,6 @@ impl<'w> System<'w> {
     /// Transaction id of `p`'s outstanding miss on `block` (0 if none).
     fn txn_of(&self, p: NodeId, block: BlockAddr) -> u64 {
         self.nodes[p as usize].mshrs.get(&block).map_or(0, |m| m.txn)
-    }
-
-    /// Switch traversals of `r` (routes end with one endpoint link beyond
-    /// the last switch).
-    #[inline]
-    fn route_switch_count(&self, r: &RouteRef) -> usize {
-        match r {
-            RouteRef::Fwd(..) | RouteRef::Bwd(..) => self.fwd_routes.switches_per_route(),
-            RouteRef::Dyn(route) => route.switches.len(),
-        }
-    }
-
-    /// The `i`-th switch of `r` (copied out so no borrow outlives the call).
-    #[inline]
-    fn route_switch(&self, r: &RouteRef, i: usize) -> SwitchId {
-        match r {
-            RouteRef::Fwd(a, b) => self.fwd_routes.switches(*a, *b)[i],
-            RouteRef::Bwd(a, b) => self.bwd_routes.switches(*a, *b)[i],
-            RouteRef::Dyn(route) => route.switches[i],
-        }
-    }
-
-    /// The `i`-th link of `r`.
-    #[inline]
-    fn route_link(&self, r: &RouteRef, i: usize) -> routes::LinkId {
-        match r {
-            RouteRef::Fwd(a, b) => self.fwd_routes.links(*a, *b)[i],
-            RouteRef::Bwd(a, b) => self.bwd_routes.links(*a, *b)[i],
-            RouteRef::Dyn(route) => route.links[i],
-        }
     }
 
     /// Runs the simulation to completion and returns the report.
@@ -836,7 +777,7 @@ impl<'w> System<'w> {
         msg.flits(self.cfg.l2.line_bytes, self.cfg.switch.flit_bytes)
     }
 
-    fn launch<P: Probe>(&mut self, msg: Message, route: RouteRef, t: Cycle, probe: &mut P) {
+    fn launch<P: Probe>(&mut self, msg: Message, route: Route, t: Cycle, probe: &mut P) {
         self.launch_attempt(msg, route, t, 0, probe);
     }
 
@@ -847,14 +788,11 @@ impl<'w> System<'w> {
     fn launch_attempt<P: Probe>(
         &mut self,
         msg: Message,
-        route: RouteRef,
+        route: Route,
         t: Cycle,
         attempt: u32,
         probe: &mut P,
     ) {
-        if let RouteRef::Dyn(r) = &route {
-            debug_assert!(r.well_formed());
-        }
         if let Some(fs) = self.faults.as_mut() {
             match fs.on_launch(msg.id, msg.kind, attempt) {
                 LaunchVerdict::Deliver => {}
@@ -879,8 +817,7 @@ impl<'w> System<'w> {
         }
         let flits = self.flits(&msg);
         probe.msg_send(t, &msg);
-        let first_link = self.route_link(&route, 0);
-        let arrive = self.net.traverse_link(first_link, t, flits, msg.kind, probe);
+        let arrive = self.net.traverse_link(route.link(0), t, flits, msg.kind, probe);
         self.queue.schedule_at(arrive, Ev::Msg(Box::new(InFlight { msg, route, hop: 0 })));
     }
 
@@ -902,7 +839,7 @@ impl<'w> System<'w> {
         let msg =
             Message::new(self.next_id(), kind, block, Endpoint::Proc(p), Endpoint::Mem(home), p, t)
                 .with_txn(txn);
-        self.launch(msg, RouteRef::Fwd(p, home), t, probe);
+        self.launch(msg, routes::forward(&self.bmin, p, home), t, probe);
     }
 
     fn send_from_proc<P: Probe>(&mut self, msg: Message, t: Cycle, probe: &mut P) {
@@ -911,9 +848,9 @@ impl<'w> System<'w> {
             _ => unreachable!("send_from_proc with non-proc source"),
         };
         let route = match msg.dst {
-            Endpoint::Mem(h) => RouteRef::Fwd(src, h),
+            Endpoint::Mem(h) => routes::forward(&self.bmin, src, h),
             Endpoint::Proc(q) => match routes::proc_to_proc(&self.bmin, src, q, msg.block.0) {
-                Ok(r) => RouteRef::Dyn(Rc::new(r)),
+                Ok(r) => r,
                 Err(e) => {
                     self.sim_errors.push(e);
                     return;
@@ -933,7 +870,7 @@ impl<'w> System<'w> {
             Endpoint::Proc(p) => p,
             _ => unreachable!("memory only sends to processors"),
         };
-        self.launch(msg, RouteRef::Bwd(src, dst), t, probe);
+        self.launch(msg, routes::backward(&self.bmin, src, dst), t, probe);
     }
 
     fn send_from_switch<P: Probe>(
@@ -973,7 +910,7 @@ impl<'w> System<'w> {
         // reachable (placement invariant); NAKs to foreign CtoC requesters
         // may need to ascend and turn around.
         let route = match routes::from_switch_to_proc_via(&self.bmin, sw, to, orig.block.0) {
-            Ok(r) => RouteRef::Dyn(Rc::new(r)),
+            Ok(r) => r,
             Err(e) => {
                 self.sim_errors.push(e);
                 return;
@@ -990,8 +927,8 @@ impl<'w> System<'w> {
 
     fn on_msg<P: Probe>(&mut self, mut infl: Box<InFlight>, t: Cycle, probe: &mut P) {
         let hop = infl.hop;
-        if hop < self.route_switch_count(&infl.route) {
-            let sw = self.route_switch(&infl.route, hop);
+        if hop < infl.route.switch_hops() {
+            let sw = infl.route.switch(hop);
             let idx = self.linear(sw);
             let loc = self.switch_loc(sw);
             probe.msg_hop(t, &infl.msg, loc);
@@ -1054,7 +991,7 @@ impl<'w> System<'w> {
     fn forward_hop<P: Probe>(&mut self, mut infl: Box<InFlight>, t: Cycle, probe: &mut P) {
         let flits = self.flits(&infl.msg);
         let depart = t + self.net.core_delay();
-        let link = self.route_link(&infl.route, infl.hop + 1);
+        let link = infl.route.link(infl.hop + 1);
         let arrive = self.net.traverse_link(link, depart, flits, infl.msg.kind, probe);
         infl.hop += 1;
         self.queue.schedule_at(arrive, Ev::Msg(infl));

@@ -202,20 +202,15 @@ impl FlitNetwork {
     }
 
     /// Injects a message: `flits` flits following `route`, entering the
-    /// network on `route.links[0]` (which must be an injection link).
+    /// network on `route.link(0)` (which must be an injection link).
     ///
-    /// A route that is not well-formed, or whose interior asks a switch to
-    /// drive an injection link, is rejected without mutating the network.
+    /// A route whose interior asks a switch to drive an injection link is
+    /// rejected without mutating the network.
     pub fn inject(&mut self, msg: u64, route: &Route, flits: u32) -> Result<(), SimError> {
-        if !route.well_formed() {
-            return Err(SimError::Network {
-                context: "inject",
-                detail: format!("malformed route for message {msg}"),
-            });
-        }
-        let mut out_ports = Vec::with_capacity(route.switches.len());
-        for (i, &sw) in route.switches.iter().enumerate() {
-            let next_link = route.links[i + 1];
+        let mut out_ports = Vec::with_capacity(route.switch_hops());
+        for i in 0..route.switch_hops() {
+            let sw = route.switch(i);
+            let next_link = route.link(i + 1);
             let port = self.out_port_for(sw, next_link).ok_or_else(|| SimError::Network {
                 context: "inject",
                 detail: format!(
@@ -229,11 +224,13 @@ impl FlitNetwork {
         // First out-port: at the first switch (or directly the endpoint for
         // degenerate single-link routes — only possible for switch-origin
         // routes, which we inject at their first link too).
-        let first_port =
-            route.switches.first().and_then(|&sw| mroute.out_port_at(self.linear(sw))).unwrap_or(0);
+        let first_port = (route.switch_hops() > 0)
+            .then(|| route.switch(0))
+            .and_then(|sw| mroute.out_port_at(self.linear(sw)))
+            .unwrap_or(0);
         self.routes.insert(msg, mroute);
         let now = self.now;
-        let pipe = self.pipe_mut(route.links[0]);
+        let pipe = self.pipe_mut(route.link(0));
         for f in flits_of_message(msg, flits, now, first_port) {
             pipe.waiting.push_back((now, f));
         }

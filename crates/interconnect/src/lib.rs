@@ -12,7 +12,8 @@
 //!   on the home→owner write-reply path, which later cleanup traffic
 //!   provably re-traverses) is a property of this topology and is
 //!   property-tested here.
-//! * [`routes`] — route objects (sequences of hops with link identities)
+//! * [`routes`] — routes as small `Copy` values (the endpoints and the
+//!   switches crossed, derived from the endpoints and a turnaround switch)
 //!   for forward, backward, switch-originated and processor-to-processor
 //!   (turnaround) traffic.
 //! * [`hop_model`] — the fast per-hop latency/contention model used for

@@ -109,10 +109,16 @@ impl Bmin {
         self.switches_per_stage() * self.stages
     }
 
-    /// `d^k` helper.
+    /// `d^k`.
     #[inline]
     fn pow(&self, k: usize) -> usize {
-        self.radix.pow(k as u32)
+        pow(self.radix, k)
+    }
+
+    /// `x / d^k`.
+    #[inline]
+    fn high(&self, x: usize, k: usize) -> usize {
+        high(self.radix, x, k)
     }
 
     /// The switch at stage `k` on the unique path from processor `p` to
@@ -121,8 +127,8 @@ impl Bmin {
     pub fn switch_on_path(&self, p: NodeId, m: NodeId, k: usize) -> SwitchId {
         debug_assert!(k < self.stages);
         debug_assert!((p as usize) < self.nodes && (m as usize) < self.nodes);
-        let p_part = (p as usize) / self.pow(k + 1); // s-1-k high digits of p
-        let m_part = (m as usize) / self.pow(self.stages - k); // k high digits of m
+        let p_part = self.high(p as usize, k + 1); // s-1-k high digits of p
+        let m_part = self.high(m as usize, self.stages - k); // k high digits of m
         let index = p_part * self.pow(k) + m_part;
         SwitchId { stage: k as u8, index: index as u16 }
     }
@@ -136,24 +142,26 @@ impl Bmin {
     /// lies on some `p → m` path).
     pub fn reaches_down(&self, sw: SwitchId, p: NodeId) -> bool {
         let k = sw.stage as usize;
-        let p_part = sw.index as usize / self.pow(k);
-        (p as usize) / self.pow(k + 1) == p_part
+        self.high(p as usize, k + 1) == self.high(sw.index as usize, k)
     }
 
     /// Whether memory `m` is reachable *upward* from `sw` via destination
     /// routing (i.e. `sw` lies on some `p → m` path).
     pub fn reaches_up(&self, sw: SwitchId, m: NodeId) -> bool {
         let k = sw.stage as usize;
-        let m_part = sw.index as usize % self.pow(k);
-        (m as usize) / self.pow(self.stages - k) == m_part
+        self.high(m as usize, self.stages - k) == low(self.radix, sw.index as usize, k)
     }
 
     /// Lowest stage at which a message from processor `a` can turn around
     /// and reach processor `b` downward: the lowest `k` with
     /// `a / d^(k+1) == b / d^(k+1)`.
+    ///
+    /// # Panics
+    /// May panic if `a` or `b` is outside the machine;
+    /// [`crate::routes::proc_to_proc`] checks both first.
     pub fn turnaround_stage(&self, a: NodeId, b: NodeId) -> usize {
         for k in 0..self.stages {
-            if (a as usize) / self.pow(k + 1) == (b as usize) / self.pow(k + 1) {
+            if self.high(a as usize, k + 1) == self.high(b as usize, k + 1) {
                 return k;
             }
         }
@@ -165,54 +173,44 @@ impl Bmin {
     /// block-address hash) to spread load across equivalent switches.
     pub fn turnaround_switch(&self, a: NodeId, b: NodeId, tiebreak: u64) -> SwitchId {
         let k = self.turnaround_stage(a, b);
-        let p_part = (a as usize) / self.pow(k + 1);
+        let p_part = self.high(a as usize, k + 1);
         // Any m-part works for the down path; derive one deterministically.
         let m_part = (tiebreak as usize) % self.pow(k);
         SwitchId { stage: k as u8, index: (p_part * self.pow(k) + m_part) as u16 }
     }
 
-    /// Switches on the *downward* path from `sw` to processor `p`
-    /// (exclusive of `sw`, ordered top to bottom). Returns `None` when `p`
-    /// is not down-reachable from `sw`.
-    ///
-    /// Down-routing consumes `p`'s digits from position `stage-1` downward;
-    /// the m-part of each intermediate switch is inherited by truncation
-    /// (reversing the up-path construction with `p`'s digits restored).
-    pub fn down_path(&self, sw: SwitchId, p: NodeId) -> Option<Vec<SwitchId>> {
-        if !self.reaches_down(sw, p) {
-            return None;
-        }
-        let k = sw.stage as usize;
-        let m_part_top = sw.index as usize % self.pow(k);
-        let mut out = Vec::with_capacity(k);
-        for j in (0..k).rev() {
-            // Stage-j switch: p-part = high s-1-j digits of p; m-part = top
-            // j digits of the m-part we were carrying (truncate low digits).
-            let p_part = (p as usize) / self.pow(j + 1);
-            let m_part = m_part_top / self.pow(k - j);
-            out.push(SwitchId { stage: j as u8, index: (p_part * self.pow(j) + m_part) as u16 });
-        }
-        Some(out)
+    /// Whether `sw` is a switch of this network.
+    pub fn contains(&self, sw: SwitchId) -> bool {
+        (sw.stage as usize) < self.stages && (sw.index as usize) < self.switches_per_stage()
     }
+}
 
-    /// Switches on the *upward* path from processor `a` to `sw` (exclusive
-    /// of `sw`, ordered bottom to top). Returns `None` when `sw` is not
-    /// up-reachable from `a` (its p-part must prefix `a`).
-    pub fn up_path(&self, a: NodeId, sw: SwitchId) -> Option<Vec<SwitchId>> {
-        if !self.reaches_down(sw, a) {
-            // Up-reachability from a processor mirrors down-reachability.
-            return None;
-        }
-        let k = sw.stage as usize;
-        let m_part_top = sw.index as usize % self.pow(k);
-        let mut out = Vec::with_capacity(k);
-        for j in 0..k {
-            let p_part = (a as usize) / self.pow(j + 1);
-            let m_part = m_part_top / self.pow(k - j);
-            out.push(SwitchId { stage: j as u8, index: (p_part * self.pow(j) + m_part) as u16 });
-        }
-        Some(out)
+/// `d^k`. A shift for power-of-two radices (the 2, 4 and 8 every machine
+/// here uses); other radices fall back to arithmetic.
+#[inline]
+pub(crate) fn pow(d: usize, k: usize) -> usize {
+    if d & (d - 1) == 0 {
+        1 << (d.trailing_zeros() as usize * k)
+    } else {
+        d.pow(k as u32)
     }
+}
+
+/// `x / d^k`: `x` without its low `k` base-`d` digits. A shift for
+/// power-of-two radices, so deriving a route hop costs no division.
+#[inline]
+pub(crate) fn high(d: usize, x: usize, k: usize) -> usize {
+    if d & (d - 1) == 0 {
+        x >> (d.trailing_zeros() as usize * k)
+    } else {
+        x / d.pow(k as u32)
+    }
+}
+
+/// `x % d^k`: the low `k` base-`d` digits of `x`.
+#[inline]
+pub(crate) fn low(d: usize, x: usize, k: usize) -> usize {
+    x - high(d, x, k) * pow(d, k)
 }
 
 #[cfg(test)]
@@ -321,24 +319,19 @@ mod tests {
     }
 
     #[test]
-    fn down_path_descends_to_stage_zero() {
-        let b = Bmin::new(16, 2);
-        let top = b.switch_on_path(5, 9, 3);
-        let path = b.down_path(top, 5).expect("reachable");
-        assert_eq!(path.len(), 3);
-        for (i, sw) in path.iter().enumerate() {
-            assert_eq!(sw.stage as usize, 2 - i);
-        }
-        // Ends adjacent to processor 5's stage-0 switch.
-        assert_eq!(path.last().unwrap().index, 5 / 2);
+    fn reaches_down_rejects_unreachable() {
+        let b = Bmin::new(16, 4);
+        let sw = SwitchId { stage: 0, index: 0 }; // serves procs 0..4
+        assert!(!b.reaches_down(sw, 7));
+        assert!(b.reaches_down(sw, 3));
     }
 
     #[test]
-    fn down_path_rejects_unreachable() {
+    fn contains_only_this_networks_switches() {
         let b = Bmin::new(16, 4);
-        let sw = SwitchId { stage: 0, index: 0 }; // serves procs 0..4
-        assert!(b.down_path(sw, 7).is_none());
-        assert!(b.down_path(sw, 3).is_some());
+        assert!(b.contains(SwitchId { stage: 1, index: 3 }));
+        assert!(!b.contains(SwitchId { stage: 2, index: 0 }));
+        assert!(!b.contains(SwitchId { stage: 0, index: 4 }));
     }
 
     /// The p→m and m→p paths use the same switches (bidirectionality)
@@ -365,7 +358,7 @@ mod tests {
         for o in 0u8..64 {
             for h in 0u8..64 {
                 for sw in b.path_switches(o, h) {
-                    assert!(b.down_path(sw, o).is_some(), "o={o} h={h} {sw:?}");
+                    assert!(b.reaches_down(sw, o), "o={o} h={h} {sw:?}");
                 }
             }
         }
@@ -414,8 +407,6 @@ mod tests {
                     let sw = b.turnaround_switch(a, r, tb);
                     assert!(b.reaches_down(sw, a), "a={a} r={r} tb={tb}");
                     assert!(b.reaches_down(sw, r), "a={a} r={r} tb={tb}");
-                    assert!(b.up_path(a, sw).is_some());
-                    assert!(b.down_path(sw, r).is_some());
                     // Minimality: no lower stage reaches both unless equal
                     // quads.
                     if sw.stage > 0 {
@@ -432,21 +423,17 @@ mod tests {
         }
     }
 
-    /// up_path / down_path are stage-consistent and adjacent to the
-    /// endpoints. Exhaustive over all pairs.
+    /// The digit helpers agree with plain division for power-of-two and
+    /// other radices alike.
     #[test]
-    fn up_down_paths_consistent() {
-        let b = Bmin::new(16, 2);
-        for a in 0u8..16 {
-            for m in 0u8..16 {
-                let top = b.switch_on_path(a, m, 3);
-                let up = b.up_path(a, top).unwrap();
-                assert_eq!(up.len(), 3);
-                assert_eq!(up[0].index, (a / 2) as u16);
-                let down = b.down_path(top, a).unwrap();
-                let mut rev = down.clone();
-                rev.reverse();
-                assert_eq!(up, rev);
+    fn digit_helpers_match_division() {
+        for d in 2usize..=9 {
+            for k in 0..=4 {
+                assert_eq!(pow(d, k), d.pow(k as u32), "d={d} k={k}");
+                for x in 0..300 {
+                    assert_eq!(high(d, x, k), x / d.pow(k as u32), "d={d} x={x} k={k}");
+                    assert_eq!(low(d, x, k), x % d.pow(k as u32), "d={d} x={x} k={k}");
+                }
             }
         }
     }

@@ -33,11 +33,11 @@ fn main() {
             [(&req, 1u32, MsgType::ReadRequest), (&rep, 5u32, MsgType::ReadReply)]
         {
             let mut t = 0;
-            for (i, &link) in route.links.iter().enumerate() {
+            for i in 0..=route.switch_hops() {
                 if i > 0 {
                     t += hop.core_delay();
                 }
-                t = hop.traverse_link(link, t, flits, kind, &mut NullProbe);
+                t = hop.traverse_link(route.link(i), t, flits, kind, &mut NullProbe);
             }
             hop_latencies.push(t + hop.tail_lag(flits));
         }

@@ -51,10 +51,7 @@ fn main() {
     for owner in 0..16u8 {
         for home in 0..16u8 {
             for sw in bmin.path_switches(owner, home) {
-                assert!(
-                    routes::from_switch_to_proc(&bmin, sw, owner).is_some(),
-                    "switch {sw:?} cannot reach owner {owner}"
-                );
+                assert!(bmin.reaches_down(sw, owner), "switch {sw:?} cannot reach owner {owner}");
                 checked += 1;
             }
         }

@@ -9,11 +9,11 @@ use dresar_workspace::types::msg::MsgType;
 
 fn hop_latency(hop: &mut HopNetwork, route: &routes::Route, flits: u32, start: u64) -> u64 {
     let mut t = start;
-    for (i, &link) in route.links.iter().enumerate() {
+    for i in 0..=route.switch_hops() {
         if i > 0 {
             t += hop.core_delay();
         }
-        t = hop.traverse_link(link, t, flits, MsgType::ReadRequest, &mut NullProbe);
+        t = hop.traverse_link(route.link(i), t, flits, MsgType::ReadRequest, &mut NullProbe);
     }
     t + hop.tail_lag(flits)
 }

@@ -12,7 +12,7 @@
 //! Node loops iterate in `usize` and cast per-use: `0..bmin.nodes() as u8`
 //! is silently empty at the 256-node boundary.
 
-use dresar_workspace::interconnect::{routes, Bmin};
+use dresar_workspace::interconnect::{routes, Bmin, LinkId};
 use dresar_workspace::types::NodeId;
 
 fn topologies() -> Vec<Bmin> {
@@ -39,8 +39,9 @@ fn entries_reach_owner() {
         for o in node_ids(&bmin) {
             for h in node_ids(&bmin) {
                 for sw in bmin.path_switches(o, h) {
+                    let r = routes::from_switch_to_proc_via(&bmin, sw, o, 0).expect("in range");
                     assert!(
-                        routes::from_switch_to_proc(&bmin, sw, o).is_some(),
+                        r.hops().all(|hop| !matches!(hop.link, LinkId::Up { .. })),
                         "{bmin:?}: switch {sw:?} on path({o},{h}) cannot reach owner"
                     );
                 }
@@ -58,7 +59,8 @@ fn cleanup_covers_entries() {
                 // Entries are installed along the write-reply path (h -> o),
                 // which in this topology uses the same switches as (o -> h).
                 let install = bmin.path_switches(o, h);
-                let cleanup: Vec<_> = routes::forward(&bmin, o, h).switches;
+                let r = routes::forward(&bmin, o, h);
+                let cleanup: Vec<_> = (0..r.switch_hops()).map(|i| r.switch(i)).collect();
                 assert_eq!(install, cleanup, "{bmin:?}: o={o} h={h}");
             }
         }
@@ -104,7 +106,11 @@ fn via_routes_universal() {
                                 .unwrap_or_else(|e| {
                                     panic!("{bmin:?}: sw={sw:?} target={target} tb={tb}: {e}")
                                 });
-                            assert!(r.well_formed(), "{bmin:?}: sw={sw:?} target={target} tb={tb}");
+                            assert_eq!(
+                                r.link(r.switch_hops()),
+                                LinkId::ProcDown(t),
+                                "{bmin:?}: sw={sw:?} target={target} tb={tb}"
+                            );
                         }
                     }
                 }
