@@ -273,17 +273,8 @@ impl<'w> System<'w> {
         while let Some((t, ev)) = self.queue.pop() {
             if t > opts.max_cycles {
                 if self.watchdog.is_some() {
-                    let lineage = self.stuck_lineage();
-                    let detail = format!(
-                        "exceeded max_cycles={} (workload={}, pending events={}, lost={:?})",
-                        opts.max_cycles,
-                        self.workload,
-                        self.queue.len(),
-                        self.lost_log
-                    );
-                    if let Some(wd) = self.watchdog.as_mut() {
-                        wd.trip(WatchdogKind::BudgetExceeded, t, lineage, detail);
-                    }
+                    let cause = format!("exceeded max_cycles={}", opts.max_cycles);
+                    self.trip_watchdog(WatchdogKind::BudgetExceeded, t, cause);
                     break;
                 }
                 panic!(
@@ -295,16 +286,7 @@ impl<'w> System<'w> {
                 );
             }
             if self.watchdog.as_ref().is_some_and(|wd| wd.check_livelock(t)) {
-                let lineage = self.stuck_lineage();
-                let detail = format!(
-                    "no forward progress (workload={}, pending events={}, lost={:?})",
-                    self.workload,
-                    self.queue.len(),
-                    self.lost_log
-                );
-                if let Some(wd) = self.watchdog.as_mut() {
-                    wd.trip(WatchdogKind::Livelock, t, lineage, detail);
-                }
+                self.trip_watchdog(WatchdogKind::Livelock, t, "no forward progress".into());
                 break;
             }
             if self.faults.is_some() {
@@ -328,17 +310,9 @@ impl<'w> System<'w> {
             let stuck: Vec<&Node> = self.nodes.iter().filter(|n| !n.drained()).collect();
             if let Some(n) = stuck.first() {
                 if self.watchdog.is_some() {
-                    let at = self.end_time;
-                    let lineage = self.stuck_lineage();
-                    let detail = format!(
-                        "event queue drained with {} undrained node(s) (workload={}, lost={:?})",
-                        stuck.len(),
-                        self.workload,
-                        self.lost_log
-                    );
-                    if let Some(wd) = self.watchdog.as_mut() {
-                        wd.trip(WatchdogKind::QuiescenceFailure, at, lineage, detail);
-                    }
+                    let cause =
+                        format!("event queue drained with {} undrained node(s)", stuck.len());
+                    self.trip_watchdog(WatchdogKind::QuiescenceFailure, self.end_time, cause);
                 } else {
                     panic!(
                         "protocol deadlock: node {} stuck in {:?} with {} MSHRs (workload={})",
@@ -351,6 +325,22 @@ impl<'w> System<'w> {
             }
         }
         self.build_report(opts.verify_coherence)
+    }
+
+    /// Trips the watchdog with the stuck lineage and a detail line: `cause`,
+    /// then the workload, the pending event count (unless the queue
+    /// drained) and the lost-message log.
+    fn trip_watchdog(&mut self, kind: WatchdogKind, at: Cycle, cause: String) {
+        let lineage = self.stuck_lineage();
+        let pending = match kind {
+            WatchdogKind::QuiescenceFailure => String::new(),
+            _ => format!(", pending events={}", self.queue.len()),
+        };
+        let detail =
+            format!("{cause} (workload={}{pending}, lost={:?})", self.workload, self.lost_log);
+        if let Some(wd) = self.watchdog.as_mut() {
+            wd.trip(kind, at, lineage, detail);
+        }
     }
 
     /// Lineage of every unfinished transaction, sorted for determinism
@@ -632,7 +622,7 @@ impl<'w> System<'w> {
                         node.state = ProcState::DrainForBarrier(id);
                     } else {
                         node.state = ProcState::AtBarrier(id);
-                        self.barrier_arrive(p, t);
+                        self.barrier_arrive(t);
                     }
                     return;
                 }
@@ -735,7 +725,7 @@ impl<'w> System<'w> {
         }
     }
 
-    fn barrier_arrive(&mut self, _p: NodeId, t: Cycle) {
+    fn barrier_arrive(&mut self, t: Cycle) {
         self.barrier.count += 1;
         self.barrier.max_time = self.barrier.max_time.max(t);
         if self.barrier.count == self.cfg.nodes {
@@ -1368,7 +1358,7 @@ impl<'w> System<'w> {
                         node.state = ProcState::AtBarrier(id);
                         node.local_time = node.local_time.max(t);
                         let at = node.local_time;
-                        self.barrier_arrive(p, at);
+                        self.barrier_arrive(at);
                     }
                     _ => {}
                 }
