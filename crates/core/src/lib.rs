@@ -37,10 +37,10 @@
 //! let wl = Workload {
 //!     name: "pingpong".into(),
 //!     streams: vec![
-//!         vec![StreamItem::write(0, 1), StreamItem::Barrier(0)],
-//!         vec![StreamItem::Barrier(0), StreamItem::read(0, 1)],
-//!         vec![StreamItem::Barrier(0)],
-//!         vec![StreamItem::Barrier(0)],
+//!         vec![StreamItem::write(0, 1), StreamItem::barrier(0)],
+//!         vec![StreamItem::barrier(0), StreamItem::read(0, 1)],
+//!         vec![StreamItem::barrier(0)],
+//!         vec![StreamItem::barrier(0)],
 //!     ],
 //! };
 //! let mut cfg = SystemConfig::paper_table2();

@@ -32,7 +32,7 @@ use std::collections::BTreeMap;
 
 use dresar_cache::LineState;
 use dresar_directory::DirState;
-use dresar_types::{BlockAddr, JsonValue, NodeId, Protocol, StreamItem, ToJson};
+use dresar_types::{BlockAddr, JsonValue, NodeId, Protocol, ToJson};
 
 use super::{Node, System};
 use crate::switchdir::SdState;
@@ -394,7 +394,7 @@ pub(super) fn check(sys: &System) -> CoherenceOutcome {
         if !n.drained() {
             continue;
         }
-        let expected = n.items.iter().filter(|i| matches!(i, StreamItem::Ref(_))).count() as u64;
+        let expected = n.items.iter().filter(|i| !i.is_barrier()).count() as u64;
         if n.refs_executed != expected {
             out.violations.push(CoherenceViolation {
                 rule: "refs-mismatch",

@@ -41,7 +41,7 @@ use dresar_stats::ReadClass;
 use dresar_types::addr::AddressMap;
 use dresar_types::config::SystemConfig;
 use dresar_types::msg::{Endpoint, Message, MsgType};
-use dresar_types::{BlockAddr, Cycle, NodeId, Protocol, RefKind, StreamItem, Workload};
+use dresar_types::{BlockAddr, Cycle, ItemView, NodeId, Protocol, RefKind, Workload};
 
 /// Options for one run.
 #[derive(Debug, Clone, Copy)]
@@ -612,8 +612,8 @@ impl<'w> System<'w> {
                 node.local_time = t;
                 return;
             };
-            match item {
-                StreamItem::Barrier(id) => {
+            match item.decode() {
+                ItemView::Barrier(id) => {
                     node.pc += 1;
                     node.local_time = t;
                     if node.writes_inflight > 0 {
@@ -626,7 +626,7 @@ impl<'w> System<'w> {
                     }
                     return;
                 }
-                StreamItem::Ref(r) => {
+                ItemView::Ref(r) => {
                     t += (r.work as Cycle).div_ceil(issue_width);
                     let block = self.map.block(r.addr);
                     match r.kind {
@@ -1662,7 +1662,7 @@ impl HomeOutcome for Completion {}
 mod tests {
     use super::*;
     use dresar_types::config::SwitchDirConfig;
-    use dresar_types::ToJson;
+    use dresar_types::{StreamItem, ToJson};
 
     fn small_cfg(switch_dir: bool) -> SystemConfig {
         let mut cfg = SystemConfig::paper_table2();
@@ -1721,10 +1721,10 @@ mod tests {
     #[test]
     fn write_then_remote_read_is_home_ctoc_without_switch_dir() {
         let w = wl(vec![
-            vec![StreamItem::write(0, 1), StreamItem::Barrier(0)],
-            vec![StreamItem::Barrier(0), StreamItem::read(0, 1)],
-            vec![StreamItem::Barrier(0)],
-            vec![StreamItem::Barrier(0)],
+            vec![StreamItem::write(0, 1), StreamItem::barrier(0)],
+            vec![StreamItem::barrier(0), StreamItem::read(0, 1)],
+            vec![StreamItem::barrier(0)],
+            vec![StreamItem::barrier(0)],
         ]);
         let r = run(small_cfg(false), &w);
         assert_eq!(r.reads.ctoc_home, 1, "dirty read must be a home-forwarded CtoC");
@@ -1735,10 +1735,10 @@ mod tests {
     #[test]
     fn switch_directory_serves_remote_read() {
         let w = wl(vec![
-            vec![StreamItem::write(0, 1), StreamItem::Barrier(0)],
-            vec![StreamItem::Barrier(0), StreamItem::read(0, 1)],
-            vec![StreamItem::Barrier(0)],
-            vec![StreamItem::Barrier(0)],
+            vec![StreamItem::write(0, 1), StreamItem::barrier(0)],
+            vec![StreamItem::barrier(0), StreamItem::read(0, 1)],
+            vec![StreamItem::barrier(0)],
+            vec![StreamItem::barrier(0)],
         ]);
         let r = run(small_cfg(true), &w);
         assert_eq!(r.reads.ctoc_switch, 1, "switch directory must intercept the read");
@@ -1754,10 +1754,10 @@ mod tests {
         // must trigger invalidations covering *both* the owner and the
         // switch-served reader — proof the marked copyback reached the home.
         let w = wl(vec![
-            vec![StreamItem::write(0, 1), StreamItem::Barrier(0), StreamItem::Barrier(1)],
-            vec![StreamItem::Barrier(0), StreamItem::read(0, 1), StreamItem::Barrier(1)],
-            vec![StreamItem::Barrier(0), StreamItem::Barrier(1), StreamItem::write(0, 1)],
-            vec![StreamItem::Barrier(0), StreamItem::Barrier(1)],
+            vec![StreamItem::write(0, 1), StreamItem::barrier(0), StreamItem::barrier(1)],
+            vec![StreamItem::barrier(0), StreamItem::read(0, 1), StreamItem::barrier(1)],
+            vec![StreamItem::barrier(0), StreamItem::barrier(1), StreamItem::write(0, 1)],
+            vec![StreamItem::barrier(0), StreamItem::barrier(1)],
         ]);
         let r = run(small_cfg(true), &w);
         assert_eq!(r.reads.ctoc_switch, 1);
@@ -1772,10 +1772,10 @@ mod tests {
     #[test]
     fn write_after_remote_write_transfers_ownership() {
         let w = wl(vec![
-            vec![StreamItem::write(0, 1), StreamItem::Barrier(0)],
-            vec![StreamItem::Barrier(0), StreamItem::write(0, 1)],
-            vec![StreamItem::Barrier(0)],
-            vec![StreamItem::Barrier(0)],
+            vec![StreamItem::write(0, 1), StreamItem::barrier(0)],
+            vec![StreamItem::barrier(0), StreamItem::write(0, 1)],
+            vec![StreamItem::barrier(0)],
+            vec![StreamItem::barrier(0)],
         ]);
         let r = run(small_cfg(false), &w);
         assert_eq!(r.dir.writes_ctoc, 1, "second write must trigger an ownership transfer");
@@ -1784,10 +1784,10 @@ mod tests {
     #[test]
     fn shared_then_write_invalidates_sharers() {
         let w = wl(vec![
-            vec![StreamItem::read(0, 1), StreamItem::Barrier(0)],
-            vec![StreamItem::read(0, 1), StreamItem::Barrier(0)],
-            vec![StreamItem::Barrier(0), StreamItem::write(0, 1)],
-            vec![StreamItem::Barrier(0)],
+            vec![StreamItem::read(0, 1), StreamItem::barrier(0)],
+            vec![StreamItem::read(0, 1), StreamItem::barrier(0)],
+            vec![StreamItem::barrier(0), StreamItem::write(0, 1)],
+            vec![StreamItem::barrier(0)],
         ]);
         let r = run(small_cfg(false), &w);
         assert!(r.dir.inval_rounds >= 1);
@@ -1808,10 +1808,10 @@ mod tests {
     #[test]
     fn reports_are_deterministic() {
         let w = wl(vec![
-            vec![StreamItem::write(0, 1), StreamItem::read(4096, 2), StreamItem::Barrier(0)],
-            vec![StreamItem::Barrier(0), StreamItem::read(0, 1)],
-            vec![StreamItem::write(8192, 3), StreamItem::Barrier(0)],
-            vec![StreamItem::Barrier(0), StreamItem::read(8192, 1)],
+            vec![StreamItem::write(0, 1), StreamItem::read(4096, 2), StreamItem::barrier(0)],
+            vec![StreamItem::barrier(0), StreamItem::read(0, 1)],
+            vec![StreamItem::write(8192, 3), StreamItem::barrier(0)],
+            vec![StreamItem::barrier(0), StreamItem::read(8192, 1)],
         ]);
         let r1 = run(small_cfg(true), &w);
         let r2 = run(small_cfg(true), &w);
@@ -1829,10 +1829,10 @@ mod tests {
     #[test]
     fn metrics_registry_is_populated() {
         let w = wl(vec![
-            vec![StreamItem::write(0, 1), StreamItem::Barrier(0)],
-            vec![StreamItem::Barrier(0), StreamItem::read(0, 1)],
-            vec![StreamItem::Barrier(0)],
-            vec![StreamItem::Barrier(0)],
+            vec![StreamItem::write(0, 1), StreamItem::barrier(0)],
+            vec![StreamItem::barrier(0), StreamItem::read(0, 1)],
+            vec![StreamItem::barrier(0)],
+            vec![StreamItem::barrier(0)],
         ]);
         let r = run(small_cfg(true), &w);
         use dresar_obs::MetricValue;
@@ -1863,17 +1863,17 @@ mod tests {
         let producer: Vec<StreamItem> = blocks
             .iter()
             .map(|&b| StreamItem::write(b, 2))
-            .chain([StreamItem::Barrier(0)])
+            .chain([StreamItem::barrier(0)])
             .collect();
-        let consumer: Vec<StreamItem> = [StreamItem::Barrier(0)]
+        let consumer: Vec<StreamItem> = [StreamItem::barrier(0)]
             .into_iter()
             .chain(blocks.iter().map(|&b| StreamItem::read(b, 2)))
             .collect();
         let w = wl(vec![
             producer,
             consumer,
-            vec![StreamItem::Barrier(0)],
-            vec![StreamItem::Barrier(0)],
+            vec![StreamItem::barrier(0)],
+            vec![StreamItem::barrier(0)],
         ]);
         let base = run(small_cfg(false), &w);
         let with = run(small_cfg(true), &w);
@@ -1894,7 +1894,7 @@ mod tests {
         for p in 0..16u64 {
             streams.push(vec![
                 StreamItem::write(p * 32, 1),
-                StreamItem::Barrier(0),
+                StreamItem::barrier(0),
                 StreamItem::read(((p + 1) % 16) * 32, 1),
             ]);
         }
@@ -1926,7 +1926,7 @@ mod tests {
         // one block (sharer bit 63 in use), then a writer invalidates all.
         let cfg = SystemConfig::scaled(64, 4);
         let mut streams: Vec<Vec<StreamItem>> =
-            (0..64).map(|_| vec![StreamItem::read(0, 1), StreamItem::Barrier(0)]).collect();
+            (0..64).map(|_| vec![StreamItem::read(0, 1), StreamItem::barrier(0)]).collect();
         streams[0].push(StreamItem::write(0, 1));
         let r = System::new(cfg, &wl(streams)).run(RunOptions {
             max_cycles: 10_000_000,
@@ -1990,10 +1990,10 @@ mod tests {
         // p0 read-fills EXCLUSIVE; p1's later read is forwarded to p0 as a
         // cache-to-cache transfer even though p0 never wrote.
         let w = wl(vec![
-            vec![StreamItem::read(0, 1), StreamItem::Barrier(0)],
-            vec![StreamItem::Barrier(0), StreamItem::read(0, 1)],
-            vec![StreamItem::Barrier(0)],
-            vec![StreamItem::Barrier(0)],
+            vec![StreamItem::read(0, 1), StreamItem::barrier(0)],
+            vec![StreamItem::barrier(0), StreamItem::read(0, 1)],
+            vec![StreamItem::barrier(0)],
+            vec![StreamItem::barrier(0)],
         ]);
         let r = run_verified(proto_cfg(Protocol::Mesi, false), &w);
         assert_eq!(r.dir.reads_ctoc, 1, "the E holder must be intervened");
@@ -2009,10 +2009,10 @@ mod tests {
         // supplies the second reader too; under MSI the first read
         // downgrades everyone to Shared and the second is a memory fill.
         let w = wl(vec![
-            vec![StreamItem::write(0, 1), StreamItem::Barrier(0), StreamItem::Barrier(1)],
-            vec![StreamItem::Barrier(0), StreamItem::read(0, 1), StreamItem::Barrier(1)],
-            vec![StreamItem::Barrier(0), StreamItem::Barrier(1), StreamItem::read(0, 1)],
-            vec![StreamItem::Barrier(0), StreamItem::Barrier(1)],
+            vec![StreamItem::write(0, 1), StreamItem::barrier(0), StreamItem::barrier(1)],
+            vec![StreamItem::barrier(0), StreamItem::read(0, 1), StreamItem::barrier(1)],
+            vec![StreamItem::barrier(0), StreamItem::barrier(1), StreamItem::read(0, 1)],
+            vec![StreamItem::barrier(0), StreamItem::barrier(1)],
         ]);
         let moesi = run_verified(proto_cfg(Protocol::Moesi, false), &w);
         assert_eq!(moesi.dir.reads_ctoc, 2, "both reads must be owner-supplied");
@@ -2025,10 +2025,10 @@ mod tests {
     #[test]
     fn moesi_write_after_dirty_sharing_invalidates_owner_and_sharers() {
         let w = wl(vec![
-            vec![StreamItem::write(0, 1), StreamItem::Barrier(0), StreamItem::Barrier(1)],
-            vec![StreamItem::Barrier(0), StreamItem::read(0, 1), StreamItem::Barrier(1)],
-            vec![StreamItem::Barrier(0), StreamItem::Barrier(1), StreamItem::write(0, 1)],
-            vec![StreamItem::Barrier(0), StreamItem::Barrier(1)],
+            vec![StreamItem::write(0, 1), StreamItem::barrier(0), StreamItem::barrier(1)],
+            vec![StreamItem::barrier(0), StreamItem::read(0, 1), StreamItem::barrier(1)],
+            vec![StreamItem::barrier(0), StreamItem::barrier(1), StreamItem::write(0, 1)],
+            vec![StreamItem::barrier(0), StreamItem::barrier(1)],
         ]);
         let r = run_verified(proto_cfg(Protocol::Moesi, false), &w);
         assert!(r.dir.inval_rounds >= 1);
@@ -2042,10 +2042,10 @@ mod tests {
     #[test]
     fn dls_reads_to_dirty_blocks_bypass_the_intervention() {
         let w = wl(vec![
-            vec![StreamItem::write(0, 1), StreamItem::Barrier(0)],
-            vec![StreamItem::Barrier(0), StreamItem::read(0, 1)],
-            vec![StreamItem::Barrier(0)],
-            vec![StreamItem::Barrier(0)],
+            vec![StreamItem::write(0, 1), StreamItem::barrier(0)],
+            vec![StreamItem::barrier(0), StreamItem::read(0, 1)],
+            vec![StreamItem::barrier(0)],
+            vec![StreamItem::barrier(0)],
         ]);
         let r = run_verified(proto_cfg(Protocol::Dls, false), &w);
         assert_eq!(r.dir.reads_ctoc, 0, "the DLS baseline never forwards read interventions");
@@ -2063,9 +2063,9 @@ mod tests {
         let producer: Vec<StreamItem> = blocks
             .iter()
             .map(|&b| StreamItem::write(b, 2))
-            .chain([StreamItem::Barrier(0)])
+            .chain([StreamItem::barrier(0)])
             .collect();
-        let consumer: Vec<StreamItem> = [StreamItem::Barrier(0)]
+        let consumer: Vec<StreamItem> = [StreamItem::barrier(0)]
             .into_iter()
             .chain(blocks.iter().map(|&b| StreamItem::read(b, 2)))
             .chain([StreamItem::write(0, 1)])
@@ -2073,8 +2073,8 @@ mod tests {
         let w = wl(vec![
             producer,
             consumer,
-            vec![StreamItem::Barrier(0), StreamItem::read(0, 2)],
-            vec![StreamItem::Barrier(0)],
+            vec![StreamItem::barrier(0), StreamItem::read(0, 2)],
+            vec![StreamItem::barrier(0)],
         ]);
         for p in Protocol::ALL {
             let r = run_verified(proto_cfg(p, true), &w);

@@ -19,8 +19,8 @@ fn cfg() -> SystemConfig {
 /// Node 0 writes one block and hits a barrier; everyone else just
 /// barriers. One lost reply pins node 0's write forever.
 fn one_write_workload() -> Workload {
-    let mut streams = vec![vec![StreamItem::write(0x40, 1), StreamItem::Barrier(0)]];
-    streams.extend((1..16).map(|_| vec![StreamItem::Barrier(0)]));
+    let mut streams = vec![vec![StreamItem::write(0x40, 1), StreamItem::barrier(0)]];
+    streams.extend((1..16).map(|_| vec![StreamItem::barrier(0)]));
     Workload { name: "one-write".into(), streams }
 }
 
@@ -36,7 +36,7 @@ fn sharing_workload() -> Workload {
                 s.push(StreamItem::read(addr, 2));
             }
             if i % 10 == 9 {
-                s.push(StreamItem::Barrier((i / 10) as u32));
+                s.push(StreamItem::barrier((i / 10) as u32));
             }
         }
         streams.push(s);

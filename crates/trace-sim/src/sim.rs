@@ -8,7 +8,7 @@ use dresar_stats::{BlockHistogram, ReadClass, ReadStats};
 use dresar_types::addr::AddressMap;
 use dresar_types::config::TraceSimConfig;
 use dresar_types::msg::{Endpoint, Message, MsgType};
-use dresar_types::{BlockAddr, Cycle, NodeId, RefKind, SharerSet, StreamItem, Workload};
+use dresar_types::{BlockAddr, Cycle, ItemView, NodeId, RefKind, SharerSet, StreamItem, Workload};
 
 /// Results of a trace-driven run.
 #[derive(Debug, Clone, Default)]
@@ -346,7 +346,7 @@ impl TraceSimulator {
             while progressed {
                 progressed = false;
                 for p in 0..n {
-                    if let Some(StreamItem::Ref(r)) = streams[p].get(pc[p]) {
+                    if let Some(ItemView::Ref(r)) = streams[p].get(pc[p]).map(|i| i.decode()) {
                         let block = self.map.block(r.addr);
                         let work = r.work as Cycle; // single-issue
                         let access = match r.kind {
@@ -369,7 +369,7 @@ impl TraceSimulator {
             // Phase 2: everyone is at a barrier or done; advance barriers.
             let mut advanced = false;
             for p in 0..n {
-                if matches!(streams[p].get(pc[p]), Some(StreamItem::Barrier(_))) {
+                if streams[p].get(pc[p]).is_some_and(|i| i.is_barrier()) {
                     pc[p] += 1;
                     advanced = true;
                 }
@@ -454,8 +454,8 @@ mod tests {
     #[test]
     fn dirty_read_home_path_costs_320() {
         let w = wl(vec![
-            vec![StreamItem::write(addr_homed_at(5), 0), StreamItem::Barrier(0)],
-            vec![StreamItem::Barrier(0), StreamItem::read(addr_homed_at(5), 0)],
+            vec![StreamItem::write(addr_homed_at(5), 0), StreamItem::barrier(0)],
+            vec![StreamItem::barrier(0), StreamItem::read(addr_homed_at(5), 0)],
         ]);
         let r = TraceSimulator::new(cfg(false)).run(&w);
         assert_eq!(r.reads.ctoc_home, 1);
@@ -466,8 +466,8 @@ mod tests {
     #[test]
     fn switch_directory_serves_dirty_read_at_200() {
         let w = wl(vec![
-            vec![StreamItem::write(addr_homed_at(5), 0), StreamItem::Barrier(0)],
-            vec![StreamItem::Barrier(0), StreamItem::read(addr_homed_at(5), 0)],
+            vec![StreamItem::write(addr_homed_at(5), 0), StreamItem::barrier(0)],
+            vec![StreamItem::barrier(0), StreamItem::read(addr_homed_at(5), 0)],
         ]);
         let r = TraceSimulator::new(cfg(true)).run(&w);
         assert_eq!(r.reads.ctoc_switch, 1, "switch directory must intercept");
@@ -481,8 +481,8 @@ mod tests {
         // Writer's home == writer: no reply path, no entries, so the later
         // remote read goes to the home.
         let w = wl(vec![
-            vec![StreamItem::write(addr_homed_at(0), 0), StreamItem::Barrier(0)],
-            vec![StreamItem::Barrier(0), StreamItem::read(addr_homed_at(0), 0)],
+            vec![StreamItem::write(addr_homed_at(0), 0), StreamItem::barrier(0)],
+            vec![StreamItem::barrier(0), StreamItem::read(addr_homed_at(0), 0)],
         ]);
         let r = TraceSimulator::new(cfg(true)).run(&w);
         assert_eq!(r.reads.ctoc_switch, 0);
@@ -495,10 +495,10 @@ mod tests {
         // see both sharers.
         let a = addr_homed_at(5);
         let w = wl(vec![
-            vec![StreamItem::Barrier(0), StreamItem::Barrier(1)],
-            vec![StreamItem::write(a, 0), StreamItem::Barrier(0), StreamItem::Barrier(1)],
-            vec![StreamItem::Barrier(0), StreamItem::read(a, 0), StreamItem::Barrier(1)],
-            vec![StreamItem::Barrier(0), StreamItem::Barrier(1), StreamItem::write(a, 0)],
+            vec![StreamItem::barrier(0), StreamItem::barrier(1)],
+            vec![StreamItem::write(a, 0), StreamItem::barrier(0), StreamItem::barrier(1)],
+            vec![StreamItem::barrier(0), StreamItem::read(a, 0), StreamItem::barrier(1)],
+            vec![StreamItem::barrier(0), StreamItem::barrier(1), StreamItem::write(a, 0)],
         ]);
         let r = TraceSimulator::new(cfg(true)).run(&w);
         assert_eq!(r.reads.ctoc_switch, 1);
@@ -509,8 +509,8 @@ mod tests {
     fn write_after_write_transfers_ownership() {
         let a = addr_homed_at(7);
         let w = wl(vec![
-            vec![StreamItem::write(a, 0), StreamItem::Barrier(0)],
-            vec![StreamItem::Barrier(0), StreamItem::write(a, 0)],
+            vec![StreamItem::write(a, 0), StreamItem::barrier(0)],
+            vec![StreamItem::barrier(0), StreamItem::write(a, 0)],
         ]);
         let r = TraceSimulator::new(cfg(false)).run(&w);
         assert_eq!(r.dir.writes_ctoc, 1);
@@ -520,8 +520,8 @@ mod tests {
     #[test]
     fn barriers_synchronize_exec_time() {
         let w = wl(vec![
-            vec![StreamItem::read(addr_homed_at(1), 100), StreamItem::Barrier(0)],
-            vec![StreamItem::Barrier(0), StreamItem::read(addr_homed_at(2), 0)],
+            vec![StreamItem::read(addr_homed_at(1), 100), StreamItem::barrier(0)],
+            vec![StreamItem::barrier(0), StreamItem::read(addr_homed_at(2), 0)],
         ]);
         let r = TraceSimulator::new(cfg(false)).run(&w);
         // Proc 1's read starts only after proc 0's work+miss.

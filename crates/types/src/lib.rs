@@ -48,7 +48,7 @@ pub use fasthash::{FastBuildHasher, FastHasher, FastMap, FastSet};
 pub use json::{FromJson, JsonError, JsonValue, ObjBuilder, ToJson, SCHEMA_VERSION};
 pub use msg::{Message, MsgType};
 pub use protocol::Protocol;
-pub use refstream::{MemRef, RefKind, StreamItem, Workload};
+pub use refstream::{ItemView, MemRef, RefKind, StreamItem, Workload};
 pub use rng::SmallRng;
 pub use runspec::RunSpec;
 pub use sharers::SharerSet;

@@ -60,7 +60,7 @@ impl StreamRecorder {
         let id = self.next_barrier;
         self.next_barrier += 1;
         for s in &mut self.streams {
-            s.push(StreamItem::Barrier(id));
+            s.push(StreamItem::barrier(id));
         }
     }
 
@@ -95,9 +95,14 @@ impl StreamRecorder {
         }
     }
 
-    /// Finishes recording.
+    /// Finishes recording, handing each stream over with no spare
+    /// capacity.
     pub fn into_workload(self, name: impl Into<String>) -> Workload {
-        let w = Workload { name: name.into(), streams: self.streams };
+        let mut streams = self.streams;
+        for s in &mut streams {
+            s.shrink_to_fit();
+        }
+        let w = Workload { name: name.into(), streams };
         debug_assert!(w.validate().is_ok());
         w
     }

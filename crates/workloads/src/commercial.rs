@@ -226,7 +226,7 @@ pub fn tpcd(processors: usize, total_refs: usize, seed: u64) -> Workload {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dresar_types::{RefKind, StreamItem};
+    use dresar_types::{ItemView, RefKind};
 
     #[test]
     fn generates_requested_volume() {
@@ -255,8 +255,8 @@ mod tests {
             w.streams
                 .iter()
                 .flatten()
-                .filter_map(|i| match i {
-                    StreamItem::Ref(r)
+                .filter_map(|i| match i.decode() {
+                    ItemView::Ref(r)
                         if matches!(r.kind, RefKind::Read)
                             && r.addr >= SHARED_BASE
                             && r.addr < PRIVATE_BASE =>
@@ -273,7 +273,7 @@ mod tests {
                 .iter()
                 .flatten()
                 .filter(|i| {
-                    matches!(i, StreamItem::Ref(r)
+                    matches!(i.decode(), ItemView::Ref(r)
                         if matches!(r.kind, RefKind::Read)
                             && r.addr >= SHARED_BASE && r.addr < PRIVATE_BASE)
                 })
@@ -295,7 +295,7 @@ mod tests {
         let mut counts = std::collections::HashMap::<u64, u64>::new();
         for s in &w.streams {
             for i in s {
-                if let StreamItem::Ref(r) = i {
+                if let ItemView::Ref(r) = i.decode() {
                     if r.addr >= SHARED_BASE && r.addr < PRIVATE_BASE {
                         *counts.entry(r.addr / BLOCK).or_default() += 1;
                     }
@@ -320,7 +320,7 @@ mod tests {
         let mut owners = std::collections::HashMap::<u64, usize>::new();
         for (p, s) in w.streams.iter().enumerate() {
             for i in s {
-                if let StreamItem::Ref(r) = i {
+                if let ItemView::Ref(r) = i.decode() {
                     if r.addr >= PRIVATE_BASE {
                         let prev = owners.insert(r.addr / BLOCK, p);
                         assert!(prev.is_none() || prev == Some(p), "private block shared");

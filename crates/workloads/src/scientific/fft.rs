@@ -148,10 +148,7 @@ mod tests {
         let barrier_refs = 9 * (2 * 4 + 1 + 3);
         assert_eq!(w.total_refs(), 256 + 8 * 256 * 3 + barrier_refs);
         // One barrier after init + one per stage.
-        let barriers = w.streams[0]
-            .iter()
-            .filter(|i| matches!(i, dresar_types::StreamItem::Barrier(_)))
-            .count();
+        let barriers = w.streams[0].iter().filter(|i| i.is_barrier()).count();
         assert_eq!(barriers, 9);
     }
 
@@ -175,7 +172,7 @@ mod tests {
         let mut cross_reads = 0usize;
         for (p, stream) in w.streams.iter().enumerate() {
             for item in stream {
-                if let dresar_types::StreamItem::Ref(r) = item {
+                if let dresar_types::ItemView::Ref(r) = item.decode() {
                     if matches!(r.kind, dresar_types::RefKind::Read) && !own(p, r.addr) {
                         cross_reads += 1;
                     }

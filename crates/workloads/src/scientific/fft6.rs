@@ -281,7 +281,7 @@ mod tests {
         let mut cross = 0usize;
         for (p, stream) in w.streams.iter().enumerate() {
             for item in stream {
-                if let dresar_types::StreamItem::Ref(r) = item {
+                if let dresar_types::ItemView::Ref(r) = item.decode() {
                     if matches!(r.kind, dresar_types::RefKind::Read)
                         && r.addr >= BASE_A
                         && r.addr < SYNC

@@ -114,10 +114,7 @@ mod tests {
         // 5 sync barriers of (2 per proc + 1 flag write + P-1 flag reads).
         let barrier_refs = 5 * (2 * 4 + 1 + 3);
         assert_eq!(w.total_refs(), 32 * 32 + 2 * 32 * 32 * 6 + barrier_refs);
-        let barriers = w.streams[0]
-            .iter()
-            .filter(|i| matches!(i, dresar_types::StreamItem::Barrier(_)))
-            .count();
+        let barriers = w.streams[0].iter().filter(|i| i.is_barrier()).count();
         assert_eq!(barriers, 1 + 2 * 2);
     }
 
@@ -133,7 +130,7 @@ mod tests {
         let mut cross = 0;
         for (p, s) in w.streams.iter().enumerate() {
             for item in s {
-                if let dresar_types::StreamItem::Ref(r) = item {
+                if let dresar_types::ItemView::Ref(r) = item.decode() {
                     if matches!(r.kind, dresar_types::RefKind::Read) {
                         let row = (r.addr - BASE) / ELEM / n2;
                         if (1..=32).contains(&row) && !owns(p, row) {

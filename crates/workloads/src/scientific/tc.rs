@@ -126,10 +126,7 @@ mod tests {
     fn stream_is_valid_and_barriered_per_k() {
         let (w, _) = tc_with_result(4, 16);
         assert!(w.validate().is_ok());
-        let barriers = w.streams[0]
-            .iter()
-            .filter(|i| matches!(i, dresar_types::StreamItem::Barrier(_)))
-            .count();
+        let barriers = w.streams[0].iter().filter(|i| i.is_barrier()).count();
         assert_eq!(barriers, 1 + 16);
     }
 
@@ -141,7 +138,7 @@ mod tests {
         let mut foreign_pivot_reads = 0usize;
         for (p, s) in w.streams.iter().enumerate() {
             for item in s {
-                if let dresar_types::StreamItem::Ref(r) = item {
+                if let dresar_types::ItemView::Ref(r) = item.decode() {
                     if matches!(r.kind, dresar_types::RefKind::Read) {
                         let idx = (r.addr - BASE) as usize;
                         let row = idx / n;

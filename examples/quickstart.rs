@@ -16,10 +16,10 @@ fn main() {
     let mut streams = vec![blocks
         .iter()
         .map(|&b| StreamItem::write(b, 4))
-        .chain([StreamItem::Barrier(0)])
+        .chain([StreamItem::barrier(0)])
         .collect::<Vec<_>>()];
     for c in 1..16usize {
-        let mine: Vec<StreamItem> = [StreamItem::Barrier(0)]
+        let mine: Vec<StreamItem> = [StreamItem::barrier(0)]
             .into_iter()
             .chain(blocks.iter().skip(c % 4).step_by(4).map(|&b| StreamItem::read(b, 4)))
             .collect();

@@ -42,7 +42,7 @@ fn random_workload(seed: u64, procs: usize, refs_per_proc: usize, blocks: u64) -
                     s.push(StreamItem::read(addr, work));
                 }
             }
-            s.push(StreamItem::Barrier(phase));
+            s.push(StreamItem::barrier(phase));
         }
     }
     Workload { name: format!("chaos-{seed}"), streams }
@@ -54,18 +54,18 @@ fn random_workload(seed: u64, procs: usize, refs_per_proc: usize, blocks: u64) -
 fn ordered_workload(blocks: u64) -> Workload {
     let producer: Vec<StreamItem> = (0..blocks)
         .map(|b| StreamItem::write(b * 32, 1))
-        .chain([StreamItem::Barrier(0)])
+        .chain([StreamItem::barrier(0)])
         .chain((0..blocks).map(|b| StreamItem::read(b * 32, 1)))
-        .chain([StreamItem::Barrier(1)])
+        .chain([StreamItem::barrier(1)])
         .collect();
-    let consumer: Vec<StreamItem> = [StreamItem::Barrier(0)]
+    let consumer: Vec<StreamItem> = [StreamItem::barrier(0)]
         .into_iter()
         .chain((0..blocks).map(|b| StreamItem::read(b * 32, 1)))
-        .chain([StreamItem::Barrier(1)])
+        .chain([StreamItem::barrier(1)])
         .chain((0..blocks / 2).map(|b| StreamItem::write(b * 64, 1)))
         .collect();
     let mut streams = vec![producer, consumer];
-    streams.extend((2..16).map(|_| vec![StreamItem::Barrier(0), StreamItem::Barrier(1)]));
+    streams.extend((2..16).map(|_| vec![StreamItem::barrier(0), StreamItem::barrier(1)]));
     Workload { name: "chaos-ordered".into(), streams }
 }
 

@@ -23,7 +23,7 @@ fn random_workload(seed: u64, procs: usize, refs_per_proc: usize, blocks: u64) -
                     s.push(StreamItem::read(addr, work));
                 }
             }
-            s.push(StreamItem::Barrier(phase));
+            s.push(StreamItem::barrier(phase));
         }
     }
     Workload { name: format!("random-{seed}"), streams }
