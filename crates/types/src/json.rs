@@ -140,7 +140,7 @@ impl JsonValue {
 
     /// Parses a JSON document.
     pub fn parse(text: &str) -> Result<JsonValue, JsonError> {
-        let mut p = Parser { bytes: text.as_bytes(), pos: 0 };
+        let mut p = Parser { bytes: text.as_bytes(), pos: 0, depth: 0 };
         p.skip_ws();
         let v = p.value()?;
         p.skip_ws();
@@ -312,9 +312,16 @@ impl fmt::Display for JsonError {
 
 impl std::error::Error for JsonError {}
 
+/// The deepest array/object nesting [`JsonValue::parse`] accepts. The
+/// parser recurses once per level, so an unbounded depth would let a small
+/// document overflow the stack; the workspace writes at most 7 levels.
+const MAX_DEPTH: usize = 128;
+
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects open at `pos`.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -356,8 +363,18 @@ impl Parser<'_> {
             Some(b't') => self.eat_word("true", JsonValue::Bool(true)),
             Some(b'f') => self.eat_word("false", JsonValue::Bool(false)),
             Some(b'"') => Ok(JsonValue::Str(self.string()?)),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(b'[') | Some(b'{') => {
+                if self.depth == MAX_DEPTH {
+                    return Err(JsonError::at(
+                        format!("nesting deeper than {MAX_DEPTH} levels"),
+                        self.pos,
+                    ));
+                }
+                self.depth += 1;
+                let v = if self.peek() == Some(b'[') { self.array() } else { self.object() };
+                self.depth -= 1;
+                v
+            }
             Some(b) if b == b'-' || b.is_ascii_digit() => self.number(),
             _ => Err(JsonError::at("expected a JSON value", self.pos)),
         }
@@ -439,6 +456,7 @@ impl Parser<'_> {
                             let hex = self
                                 .bytes
                                 .get(self.pos + 1..self.pos + 5)
+                                .filter(|h| h.iter().all(u8::is_ascii_hexdigit))
                                 .and_then(|h| std::str::from_utf8(h).ok())
                                 .and_then(|h| u32::from_str_radix(h, 16).ok())
                                 .ok_or_else(|| JsonError::at("bad \\u escape", self.pos))?;
@@ -450,6 +468,9 @@ impl Parser<'_> {
                         _ => return Err(JsonError::at("bad escape", self.pos)),
                     }
                     self.pos += 1;
+                }
+                Some(b) if b < 0x20 => {
+                    return Err(JsonError::at("control character in string", self.pos))
                 }
                 Some(_) => {
                     // Consume one UTF-8 scalar (input came from &str, so it
@@ -464,18 +485,32 @@ impl Parser<'_> {
         }
     }
 
-    fn number(&mut self) -> Result<JsonValue, JsonError> {
+    /// Skips a run of ASCII digits; returns how many there were.
+    fn digits(&mut self) -> usize {
         let start = self.pos;
-        if self.peek() == Some(b'-') {
-            self.pos += 1;
-        }
         while matches!(self.peek(), Some(b) if b.is_ascii_digit()) {
             self.pos += 1;
         }
+        self.pos - start
+    }
+
+    /// `-? (0 | [1-9][0-9]*) (. [0-9]+)? ([eE] [+-]? [0-9]+)?`, as RFC 8259
+    /// writes it: no leading zeros, and digits on both sides of a `.`.
+    fn number(&mut self) -> Result<JsonValue, JsonError> {
+        let start = self.pos;
+        let bad = || JsonError::at("bad number", start);
+        if self.peek() == Some(b'-') {
+            self.pos += 1;
+        }
+        let int_start = self.pos;
+        let int_digits = self.digits();
+        if int_digits == 0 || (int_digits > 1 && self.bytes[int_start] == b'0') {
+            return Err(bad());
+        }
         if self.peek() == Some(b'.') {
             self.pos += 1;
-            while matches!(self.peek(), Some(b) if b.is_ascii_digit()) {
-                self.pos += 1;
+            if self.digits() == 0 {
+                return Err(bad());
             }
         }
         if matches!(self.peek(), Some(b'e') | Some(b'E')) {
@@ -483,12 +518,12 @@ impl Parser<'_> {
             if matches!(self.peek(), Some(b'+') | Some(b'-')) {
                 self.pos += 1;
             }
-            while matches!(self.peek(), Some(b) if b.is_ascii_digit()) {
-                self.pos += 1;
+            if self.digits() == 0 {
+                return Err(bad());
             }
         }
         let text = std::str::from_utf8(&self.bytes[start..self.pos]).unwrap();
-        text.parse::<f64>().map(JsonValue::Num).map_err(|_| JsonError::at("bad number", start))
+        text.parse::<f64>().map(JsonValue::Num).map_err(|_| bad())
     }
 }
 
@@ -539,6 +574,28 @@ mod tests {
         assert!(JsonValue::parse("[1,]").is_err());
         assert!(JsonValue::parse("12 34").is_err());
         assert!(JsonValue::parse("\"open").is_err());
+        // A sign inside a \u escape, leading zeros, a bare `.`, an empty
+        // exponent and raw control characters inside a string.
+        for text in
+            ["\"\\u+041\"", "01", "-01", "1.", "-", "1e", "1e+", "\"a\nb\"", "\"\t\"", "\"\u{1}\""]
+        {
+            assert!(JsonValue::parse(text).is_err(), "accepted {text:?}");
+        }
+        for text in ["0", "-0", "10", "0.5", "1e5", "1E-2", "\"\\u0041\""] {
+            assert!(JsonValue::parse(text).is_ok(), "rejected {text:?}");
+        }
+    }
+
+    #[test]
+    fn parse_bounds_nesting_depth() {
+        let nested = |n: usize| format!("{}{}", "[".repeat(n), "]".repeat(n));
+        assert!(JsonValue::parse(&nested(MAX_DEPTH)).is_ok());
+        let err = JsonValue::parse(&nested(MAX_DEPTH + 1)).unwrap_err();
+        assert!(err.msg.contains("nesting"), "{err}");
+        // Deep enough to overflow a thread's stack without the bound.
+        assert!(JsonValue::parse(&nested(10_000)).is_err());
+        let objects = format!("{}1{}", "{\"k\":".repeat(MAX_DEPTH + 1), "}".repeat(MAX_DEPTH + 1));
+        assert!(JsonValue::parse(&objects).is_err());
     }
 
     #[test]
