@@ -68,6 +68,33 @@ fn bench_snoop() {
     }
 }
 
+/// Snoops read hits round-robin across 256 full directories of 2048
+/// entries, sor256's machine: the arrays do not fit in the host's caches, so
+/// the bytes an entry takes show up in the time a snoop takes.
+fn bench_machine_scale() {
+    const SWITCHES: u64 = 256;
+    const ENTRIES: u64 = 2048;
+    let cfg = SwitchDirConfig { entries: ENTRIES as u32, ..SwitchDirConfig::paper_default() };
+    let mut sds: Vec<SwitchDirectory> = (0..SWITCHES).map(|_| SwitchDirectory::new(cfg)).collect();
+    for sd in &mut sds {
+        for blk in 0..ENTRIES {
+            snoop(sd, &mut msg(MsgType::WriteReply, blk, 1));
+        }
+    }
+    let mut i = 0u64;
+    bench(&format!("switchdir_snoop/read_hit_{SWITCHES}x{ENTRIES}"), || {
+        let sd = &mut sds[(i % SWITCHES) as usize];
+        // A Fibonacci-hashed block per visit scatters the sets touched.
+        let blk = (i / SWITCHES).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 53;
+        i += 1;
+        let act = snoop(sd, &mut msg(MsgType::ReadRequest, blk, 2));
+        // Clean up the transient so the hit repeats.
+        snoop(sd, &mut msg(MsgType::CopyBack, blk, 1));
+        snoop(sd, &mut msg(MsgType::WriteReply, blk, 1));
+        black_box(act);
+    });
+}
+
 fn bench_port_scheduler() {
     use MsgType::*;
     let batch8 = [
@@ -88,5 +115,6 @@ fn bench_port_scheduler() {
 
 fn main() {
     bench_snoop();
+    bench_machine_scale();
     bench_port_scheduler();
 }

@@ -1,8 +1,17 @@
 //! A set-associative cache array with coherence line states and true-LRU
 //! replacement.
+//!
+//! A way is 16 bytes: the tag, a 32-bit LRU stamp and the line state
+//! (`None` = INVALID), so a 4-way set fills one 64-byte host cache line.
+//! The stamps come from the LRU clock shared with the switch directories
+//! ([`dresar_types::lru`]), which rank-compresses them rather than wrap.
 
 use dresar_types::config::CacheGeometry;
+use dresar_types::lru::next_stamp;
 use dresar_types::BlockAddr;
+
+#[cfg(test)]
+mod reference;
 
 /// Coherence state of a cached line. Absence from the array is the implicit
 /// INVALID state. The paper's protocol (§3.2) uses only S/M; the EXCLUSIVE
@@ -33,14 +42,19 @@ impl LineState {
 #[derive(Debug, Clone, Copy)]
 struct Way {
     tag: u64,
-    state: LineState,
     /// LRU stamp: larger = more recently used.
-    lru: u64,
-    valid: bool,
+    lru: u32,
+    /// `None` = INVALID.
+    state: Option<LineState>,
 }
 
 impl Way {
-    const EMPTY: Way = Way { tag: 0, state: LineState::Shared, lru: 0, valid: false };
+    const EMPTY: Way = Way { tag: 0, lru: 0, state: None };
+
+    #[inline]
+    fn holds(&self, tag: u64) -> bool {
+        self.state.is_some() && self.tag == tag
+    }
 }
 
 /// A single set-associative cache array.
@@ -53,7 +67,7 @@ pub struct SetAssocCache {
     set_mask: u64,
     set_shift: u32,
     data: Vec<Way>,
-    stamp: u64,
+    stamp: u32,
 }
 
 impl SetAssocCache {
@@ -83,6 +97,13 @@ impl SetAssocCache {
         block.0 >> self.set_shift
     }
 
+    /// The next LRU stamp (see [`next_stamp`] for the wrap).
+    fn tick(&mut self) -> u32 {
+        next_stamp(&mut self.stamp, || {
+            self.data.iter_mut().filter(|w| w.state.is_some()).map(|w| &mut w.lru)
+        })
+    }
+
     fn set_slice(&self, set: usize) -> &[Way] {
         let base = set * self.ways as usize;
         &self.data[base..base + self.ways as usize]
@@ -96,16 +117,15 @@ impl SetAssocCache {
     /// Looks up a block without touching LRU state.
     pub fn probe(&self, block: BlockAddr) -> Option<LineState> {
         let tag = self.tag_of(block);
-        self.set_slice(self.set_of(block)).iter().find(|w| w.valid && w.tag == tag).map(|w| w.state)
+        self.set_slice(self.set_of(block)).iter().find(|w| w.holds(tag)).and_then(|w| w.state)
     }
 
     /// Looks up a block and, on a hit, refreshes its LRU stamp.
     pub fn access(&mut self, block: BlockAddr) -> Option<LineState> {
         let tag = self.tag_of(block);
         let set = self.set_of(block);
-        self.stamp += 1;
-        let stamp = self.stamp;
-        self.set_slice_mut(set).iter_mut().find(|w| w.valid && w.tag == tag).map(|w| {
+        let stamp = self.tick();
+        self.set_slice_mut(set).iter_mut().find(|w| w.holds(tag)).and_then(|w| {
             w.lru = stamp;
             w.state
         })
@@ -115,8 +135,8 @@ impl SetAssocCache {
     pub fn set_state(&mut self, block: BlockAddr, state: LineState) -> bool {
         let tag = self.tag_of(block);
         let set = self.set_of(block);
-        if let Some(w) = self.set_slice_mut(set).iter_mut().find(|w| w.valid && w.tag == tag) {
-            w.state = state;
+        if let Some(w) = self.set_slice_mut(set).iter_mut().find(|w| w.holds(tag)) {
+            w.state = Some(state);
             true
         } else {
             false
@@ -127,12 +147,7 @@ impl SetAssocCache {
     pub fn invalidate(&mut self, block: BlockAddr) -> Option<LineState> {
         let tag = self.tag_of(block);
         let set = self.set_of(block);
-        if let Some(w) = self.set_slice_mut(set).iter_mut().find(|w| w.valid && w.tag == tag) {
-            w.valid = false;
-            Some(w.state)
-        } else {
-            None
-        }
+        self.set_slice_mut(set).iter_mut().find(|w| w.holds(tag)).and_then(|w| w.state.take())
     }
 
     /// Inserts a block with `state`, evicting the LRU way of a full set.
@@ -142,17 +157,16 @@ impl SetAssocCache {
         let tag = self.tag_of(block);
         let set = self.set_of(block);
         let set_shift = self.set_shift;
-        self.stamp += 1;
-        let stamp = self.stamp;
+        let stamp = self.tick();
         let slice = self.set_slice_mut(set);
 
-        if let Some(w) = slice.iter_mut().find(|w| w.valid && w.tag == tag) {
-            w.state = state;
+        if let Some(w) = slice.iter_mut().find(|w| w.holds(tag)) {
+            w.state = Some(state);
             w.lru = stamp;
             return None;
         }
         // Prefer an invalid way; otherwise evict the smallest-stamp way.
-        let victim_idx = match slice.iter().position(|w| !w.valid) {
+        let victim_idx = match slice.iter().position(|w| w.state.is_none()) {
             Some(i) => i,
             None => slice
                 .iter()
@@ -162,18 +176,13 @@ impl SetAssocCache {
                 .expect("associativity >= 1"),
         };
         let victim = slice[victim_idx];
-        slice[victim_idx] = Way { tag, state, lru: stamp, valid: true };
-        if victim.valid {
-            let victim_block = BlockAddr((victim.tag << set_shift) | set as u64);
-            Some((victim_block, victim.state))
-        } else {
-            None
-        }
+        slice[victim_idx] = Way { tag, lru: stamp, state: Some(state) };
+        victim.state.map(|v| (BlockAddr((victim.tag << set_shift) | set as u64), v))
     }
 
     /// Number of valid lines (diagnostic).
     pub fn occupancy(&self) -> usize {
-        self.data.iter().filter(|w| w.valid).count()
+        self.data.iter().filter(|w| w.state.is_some()).count()
     }
 
     /// Iterates all resident blocks (diagnostic; ordered by set then way).
@@ -182,14 +191,14 @@ impl SetAssocCache {
         (0..sets).flat_map(move |set| {
             self.set_slice(set as usize)
                 .iter()
-                .filter(|w| w.valid)
-                .map(move |w| (BlockAddr((w.tag << self.set_shift) | set), w.state))
+                .filter_map(move |w| Some((BlockAddr((w.tag << self.set_shift) | set), w.state?)))
         })
     }
 }
 
 #[cfg(test)]
 mod tests {
+    use super::reference::RefCache;
     use super::*;
     use dresar_types::config::CacheGeometry;
     use dresar_types::rng::SmallRng;
@@ -317,5 +326,72 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn way_fills_a_quarter_cache_line() {
+        assert_eq!(std::mem::size_of::<Way>(), 16);
+    }
+
+    const STATES: [LineState; 4] =
+        [LineState::Shared, LineState::Exclusive, LineState::Owned, LineState::Modified];
+
+    /// Runs `steps` seeded random operations on a cache whose clock starts
+    /// at `clock` and on the reference model, comparing every return value
+    /// (insert victims included) and `resident_blocks()` in order after
+    /// each step.
+    fn differential(ways: u32, seed: u64, steps: usize, clock: u32) {
+        let geom = CacheGeometry { size_bytes: 512, line_bytes: 32, ways, access_cycles: 1 };
+        let mut rng = SmallRng::seed_from_u64(seed);
+        let mut c = SetAssocCache::new(geom);
+        c.stamp = clock;
+        let mut r = RefCache::new(geom);
+        let universe = 4 * 16u64;
+        for step in 0..steps {
+            let block = BlockAddr(rng.gen_range(0..universe));
+            let state = STATES[rng.gen_range(0usize..4)];
+            let ctx = format!("ways {ways} seed {seed} step {step}");
+            match rng.gen_range(0u8..10) {
+                0..=3 => assert_eq!(c.insert(block, state), r.insert(block, state), "{ctx}"),
+                4..=6 => assert_eq!(c.access(block), r.access(block), "{ctx}"),
+                7 => assert_eq!(c.set_state(block, state), r.set_state(block, state), "{ctx}"),
+                _ => assert_eq!(c.invalidate(block), r.invalidate(block), "{ctx}"),
+            }
+            assert_eq!(c.probe(block), r.probe(block), "{ctx}");
+            assert_eq!(c.occupancy(), r.occupancy(), "{ctx}");
+            assert!(c.resident_blocks().eq(r.resident_blocks()), "{ctx}");
+        }
+    }
+
+    /// The 16-byte way with a 32-bit stamp behaves exactly like the
+    /// earlier layout with a `valid` flag and a 64-bit stamp.
+    #[test]
+    fn matches_reference_model() {
+        for ways in [1u32, 2, 4, 16] {
+            for seed in 0..32u64 {
+                differential(ways, seed, 400, 0);
+            }
+        }
+    }
+
+    /// A clock about to wrap rank-compresses the live stamps and keeps
+    /// every victim of the reference's 64-bit clock.
+    #[test]
+    fn clock_wrap_keeps_reference_victims() {
+        for ways in [1u32, 2, 4, 16] {
+            for seed in 0..16u64 {
+                differential(ways, seed, 400, u32::MAX - 60);
+            }
+        }
+        let mut c = small();
+        c.stamp = u32::MAX - 1;
+        for blk in [0u64, 4, 0] {
+            c.insert(BlockAddr(blk), LineState::Shared);
+        }
+        assert!(c.stamp < 8, "the clock restarted low, at {}", c.stamp);
+        assert_eq!(
+            c.insert(BlockAddr(8), LineState::Shared),
+            Some((BlockAddr(4), LineState::Shared))
+        );
     }
 }

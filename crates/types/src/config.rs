@@ -138,6 +138,10 @@ pub enum TransientReadPolicy {
 }
 
 impl SwitchDirConfig {
+    /// The largest pending buffer: a way names its pending-table slot with
+    /// a 16-bit index.
+    pub const MAX_PENDING_BUFFER_ENTRIES: u32 = 1 << 16;
+
     /// The paper's default operating point: 1024 entries, 4-way.
     pub fn paper_default() -> Self {
         SwitchDirConfig {
@@ -170,6 +174,13 @@ impl SwitchDirConfig {
         }
         if self.lookup_ports == 0 {
             return Err("need at least one lookup port".into());
+        }
+        if self.pending_buffer_entries > Self::MAX_PENDING_BUFFER_ENTRIES {
+            return Err(format!(
+                "pending buffer of {} entries exceeds the {} a 16-bit slot index can address",
+                self.pending_buffer_entries,
+                Self::MAX_PENDING_BUFFER_ENTRIES
+            ));
         }
         Ok(())
     }
@@ -512,5 +523,15 @@ mod tests {
         assert!(sd.validate().is_err());
         sd.entries = 0;
         assert!(sd.validate().is_err());
+    }
+
+    #[test]
+    fn switch_dir_pending_buffer_fits_its_slot_index() {
+        let mut sd = SwitchDirConfig::paper_default();
+        sd.pending_buffer_entries = 65_536;
+        sd.validate().expect("65,536 slots are indexable by a u16");
+        sd.pending_buffer_entries = 65_537;
+        let err = sd.validate().unwrap_err();
+        assert!(err.contains("pending buffer of 65537 entries"), "{err}");
     }
 }

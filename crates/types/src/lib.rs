@@ -24,6 +24,8 @@
 //!   [`ToJson`]/[`FromJson`] traits behind the `--json` telemetry surface.
 //! * [`protocol`] — the coherence-protocol family identifier
 //!   (MSI/MESI/MOESI + the directoryless baseline).
+//! * [`lru`] — the 32-bit LRU clock of the set-associative arrays, with
+//!   order-preserving rank compression when it would wrap.
 //! * [`rng`] — the small seeded deterministic RNG the workload generators
 //!   and randomized tests draw from.
 //! * [`runspec`] — the canonical run-request struct ([`RunSpec`]) and its
@@ -35,6 +37,7 @@ pub mod addr;
 pub mod config;
 pub mod fasthash;
 pub mod json;
+pub mod lru;
 pub mod msg;
 pub mod protocol;
 pub mod refstream;
