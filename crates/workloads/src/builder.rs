@@ -31,6 +31,13 @@ impl StreamRecorder {
         self.streams.len()
     }
 
+    /// Reserves room for exactly `len` more items in processor `p`'s
+    /// stream, for a kernel that knows its stream lengths up front: the
+    /// stream then never regrows while recording.
+    pub fn reserve_exact(&mut self, p: usize, len: usize) {
+        self.streams[p].reserve_exact(len);
+    }
+
     /// Records a load by processor `p` at simulated address `addr`.
     #[inline]
     pub fn read(&mut self, p: usize, addr: Addr) {

@@ -23,6 +23,15 @@ fn addr(n2: usize, i: usize, j: usize) -> Addr {
     BASE + ((i * n2 + j) as u64) * ELEM
 }
 
+/// The exact number of items processor `p` records: one write per owned
+/// cell to initialize, five reads and a write per owned cell in each
+/// iteration, and four items for each of the `1 + 2·iters` sync barriers
+/// (the counter's read and write, the barrier, the flag's write or read).
+fn stream_len(processors: usize, n: usize, iters: usize, p: usize) -> usize {
+    let (rs, re) = partition(n, processors, p);
+    (re - rs) * n * (1 + 6 * iters) + 4 * (1 + 2 * iters)
+}
+
 /// Runs red-black SOR for `iters` full sweeps on an `n x n` interior grid
 /// (with a fixed boundary ring), returning the workload and the final grid
 /// (including boundary) for verification.
@@ -30,6 +39,9 @@ pub fn sor_with_result(processors: usize, n: usize, iters: usize) -> (Workload, 
     assert!(n >= 2 && processors >= 1);
     let n2 = n + 2;
     let mut rec = StreamRecorder::new(processors, 6);
+    for p in 0..processors {
+        rec.reserve_exact(p, stream_len(processors, n, iters, p));
+    }
 
     // Deterministic boundary/initial condition: hot left edge.
     let mut g = vec![0.0f64; n2 * n2];
@@ -116,6 +128,17 @@ mod tests {
         assert_eq!(w.total_refs(), 32 * 32 + 2 * 32 * 32 * 6 + barrier_refs);
         let barriers = w.streams[0].iter().filter(|i| i.is_barrier()).count();
         assert_eq!(barriers, 1 + 2 * 2);
+    }
+
+    #[test]
+    fn reserved_lengths_are_exact() {
+        // Even and uneven partitions, and more processors than rows.
+        for (procs, n, iters) in [(1, 8, 1), (4, 32, 2), (3, 10, 3), (7, 30, 2), (16, 12, 1)] {
+            let w = sor(procs, n, iters);
+            for (p, s) in w.streams.iter().enumerate() {
+                assert_eq!(s.len(), stream_len(procs, n, iters, p), "{procs} {n} {iters} p{p}");
+            }
+        }
     }
 
     #[test]
