@@ -221,14 +221,11 @@ impl SdArray {
     /// first waiter. Returns `false` if the pending table is full (the
     /// caller then forwards the read to the home instead).
     pub fn make_transient(&mut self, block: BlockAddr, requester: NodeId) -> bool {
-        if self.free.is_empty() {
-            return false;
-        }
         let Some(i) = self.find(block) else { return false };
         if self.data[i].state == Some(SdState::Transient) {
             return false; // already tracking a transfer for this block
         }
-        let slot = self.free.pop().expect("checked above");
+        let Some(slot) = self.free.pop() else { return false };
         self.pending[slot as usize] =
             Pending { first_requester: requester, sharers: SharerSet::singleton(requester) };
         let stamp = self.tick();
