@@ -25,7 +25,7 @@ pub use report::ExecutionReport;
 
 use crate::switchdir::{GenMsg, SnoopAction, SwitchDirectory};
 use dresar_cache::{AccessOutcome, CacheHierarchy, LineState};
-use dresar_directory::{Completion, DirAction, HomeDirectory, QueuedReq, ReqKind};
+use dresar_directory::{DirAction, HomeDirectory, Request};
 use dresar_engine::{BankedResource, EventQueue, Resource};
 use dresar_faults::{
     FaultPlan, FaultSession, LaunchVerdict, SimError, StuckMsg, Watchdog, WatchdogConfig,
@@ -34,8 +34,8 @@ use dresar_faults::{
 use dresar_interconnect::routes::{self, Route};
 use dresar_interconnect::{Bmin, HopNetwork, SwitchId};
 use dresar_obs::{
-    HomeReq, HomeTransition, MachineShape, NullProbe, ObserverConfig, ObserverSet, Probe,
-    ServicePoint, SwitchLoc,
+    HomeTransition, MachineShape, NullProbe, ObserverConfig, ObserverSet, Probe, ServicePoint,
+    SwitchLoc,
 };
 use dresar_stats::ReadClass;
 use dresar_types::addr::AddressMap;
@@ -187,9 +187,7 @@ impl<'w> System<'w> {
             bmin,
             net: HopNetwork::new(cfg.switch, cfg.nodes),
             nodes,
-            homes: (0..cfg.nodes)
-                .map(|_| HomeDirectory::with_protocol(8, cfg.nodes, cfg.protocol))
-                .collect(),
+            homes: (0..cfg.nodes).map(|_| HomeDirectory::new(8, cfg.nodes, cfg.protocol)).collect(),
             home_ctrl: vec![Resource::new(); cfg.nodes],
             dram: (0..cfg.nodes)
                 .map(|_| BankedResource::new(cfg.memory.interleave as usize))
@@ -1012,101 +1010,79 @@ impl<'w> System<'w> {
     }
 
     fn on_home_exec<P: Probe>(&mut self, h: NodeId, msg: Message, t: Cycle, probe: &mut P) {
-        let block = msg.block;
-        match msg.kind {
-            MsgType::ReadRequest => {
-                let act = self.home_step(h, block, HomeReq::Read, t, probe, |d| {
-                    d.handle_read(block, msg.requester)
-                });
-                self.apply_dir_action(h, block, act, t, probe);
-            }
-            MsgType::WriteRequest => {
-                let act = self.home_step(h, block, HomeReq::Write, t, probe, |d| {
-                    d.handle_write(block, msg.requester)
-                });
-                self.apply_dir_action(h, block, act, t, probe);
-            }
-            MsgType::CopyBack => {
-                let sender = match msg.src {
-                    Endpoint::Proc(p) => p,
-                    _ => unreachable!("copybacks originate at caches"),
-                };
-                // A copyback whose `owner` field is set announces that the
-                // supplier retained the line OWNED (MOESI dirty sharing).
-                let retained = msg.owner.is_some();
-                let c = self.home_step(h, block, HomeReq::CopyBack, t, probe, |d| {
-                    d.handle_copyback(block, sender, msg.carried_sharers, retained)
-                });
-                self.apply_completion(h, block, c, t, probe);
-            }
+        let sender = || match msg.src {
+            Endpoint::Proc(p) => p,
+            _ => unreachable!("completions originate at caches"),
+        };
+        let req = match msg.kind {
+            MsgType::ReadRequest => Request::Read { requester: msg.requester },
+            MsgType::WriteRequest => Request::Write { requester: msg.requester },
+            MsgType::InvalAck => Request::InvalAck,
+            // A copyback whose `owner` field is set announces that the
+            // supplier retained the line OWNED (MOESI dirty sharing).
+            MsgType::CopyBack => Request::CopyBack {
+                from: sender(),
+                carried: msg.carried_sharers,
+                retained: msg.owner.is_some(),
+            },
             MsgType::WriteBack => {
-                let sender = match msg.src {
-                    Endpoint::Proc(p) => p,
-                    _ => unreachable!("writebacks originate at caches"),
-                };
-                let c = self.home_step(h, block, HomeReq::WriteBack, t, probe, |d| {
-                    d.handle_writeback(block, sender, msg.carried_sharers)
-                });
-                self.apply_completion(h, block, c, t, probe);
-            }
-            MsgType::InvalAck => {
-                let c = self.home_step(h, block, HomeReq::InvalAck, t, probe, |d| {
-                    d.handle_inval_ack(block)
-                });
-                self.apply_completion(h, block, c, t, probe);
+                Request::WriteBack { from: sender(), carried: msg.carried_sharers }
             }
             other => unreachable!("home received unexpected {other:?}"),
-        }
+        };
+        self.home_step(h, msg.block, req, t, probe);
     }
 
-    /// Runs one home-directory handler at home `h` and reports the FSM
-    /// transition it made: snapshot the block, run `handler`, snapshot
-    /// again, then emit `home_fsm`.
-    fn home_step<P: Probe, R: HomeOutcome>(
+    /// Hands one request to home `h`'s directory, reports the FSM
+    /// transition it made, performs its action and then handles each
+    /// request it unblocked, in queue order, the same way.
+    fn home_step<P: Probe>(
         &mut self,
         h: NodeId,
         block: BlockAddr,
-        req: HomeReq,
+        req: Request,
         t: Cycle,
         probe: &mut P,
-        handler: impl FnOnce(&mut HomeDirectory) -> R,
-    ) -> R {
+    ) {
         let dir = &mut self.homes[h as usize];
         let (from, from_busy) = dir.fsm_state(block);
-        let out = handler(dir);
+        let out = dir.handle(block, req);
         let (to, to_busy) = dir.fsm_state(block);
-        let (nak, queued) = out.nak_queued();
+        let nak = matches!(out.action, Some(DirAction::Nak { .. }));
+        let queued = matches!(out.action, Some(DirAction::Queued));
         probe.home_fsm(
             t,
             h,
             block,
-            HomeTransition { req, from, from_busy, to, to_busy, nak, queued },
+            HomeTransition { req: req.kind(), from, from_busy, to, to_busy, nak, queued },
         );
-        out
+        if let Some(act) = out.action {
+            self.apply_dir_action(h, block, act, t, probe);
+        }
+        for req in out.replay {
+            self.home_step(h, block, req, t, probe);
+        }
     }
 
-    fn apply_completion<P: Probe>(
+    /// A message from memory `h` to processor `to` about `block`.
+    fn mem_msg(
         &mut self,
+        kind: MsgType,
         h: NodeId,
         block: BlockAddr,
-        c: Completion,
+        to: NodeId,
+        requester: NodeId,
         t: Cycle,
-        probe: &mut P,
-    ) {
-        for act in c.actions {
-            self.apply_dir_action(h, block, act, t, probe);
-        }
-        for QueuedReq { block, requester, kind } in c.replay {
-            let act = match kind {
-                ReqKind::Read => self.home_step(h, block, HomeReq::Read, t, probe, |d| {
-                    d.handle_read(block, requester)
-                }),
-                ReqKind::Write => self.home_step(h, block, HomeReq::Write, t, probe, |d| {
-                    d.handle_write(block, requester)
-                }),
-            };
-            self.apply_dir_action(h, block, act, t, probe);
-        }
+    ) -> Message {
+        Message::new(
+            self.next_id(),
+            kind,
+            block,
+            Endpoint::Mem(h),
+            Endpoint::Proc(to),
+            requester,
+            t,
+        )
     }
 
     fn apply_dir_action<P: Probe>(
@@ -1117,21 +1093,11 @@ impl<'w> System<'w> {
         t: Cycle,
         probe: &mut P,
     ) {
-        match act {
+        let msg = match act {
             DirAction::ReadReplyClean { to } => {
                 let txn = self.txn_of(to, block);
                 probe.read_service_done(to, block, t, txn);
-                let msg = Message::new(
-                    self.next_id(),
-                    MsgType::ReadReply,
-                    block,
-                    Endpoint::Mem(h),
-                    Endpoint::Proc(to),
-                    to,
-                    t,
-                )
-                .with_txn(txn);
-                self.send_from_mem(msg, t, probe);
+                self.mem_msg(MsgType::ReadReply, h, block, to, to, t).with_txn(txn)
             }
             DirAction::ReadReplyExcl { to, seq } => {
                 // MESI/MOESI unshared fill: a ReadReply whose `owner` field
@@ -1140,85 +1106,45 @@ impl<'w> System<'w> {
                 // carries the booked ownership instance.
                 let txn = self.txn_of(to, block);
                 probe.read_service_done(to, block, t, txn);
-                let msg = Message::new(
-                    self.next_id(),
-                    MsgType::ReadReply,
-                    block,
-                    Endpoint::Mem(h),
-                    Endpoint::Proc(to),
-                    to,
-                    t,
-                )
-                .with_owner(to)
-                .with_owner_seq(seq)
-                .with_txn(txn);
-                self.send_from_mem(msg, t, probe);
+                self.mem_msg(MsgType::ReadReply, h, block, to, to, t)
+                    .with_owner(to)
+                    .with_owner_seq(seq)
+                    .with_txn(txn)
             }
-            DirAction::WriteReplyGrant { to, seq } => {
-                let msg = Message::new(
-                    self.next_id(),
-                    MsgType::WriteReply,
-                    block,
-                    Endpoint::Mem(h),
-                    Endpoint::Proc(to),
-                    to,
-                    t,
-                )
+            DirAction::WriteReplyGrant { to, seq } => self
+                .mem_msg(MsgType::WriteReply, h, block, to, to, t)
                 .with_owner_seq(seq)
-                .with_txn(self.txn_of(to, block));
-                self.send_from_mem(msg, t, probe);
-            }
+                .with_txn(self.txn_of(to, block)),
             DirAction::ForwardCtoC { owner, requester, write_intent, owner_seq } => {
-                let mut msg = Message::new(
-                    self.next_id(),
-                    MsgType::CtoCRequest,
-                    block,
-                    Endpoint::Mem(h),
-                    Endpoint::Proc(owner),
-                    requester,
-                    t,
-                )
-                .with_owner(owner)
-                .with_owner_seq(owner_seq)
-                .with_txn(self.txn_of(requester, block));
+                let msg = self
+                    .mem_msg(MsgType::CtoCRequest, h, block, owner, requester, t)
+                    .with_owner(owner)
+                    .with_owner_seq(owner_seq)
+                    .with_txn(self.txn_of(requester, block));
                 if write_intent {
-                    msg = msg.with_write_intent();
+                    msg.with_write_intent()
+                } else {
+                    msg
                 }
-                self.send_from_mem(msg, t, probe);
             }
             DirAction::Invalidate { targets, writer } => {
                 // Invalidations serve the writer's transaction: they fan
                 // out of it and their acks converge back into it.
                 let txn = self.txn_of(writer, block);
                 for target in targets.iter() {
-                    let msg = Message::new(
-                        self.next_id(),
-                        MsgType::Invalidate,
-                        block,
-                        Endpoint::Mem(h),
-                        Endpoint::Proc(target),
-                        target,
-                        t,
-                    )
-                    .with_txn(txn);
+                    let msg = self
+                        .mem_msg(MsgType::Invalidate, h, block, target, target, t)
+                        .with_txn(txn);
                     self.send_from_mem(msg, t, probe);
                 }
+                return;
             }
             DirAction::Nak { to } => {
-                let msg = Message::new(
-                    self.next_id(),
-                    MsgType::Retry,
-                    block,
-                    Endpoint::Mem(h),
-                    Endpoint::Proc(to),
-                    to,
-                    t,
-                )
-                .with_txn(self.txn_of(to, block));
-                self.send_from_mem(msg, t, probe);
+                self.mem_msg(MsgType::Retry, h, block, to, to, t).with_txn(self.txn_of(to, block))
             }
-            DirAction::Queued => {}
-        }
+            DirAction::Queued => return,
+        };
+        self.send_from_mem(msg, t, probe);
     }
 
     // ------------------------------------------------------------------
@@ -1642,22 +1568,6 @@ fn serves_intervention(protocol: Protocol, state: LineState) -> bool {
     }
 }
 
-/// The `nak`/`queued` flags a home handler's result reports in its
-/// `home_fsm` transition. Completions never NAK or park a request.
-trait HomeOutcome {
-    fn nak_queued(&self) -> (bool, bool) {
-        (false, false)
-    }
-}
-
-impl HomeOutcome for DirAction {
-    fn nak_queued(&self) -> (bool, bool) {
-        (matches!(self, DirAction::Nak { .. }), matches!(self, DirAction::Queued))
-    }
-}
-
-impl HomeOutcome for Completion {}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1910,7 +1820,7 @@ mod tests {
         // — and must not wrap into any sharer vector.
         let w = wl(vec![vec![], vec![], vec![], vec![]]);
         let mut sys = System::new(small_cfg(false), &w);
-        sys.homes[0].handle_read(BlockAddr(0), 200);
+        sys.homes[0].handle(BlockAddr(0), Request::Read { requester: 200 });
         assert_eq!(sys.homes[0].state(BlockAddr(0)), dresar_directory::DirState::Uncached);
         let r = sys.run(RunOptions { max_cycles: 10_000_000, ..Default::default() });
         assert!(

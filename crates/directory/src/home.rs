@@ -9,12 +9,15 @@
 //! * `BusyInval`: invalidations are out and the home is counting acks
 //!   before granting ownership to a writer.
 //!
-//! Requests that hit a busy block are queued (bounded) or NAK'd. Marked
+//! One entry point, [`HomeDirectory::handle`], takes a block and the
+//! [`Request`] that arrived for it and returns one [`Outcome`]: the
+//! action to perform and the parked requests to handle again. Requests
+//! that hit a busy block are queued (bounded) or NAK'd. Marked
 //! copybacks/writebacks from switch directories carry additional sharer
 //! pids that the home folds into the vector at completion time.
 
-use dresar_obs::DirStateKind;
-use dresar_types::{BlockAddr, FastMap, JsonValue, NodeId, Protocol, SharerSet, ToJson, MAX_NODES};
+use dresar_obs::{DirStateKind, HomeReq};
+use dresar_types::{BlockAddr, FastMap, JsonValue, NodeId, Protocol, SharerSet, ToJson};
 use std::collections::VecDeque;
 
 fn kind_of(state: &DirState) -> DirStateKind {
@@ -23,6 +26,15 @@ fn kind_of(state: &DirState) -> DirStateKind {
         DirState::Shared(_) => DirStateKind::Shared,
         DirState::Modified(_) => DirStateKind::Modified,
         DirState::Owned { .. } => DirStateKind::Owned,
+    }
+}
+
+/// `Shared(set)`, or `Uncached` when no copy is left.
+fn shared_or_uncached(set: SharerSet) -> DirState {
+    if set.is_empty() {
+        DirState::Uncached
+    } else {
+        DirState::Shared(set)
     }
 }
 
@@ -49,24 +61,58 @@ pub enum DirState {
     },
 }
 
-/// A queued request kind.
+/// A message arriving at the home directory for one block.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ReqKind {
-    /// Read (load miss).
-    Read,
-    /// Write / ownership request.
-    Write,
+pub enum Request {
+    /// `ReadRequest` (load miss).
+    Read {
+        /// Requesting processor.
+        requester: NodeId,
+    },
+    /// `WriteRequest` (ownership request).
+    Write {
+        /// Requesting processor.
+        requester: NodeId,
+    },
+    /// `InvalAck` for the block's invalidation round.
+    InvalAck,
+    /// `CopyBack` — either solicited (the home forwarded an intervention)
+    /// or unsolicited (a switch directory initiated the cache-to-cache
+    /// transfer and *marked* the copyback with the extra sharer pids in
+    /// `carried`).
+    CopyBack {
+        /// The supplying cache.
+        from: NodeId,
+        /// Sharers a switch directory served on the way.
+        carried: SharerSet,
+        /// MOESI: the supplier kept the block OWNED instead of downgrading
+        /// to Shared; the home books it as the `Owned` owner.
+        retained: bool,
+    },
+    /// `WriteBack` (dirty eviction). A *marked* writeback (non-empty
+    /// `carried`) means a switch directory already answered some
+    /// requesters with its data, so those pids enter the vector.
+    WriteBack {
+        /// The evicting cache.
+        from: NodeId,
+        /// Sharers a switch directory served from the writeback's data.
+        carried: SharerSet,
+    },
 }
 
-/// A request parked in a block's pending queue.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct QueuedReq {
-    /// The block concerned.
-    pub block: BlockAddr,
-    /// Requesting processor.
-    pub requester: NodeId,
-    /// Read or write.
-    pub kind: ReqKind,
+impl Request {
+    /// The request kind a [`HomeTransition`] reports.
+    ///
+    /// [`HomeTransition`]: dresar_obs::HomeTransition
+    pub fn kind(&self) -> HomeReq {
+        match self {
+            Request::Read { .. } => HomeReq::Read,
+            Request::Write { .. } => HomeReq::Write,
+            Request::InvalAck => HomeReq::InvalAck,
+            Request::CopyBack { .. } => HomeReq::CopyBack,
+            Request::WriteBack { .. } => HomeReq::WriteBack,
+        }
+    }
 }
 
 /// What the home directory wants the surrounding simulator to do.
@@ -122,6 +168,17 @@ pub enum DirAction {
     Queued,
 }
 
+/// What handling one [`Request`] asks of the surrounding simulator.
+#[derive(Debug, Default, PartialEq, Eq)]
+pub struct Outcome {
+    /// The action to perform now, if any.
+    pub action: Option<DirAction>,
+    /// Parked requests the completion unblocked, in queue order. The
+    /// caller performs `action` first, then hands each of these to
+    /// [`HomeDirectory::handle`] again.
+    pub replay: VecDeque<Request>,
+}
+
 /// Busy sub-state of an in-flight transaction.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Busy {
@@ -135,13 +192,17 @@ enum Busy {
 struct BlockEntry {
     state: DirState,
     busy: Option<Busy>,
-    pending: VecDeque<QueuedReq>,
+    pending: VecDeque<Request>,
     /// Ownership-instance sequence: bumped on every transition into
     /// `Modified`. Grants and forwarded interventions carry it so owners
     /// can reject interventions for an instance they no longer hold (a
     /// retransmitted intervention can outlive its transaction).
     seq: u64,
 }
+
+/// An action to perform, and whether the block's parked requests run
+/// again after it.
+type Step = (Option<DirAction>, bool);
 
 impl BlockEntry {
     fn stable_uncached() -> Self {
@@ -150,6 +211,244 @@ impl BlockEntry {
 
     fn is_quiescent(&self) -> bool {
         self.state == DirState::Uncached && self.busy.is_none() && self.pending.is_empty()
+    }
+
+    /// Runs one in-range request against this block.
+    fn step(&mut self, req: Request, pending_limit: usize, protocol: Protocol) -> Step {
+        match req {
+            Request::Read { requester } | Request::Write { requester } if self.busy.is_some() => {
+                if self.pending.len() >= pending_limit {
+                    return (Some(DirAction::Nak { to: requester }), false);
+                }
+                self.pending.push_back(req);
+                (Some(DirAction::Queued), false)
+            }
+            Request::Read { requester } => (Some(self.read(requester, protocol)), false),
+            Request::Write { requester } => (Some(self.write(requester)), false),
+            Request::InvalAck => self.inval_ack(),
+            Request::CopyBack { from, carried, retained } => self.copyback(from, carried, retained),
+            Request::WriteBack { from, carried } => self.writeback(from, carried),
+        }
+    }
+
+    /// Books `writer` as the owner of a new ownership instance and
+    /// returns its grant.
+    fn grant(&mut self, writer: NodeId) -> DirAction {
+        self.state = DirState::Modified(writer);
+        self.seq += 1;
+        DirAction::WriteReplyGrant { to: writer, seq: self.seq }
+    }
+
+    /// Grants `writer` ownership, or, while other copies (`targets`)
+    /// remain, starts the invalidation round that must come first.
+    fn grant_or_invalidate(&mut self, writer: NodeId, targets: SharerSet) -> DirAction {
+        if targets.is_empty() {
+            return self.grant(writer);
+        }
+        self.busy = Some(Busy::Inval { writer, acks_left: targets.len() as u32 });
+        DirAction::Invalidate { targets, writer }
+    }
+
+    /// Forwards an intervention to `owner` and waits for its completion.
+    fn intervene(&mut self, owner: NodeId, requester: NodeId, write_intent: bool) -> DirAction {
+        self.busy = Some(Busy::CtoC { owner, requester, write_intent });
+        DirAction::ForwardCtoC { owner, requester, write_intent, owner_seq: self.seq }
+    }
+
+    /// Sharers recorded beside `from` when it owns the block OWNED: they
+    /// keep their copies across its copyback or eviction (memory is fresh
+    /// under MOESI).
+    fn sharers_beside(&self, from: NodeId) -> SharerSet {
+        match self.state {
+            DirState::Owned { owner, sharers } if owner == from => sharers,
+            _ => SharerSet::EMPTY,
+        }
+    }
+
+    fn read(&mut self, requester: NodeId, protocol: Protocol) -> DirAction {
+        match self.state {
+            DirState::Uncached if protocol.exclusive_read_fill() => {
+                // MESI/MOESI unshared fill: grant EXCLUSIVE and book the
+                // reader as owner (it may upgrade silently). Memory serves
+                // the data, so it still counts as a clean read.
+                self.state = DirState::Modified(requester);
+                self.seq += 1;
+                DirAction::ReadReplyExcl { to: requester, seq: self.seq }
+            }
+            DirState::Uncached => {
+                self.state = DirState::Shared(SharerSet::singleton(requester));
+                DirAction::ReadReplyClean { to: requester }
+            }
+            DirState::Shared(mut set) => {
+                set.insert(requester);
+                self.state = DirState::Shared(set);
+                DirAction::ReadReplyClean { to: requester }
+            }
+            DirState::Modified(owner) | DirState::Owned { owner, .. } if owner == requester => {
+                // Writeback race: the directory still names the requester as
+                // owner, so its WriteBack must be in flight. NAK; the retry
+                // will find the block Uncached.
+                DirAction::Nak { to: requester }
+            }
+            DirState::Modified(_) if protocol.home_read_bypass() => {
+                // The directoryless-shared-LLC baseline: serve the read
+                // straight from memory, no intervention, no state change.
+                // The owner is left booked and the new reader untracked —
+                // the documented staleness cost of the bypass.
+                DirAction::ReadReplyClean { to: requester }
+            }
+            // MOESI owner-supplies rule: every read of a dirty-shared block
+            // is served by the owner, cache to cache.
+            DirState::Modified(owner) | DirState::Owned { owner, .. } => {
+                self.intervene(owner, requester, false)
+            }
+        }
+    }
+
+    fn write(&mut self, requester: NodeId) -> DirAction {
+        let mut targets = match self.state {
+            DirState::Modified(owner) if owner == requester => {
+                // Writeback race, as in `read`.
+                return DirAction::Nak { to: requester };
+            }
+            DirState::Modified(owner) => return self.intervene(owner, requester, true),
+            DirState::Uncached => SharerSet::EMPTY,
+            DirState::Shared(set) => set,
+            // MOESI write to a dirty-shared block: memory is fresh (the
+            // retained copyback refreshed it), so this is an invalidation
+            // round over owner + sharers, not an ownership transfer.
+            DirState::Owned { owner, mut sharers } => {
+                sharers.insert(owner);
+                sharers
+            }
+        };
+        // A writer already holding a copy (the owner upgrading, too) needs
+        // no invalidation of its own.
+        targets.remove(requester);
+        self.grant_or_invalidate(requester, targets)
+    }
+
+    /// When the last ack arrives, the waiting writer gets its grant and
+    /// the parked requests replay. The caller has refused acks with no
+    /// round to count.
+    fn inval_ack(&mut self) -> Step {
+        match self.busy {
+            Some(Busy::Inval { writer, acks_left: 1 }) => {
+                self.busy = None;
+                (Some(self.grant(writer)), true)
+            }
+            Some(Busy::Inval { writer, acks_left }) => {
+                self.busy = Some(Busy::Inval { writer, acks_left: acks_left - 1 });
+                (None, false)
+            }
+            _ => unreachable!("HomeDirectory::handle refuses stray acks"),
+        }
+    }
+
+    fn copyback(&mut self, from: NodeId, carried: SharerSet, retained: bool) -> Step {
+        // An O owner re-serving a read must not wipe its sharers.
+        let prior = self.sharers_beside(from);
+        match self.busy {
+            Some(Busy::CtoC { owner, requester, write_intent }) if owner == from => {
+                self.busy = None;
+                if write_intent && carried.is_empty() {
+                    // Ownership transfer completed owner -> requester. The
+                    // bumped seq matches the one `serve_intervention` stamped
+                    // on the CtoCData grant (intervened seq + 1), which
+                    // already carried the grant: no home reply.
+                    self.grant(requester);
+                    return (None, true);
+                }
+                // Read intervention completed (or a switch-initiated read
+                // CtoC completed while we were waiting): memory is fresh;
+                // the owner downgraded to Shared — or, MOESI, kept OWNED.
+                let mut set = SharerSet::singleton(owner).union(carried).union(prior);
+                let mut sharers = carried.union(prior);
+                if write_intent {
+                    // Our waiting transaction was a write but the owner
+                    // serviced a read CtoC first: everyone now sharing must
+                    // be invalidated before the writer gets ownership.
+                    sharers.remove(from);
+                    self.state = if retained {
+                        DirState::Owned { owner: from, sharers }
+                    } else {
+                        DirState::Shared(set)
+                    };
+                    set.remove(requester);
+                    let act = self.grant_or_invalidate(requester, set);
+                    return (Some(act), self.busy.is_none());
+                }
+                self.state = if retained {
+                    sharers.insert(requester);
+                    sharers.remove(from);
+                    DirState::Owned { owner: from, sharers }
+                } else {
+                    set.insert(requester);
+                    DirState::Shared(set)
+                };
+                (Some(DirAction::ReadReplyClean { to: requester }), true)
+            }
+            // Unsolicited: a switch-directory-initiated CtoC. The block
+            // must be recorded with `from` as owner; fold in carried
+            // sharers (and keep the owner OWNED when it retained).
+            _ => match self.state {
+                DirState::Modified(owner) if owner == from => {
+                    self.state = if retained {
+                        DirState::Owned { owner: from, sharers: carried }
+                    } else {
+                        DirState::Shared(SharerSet::singleton(from).union(carried))
+                    };
+                    (None, true)
+                }
+                DirState::Owned { owner, sharers } if owner == from => {
+                    // An O owner re-served another reader through a
+                    // switch; it stays owner either way.
+                    self.state = DirState::Owned { owner: from, sharers: sharers.union(carried) };
+                    (None, true)
+                }
+                _ => {
+                    // Stale copyback (transaction already resolved by a
+                    // racing writeback). Memory write is harmless; fold
+                    // carried sharers if the state is Shared.
+                    if let DirState::Shared(set) = self.state {
+                        self.state = DirState::Shared(set.union(carried));
+                    }
+                    (None, false)
+                }
+            },
+        }
+    }
+
+    fn writeback(&mut self, from: NodeId, carried: SharerSet) -> Step {
+        let prior = self.sharers_beside(from);
+        match self.busy {
+            Some(Busy::CtoC { owner, requester, write_intent }) if owner == from => {
+                // Eviction race: the owner wrote back before our intervention
+                // reached it. Serve the waiting requester from memory.
+                self.busy = None;
+                if write_intent {
+                    let targets = carried.union(prior);
+                    self.state = DirState::Shared(targets);
+                    let act = self.grant_or_invalidate(requester, targets);
+                    return (Some(act), self.busy.is_none());
+                }
+                let set = SharerSet::singleton(requester).union(carried).union(prior);
+                self.state = DirState::Shared(set);
+                (Some(DirAction::ReadReplyClean { to: requester }), true)
+            }
+            _ => match self.state {
+                // The owner evicted; an O owner's sharers keep their clean
+                // copies (memory already has the data).
+                DirState::Modified(owner) | DirState::Owned { owner, .. } if owner == from => {
+                    self.state = shared_or_uncached(prior.union(carried));
+                    (None, true)
+                }
+                // Stale writeback (e.g. the block was already taken over by
+                // another writer after a read-CtoC downgrade made the
+                // evicting cache a mere sharer). Ignore.
+                _ => (None, false),
+            },
+        }
     }
 }
 
@@ -174,8 +473,8 @@ pub struct DirStats {
     /// Marked copyback/writeback messages whose carried sharer pids were
     /// folded into the vector (the switch-directory protocol extension).
     pub marked_completions: u64,
-    /// Full-map lookups performed (every request/completion handler consults
-    /// the map once). The difference against total reads shows the lookups a
+    /// Full-map lookups performed (every handled request consults the map
+    /// once). The difference against total reads shows the lookups a
     /// switch directory *saved* the home.
     pub lookups: u64,
     /// High-water mark of concurrently busy (in-transaction) blocks — the
@@ -201,6 +500,28 @@ impl DirStats {
         self.lookups += other.lookups;
         self.peak_busy = self.peak_busy.max(other.peak_busy);
         self.peak_pending = self.peak_pending.max(other.peak_pending);
+    }
+
+    /// Counts what one handled request did.
+    fn count(&mut self, req: Request, action: Option<DirAction>) {
+        match action {
+            Some(DirAction::ReadReplyClean { .. } | DirAction::ReadReplyExcl { .. })
+                if matches!(req, Request::Read { .. }) =>
+            {
+                // A completion's ReadReplyClean answers an intervention,
+                // already counted in `reads_ctoc`.
+                self.reads_clean += 1;
+            }
+            Some(DirAction::ForwardCtoC { write_intent: false, .. }) => self.reads_ctoc += 1,
+            Some(DirAction::ForwardCtoC { write_intent: true, .. }) => self.writes_ctoc += 1,
+            Some(DirAction::Invalidate { targets, .. }) => {
+                self.inval_rounds += 1;
+                self.invals_sent += targets.len() as u64;
+            }
+            Some(DirAction::Nak { .. }) => self.naks += 1,
+            Some(DirAction::Queued) => self.queued += 1,
+            _ => {}
+        }
     }
 }
 
@@ -230,7 +551,7 @@ impl ToJson for DirStats {
 /// `ExecutionReport::sim_errors`.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DirError {
-    /// Which handler / invariant tripped (e.g. `"dir_read_bounds"`).
+    /// Which request kind / invariant tripped (e.g. `"dir_read_bounds"`).
     pub context: &'static str,
     /// Human-readable specifics (ids, machine size).
     pub detail: String,
@@ -256,42 +577,12 @@ pub struct HomeDirectory {
     pending_now: u64,
 }
 
-/// Outcome of a completion-type message (copyback / writeback / inval ack):
-/// zero or more immediate actions plus any pending requests to replay.
-#[derive(Debug, Default, PartialEq, Eq)]
-pub struct Completion {
-    /// Actions to perform now (replies to waiting requesters, new
-    /// invalidation rounds).
-    pub actions: Vec<DirAction>,
-    /// Pending requests unblocked by this completion; the caller must
-    /// re-dispatch them through `handle_read`/`handle_write` in order.
-    pub replay: Vec<QueuedReq>,
-}
-
-impl Default for HomeDirectory {
-    fn default() -> Self {
-        Self::new(8)
-    }
-}
-
 impl HomeDirectory {
-    /// Creates a directory with the given per-block pending-queue bound.
-    /// Accepts the full `NodeId` range; use [`HomeDirectory::with_nodes`]
-    /// to enforce the actual machine size.
-    pub fn new(pending_limit: usize) -> Self {
-        Self::with_nodes(pending_limit, MAX_NODES)
-    }
-
-    /// Creates a directory for a `nodes`-node machine: handler arguments
-    /// naming ids `>= nodes` are rejected with a recorded [`DirError`]
-    /// instead of corrupting the sharer vector. Runs the paper's MSI
-    /// protocol; use [`HomeDirectory::with_protocol`] for the others.
-    pub fn with_nodes(pending_limit: usize, nodes: usize) -> Self {
-        Self::with_protocol(pending_limit, nodes, Protocol::Msi)
-    }
-
-    /// Creates a directory running one member of the protocol family.
-    pub fn with_protocol(pending_limit: usize, nodes: usize, protocol: Protocol) -> Self {
+    /// Creates the directory of one home in a `nodes`-node machine running
+    /// `protocol`, parking at most `pending_limit` requests per busy
+    /// block. Requests naming ids `>= nodes` are rejected with a recorded
+    /// [`DirError`] instead of corrupting the sharer vector.
+    pub fn new(pending_limit: usize, nodes: usize, protocol: Protocol) -> Self {
         HomeDirectory {
             blocks: FastMap::default(),
             pending_limit,
@@ -352,6 +643,87 @@ impl HomeDirectory {
         clean
     }
 
+    /// Checks `req`'s node ids against the machine size, recording a
+    /// [`DirError`] for each bad one. `None` refuses the request;
+    /// otherwise it comes back with out-of-range carried pids dropped.
+    fn check(&mut self, req: Request) -> Option<Request> {
+        let ok = match req {
+            Request::Read { requester } => self.node_ok("dir_read_bounds", requester),
+            Request::Write { requester } => self.node_ok("dir_write_bounds", requester),
+            Request::InvalAck => true,
+            Request::CopyBack { from, carried, retained } => {
+                if !self.node_ok("dir_copyback_bounds", from) {
+                    return None;
+                }
+                let carried = self.sanitize_carried("dir_copyback_carried_bounds", carried);
+                return Some(Request::CopyBack { from, carried, retained });
+            }
+            Request::WriteBack { from, carried } => {
+                if !self.node_ok("dir_writeback_bounds", from) {
+                    return None;
+                }
+                let carried = self.sanitize_carried("dir_writeback_carried_bounds", carried);
+                return Some(Request::WriteBack { from, carried });
+            }
+        };
+        ok.then_some(req)
+    }
+
+    /// Handles one request for `block`: the only way to change protocol
+    /// state. Counts the full-map lookup, runs the FSM and folds the
+    /// block's occupancy change into the peaks. A completion that ends the
+    /// block's transaction hands its parked requests back in
+    /// [`Outcome::replay`].
+    pub fn handle(&mut self, block: BlockAddr, req: Request) -> Outcome {
+        self.stats.lookups += 1;
+        let Some(req) = self.check(req) else {
+            // A request from no node is NAK'd; a completion from no node
+            // is dropped.
+            let action = match req {
+                Request::Read { requester } | Request::Write { requester } => {
+                    Some(DirAction::Nak { to: requester })
+                }
+                _ => None,
+            };
+            self.stats.count(req, action);
+            return Outcome { action, replay: VecDeque::new() };
+        };
+        if let Request::CopyBack { carried, .. } | Request::WriteBack { carried, .. } = req {
+            if !carried.is_empty() {
+                self.stats.marked_completions += 1;
+            }
+        }
+        let e = self.blocks.entry(block).or_insert_with(BlockEntry::stable_uncached);
+        let stray_ack = match (req, e.busy) {
+            // Was a debug_assert!(acks_left > 0): an inval round can never
+            // be parked with zero outstanding acks, so reaching here means
+            // a duplicated or forged ack.
+            (Request::InvalAck, Some(Busy::Inval { acks_left: 0, .. })) => {
+                Some(("dir_inval_ack_underflow", "with zero acks outstanding"))
+            }
+            // Was a debug_assert!(false, ...): promoted so release runs
+            // surface the stray ack instead of silently dropping it.
+            (Request::InvalAck, Some(Busy::CtoC { .. }) | None) => {
+                Some(("dir_inval_ack_stray", "with no inval round in flight"))
+            }
+            _ => None,
+        };
+        if let Some((context, why)) = stray_ack {
+            self.record_error(context, format!("InvalAck for {block:?} {why}"));
+            return Outcome::default();
+        }
+        let before = (e.busy.is_some(), e.pending.len());
+        let (action, release) = e.step(req, self.pending_limit, self.protocol);
+        let replay = if release { std::mem::take(&mut e.pending) } else { VecDeque::new() };
+        let after = (e.busy.is_some(), e.pending.len());
+        self.busy_now = self.busy_now + after.0 as u64 - before.0 as u64;
+        self.pending_now = self.pending_now + after.1 as u64 - before.1 as u64;
+        self.stats.peak_busy = self.stats.peak_busy.max(self.busy_now);
+        self.stats.peak_pending = self.stats.peak_pending.max(self.pending_now);
+        self.stats.count(req, action);
+        Outcome { action, replay }
+    }
+
     /// Current stable state of a block (`Uncached` if never touched).
     /// Busy blocks report their pre-transaction stable state.
     pub fn state(&self, block: BlockAddr) -> DirState {
@@ -387,35 +759,6 @@ impl HomeDirectory {
         self.pending_now
     }
 
-    fn entry(&mut self, block: BlockAddr) -> &mut BlockEntry {
-        self.blocks.entry(block).or_insert_with(BlockEntry::stable_uncached)
-    }
-
-    /// (busy?, parked requests) of one block — the only entry a handler can
-    /// change, so before/after snapshots yield the occupancy delta.
-    fn occupancy_of(&self, block: BlockAddr) -> (bool, usize) {
-        self.blocks.get(&block).map_or((false, 0), |e| (e.busy.is_some(), e.pending.len()))
-    }
-
-    /// Folds one block's occupancy delta into the global counts and peaks.
-    fn track_occupancy(&mut self, block: BlockAddr, before: (bool, usize)) {
-        let after = self.occupancy_of(block);
-        self.busy_now = self.busy_now + after.0 as u64 - before.0 as u64;
-        self.pending_now = self.pending_now + after.1 as u64 - before.1 as u64;
-        self.stats.peak_busy = self.stats.peak_busy.max(self.busy_now);
-        self.stats.peak_pending = self.stats.peak_pending.max(self.pending_now);
-    }
-
-    /// Runs one request/completion handler on `block`: counts its full-map
-    /// lookup and folds the block's occupancy change into the peaks.
-    fn lookup<R>(&mut self, block: BlockAddr, handler: impl FnOnce(&mut Self) -> R) -> R {
-        let before = self.occupancy_of(block);
-        self.stats.lookups += 1;
-        let out = handler(self);
-        self.track_occupancy(block, before);
-        out
-    }
-
     /// A block's stable-state kind and whether a transaction is in flight:
     /// the two halves of each end of a [`HomeTransition`].
     ///
@@ -431,459 +774,6 @@ impl HomeDirectory {
         self.blocks.retain(|_, e| !e.is_quiescent());
     }
 
-    fn park(&mut self, block: BlockAddr, requester: NodeId, kind: ReqKind) -> DirAction {
-        let limit = self.pending_limit;
-        let e = self.entry(block);
-        if e.pending.len() >= limit {
-            self.stats.naks += 1;
-            DirAction::Nak { to: requester }
-        } else {
-            e.pending.push_back(QueuedReq { block, requester, kind });
-            self.stats.queued += 1;
-            DirAction::Queued
-        }
-    }
-
-    /// Handles a `ReadRequest` arriving at the home.
-    pub fn handle_read(&mut self, block: BlockAddr, requester: NodeId) -> DirAction {
-        self.lookup(block, |d| {
-            if !d.node_ok("dir_read_bounds", requester) {
-                d.stats.naks += 1;
-                return DirAction::Nak { to: requester };
-            }
-            if d.entry(block).busy.is_some() {
-                return d.park(block, requester, ReqKind::Read);
-            }
-            let protocol = d.protocol;
-            let e = d.entry(block);
-            match e.state {
-                DirState::Uncached if protocol.exclusive_read_fill() => {
-                    // MESI/MOESI unshared fill: grant EXCLUSIVE and book the
-                    // reader as owner (it may upgrade silently). Memory serves
-                    // the data, so it still counts as a clean read.
-                    e.state = DirState::Modified(requester);
-                    e.seq += 1;
-                    let seq = e.seq;
-                    d.stats.reads_clean += 1;
-                    DirAction::ReadReplyExcl { to: requester, seq }
-                }
-                DirState::Uncached => {
-                    e.state = DirState::Shared(SharerSet::singleton(requester));
-                    d.stats.reads_clean += 1;
-                    DirAction::ReadReplyClean { to: requester }
-                }
-                DirState::Shared(mut set) => {
-                    set.insert(requester);
-                    e.state = DirState::Shared(set);
-                    d.stats.reads_clean += 1;
-                    DirAction::ReadReplyClean { to: requester }
-                }
-                DirState::Modified(owner) if owner == requester => {
-                    // Writeback race: the directory still names the requester as
-                    // owner, so its WriteBack must be in flight. NAK; the retry
-                    // will find the block Uncached.
-                    d.stats.naks += 1;
-                    DirAction::Nak { to: requester }
-                }
-                DirState::Modified(_) if protocol.home_read_bypass() => {
-                    // The directoryless-shared-LLC baseline: serve the read
-                    // straight from memory, no intervention, no state change.
-                    // The owner is left booked and the new reader untracked —
-                    // the documented staleness cost of the bypass.
-                    d.stats.reads_clean += 1;
-                    DirAction::ReadReplyClean { to: requester }
-                }
-                DirState::Modified(owner) => {
-                    e.busy = Some(Busy::CtoC { owner, requester, write_intent: false });
-                    let act = DirAction::ForwardCtoC {
-                        owner,
-                        requester,
-                        write_intent: false,
-                        owner_seq: e.seq,
-                    };
-                    d.stats.reads_ctoc += 1;
-                    act
-                }
-                DirState::Owned { owner, .. } if owner == requester => {
-                    // Writeback race, as for Modified.
-                    d.stats.naks += 1;
-                    DirAction::Nak { to: requester }
-                }
-                DirState::Owned { owner, .. } => {
-                    // MOESI owner-supplies rule: every read of a dirty-shared
-                    // block is served by the owner, cache to cache.
-                    e.busy = Some(Busy::CtoC { owner, requester, write_intent: false });
-                    let act = DirAction::ForwardCtoC {
-                        owner,
-                        requester,
-                        write_intent: false,
-                        owner_seq: e.seq,
-                    };
-                    d.stats.reads_ctoc += 1;
-                    act
-                }
-            }
-        })
-    }
-
-    /// Handles a `WriteRequest` (ownership request) arriving at the home.
-    pub fn handle_write(&mut self, block: BlockAddr, requester: NodeId) -> DirAction {
-        self.lookup(block, |d| {
-            if !d.node_ok("dir_write_bounds", requester) {
-                d.stats.naks += 1;
-                return DirAction::Nak { to: requester };
-            }
-            if d.entry(block).busy.is_some() {
-                return d.park(block, requester, ReqKind::Write);
-            }
-            let e = d.entry(block);
-            match e.state {
-                DirState::Uncached => {
-                    e.state = DirState::Modified(requester);
-                    e.seq += 1;
-                    DirAction::WriteReplyGrant { to: requester, seq: e.seq }
-                }
-                DirState::Shared(set) => {
-                    let targets = {
-                        let mut t = set;
-                        t.remove(requester);
-                        t
-                    };
-                    if targets.is_empty() {
-                        e.state = DirState::Modified(requester);
-                        e.seq += 1;
-                        DirAction::WriteReplyGrant { to: requester, seq: e.seq }
-                    } else {
-                        e.busy = Some(Busy::Inval {
-                            writer: requester,
-                            acks_left: targets.len() as u32,
-                        });
-                        d.stats.inval_rounds += 1;
-                        d.stats.invals_sent += targets.len() as u64;
-                        DirAction::Invalidate { targets, writer: requester }
-                    }
-                }
-                DirState::Modified(owner) if owner == requester => {
-                    // Writeback race, as in handle_read.
-                    d.stats.naks += 1;
-                    DirAction::Nak { to: requester }
-                }
-                DirState::Modified(owner) => {
-                    e.busy = Some(Busy::CtoC { owner, requester, write_intent: true });
-                    let act = DirAction::ForwardCtoC {
-                        owner,
-                        requester,
-                        write_intent: true,
-                        owner_seq: e.seq,
-                    };
-                    d.stats.writes_ctoc += 1;
-                    act
-                }
-                DirState::Owned { owner, sharers } => {
-                    // MOESI write to a dirty-shared block: memory is fresh (the
-                    // retained copyback refreshed it), so this is an invalidation
-                    // round over owner + sharers, not an ownership transfer.
-                    let targets = {
-                        let mut t = sharers;
-                        t.insert(owner);
-                        t.remove(requester);
-                        t
-                    };
-                    if targets.is_empty() {
-                        // The owner itself upgrading with no other sharers.
-                        e.state = DirState::Modified(requester);
-                        e.seq += 1;
-                        DirAction::WriteReplyGrant { to: requester, seq: e.seq }
-                    } else {
-                        e.busy = Some(Busy::Inval {
-                            writer: requester,
-                            acks_left: targets.len() as u32,
-                        });
-                        d.stats.inval_rounds += 1;
-                        d.stats.invals_sent += targets.len() as u64;
-                        DirAction::Invalidate { targets, writer: requester }
-                    }
-                }
-            }
-        })
-    }
-
-    /// Handles an `InvalAck`. When the last ack arrives, the waiting writer
-    /// gets its grant and pending requests replay.
-    pub fn handle_inval_ack(&mut self, block: BlockAddr) -> Completion {
-        self.lookup(block, |d| {
-            let e = d.entry(block);
-            match e.busy {
-                Some(Busy::Inval { acks_left: 0, .. }) => {
-                    // Was a debug_assert!(acks_left > 0): an inval round can
-                    // never be parked with zero outstanding acks, so reaching
-                    // here means a duplicated or forged ack.
-                    d.record_error(
-                        "dir_inval_ack_underflow",
-                        format!("InvalAck for {block:?} with zero acks outstanding"),
-                    );
-                    Completion::default()
-                }
-                Some(Busy::Inval { writer, acks_left }) => {
-                    if acks_left == 1 {
-                        e.busy = None;
-                        e.state = DirState::Modified(writer);
-                        e.seq += 1;
-                        let replay = std::mem::take(&mut e.pending).into_iter().collect();
-                        Completion {
-                            actions: vec![DirAction::WriteReplyGrant { to: writer, seq: e.seq }],
-                            replay,
-                        }
-                    } else {
-                        e.busy = Some(Busy::Inval { writer, acks_left: acks_left - 1 });
-                        Completion::default()
-                    }
-                }
-                _ => {
-                    // Was a debug_assert!(false, ...): promoted so release runs
-                    // surface the stray ack instead of silently dropping it.
-                    d.record_error(
-                        "dir_inval_ack_stray",
-                        format!("InvalAck for {block:?} with no inval round in flight"),
-                    );
-                    Completion::default()
-                }
-            }
-        })
-    }
-
-    /// Handles a `CopyBack` from `from` — either solicited (the home
-    /// forwarded an intervention) or unsolicited (a switch directory
-    /// initiated the cache-to-cache transfer and the copyback is *marked*
-    /// with the extra sharer pids in `carried`). A *retained* copyback
-    /// (MOESI) means the supplier kept the block OWNED instead of
-    /// downgrading to Shared; the home books it as the `Owned` owner.
-    pub fn handle_copyback(
-        &mut self,
-        block: BlockAddr,
-        from: NodeId,
-        carried: SharerSet,
-        retained: bool,
-    ) -> Completion {
-        self.lookup(block, |d| {
-            if !d.node_ok("dir_copyback_bounds", from) {
-                return Completion::default();
-            }
-            let carried = d.sanitize_carried("dir_copyback_carried_bounds", carried);
-            if !carried.is_empty() {
-                d.stats.marked_completions += 1;
-            }
-            let e = d.entry(block);
-            // Sharers already recorded beside `from` when the block is Owned —
-            // an O owner re-serving a read must not wipe them.
-            let prior = match e.state {
-                DirState::Owned { owner, sharers } if owner == from => sharers,
-                _ => SharerSet::EMPTY,
-            };
-            match e.busy {
-                Some(Busy::CtoC { owner, requester, write_intent }) if owner == from => {
-                    e.busy = None;
-                    if write_intent && carried.is_empty() {
-                        // Ownership transfer completed owner -> requester. The
-                        // bumped seq matches the one `serve_intervention` stamped
-                        // on the CtoCData grant (intervened seq + 1).
-                        e.state = DirState::Modified(requester);
-                        e.seq += 1;
-                        let replay = std::mem::take(&mut e.pending).into_iter().collect();
-                        return Completion { actions: vec![], replay };
-                    }
-                    // Read intervention completed (or a switch-initiated read
-                    // CtoC completed while we were waiting): memory is fresh;
-                    // the owner downgraded to Shared — or, MOESI, kept OWNED.
-                    let mut set = SharerSet::singleton(owner).union(carried).union(prior);
-                    if write_intent {
-                        // Our waiting transaction was a write but the owner
-                        // serviced a read CtoC first: everyone now sharing must
-                        // be invalidated before the writer gets ownership.
-                        let targets = {
-                            let mut t = set;
-                            t.remove(requester);
-                            t
-                        };
-                        if targets.is_empty() {
-                            e.state = DirState::Modified(requester);
-                            e.seq += 1;
-                            let replay = std::mem::take(&mut e.pending).into_iter().collect();
-                            return Completion {
-                                actions: vec![DirAction::WriteReplyGrant {
-                                    to: requester,
-                                    seq: e.seq,
-                                }],
-                                replay,
-                            };
-                        }
-                        e.state = if retained {
-                            let mut sharers = carried.union(prior);
-                            sharers.remove(from);
-                            DirState::Owned { owner: from, sharers }
-                        } else {
-                            DirState::Shared(set)
-                        };
-                        e.busy = Some(Busy::Inval {
-                            writer: requester,
-                            acks_left: targets.len() as u32,
-                        });
-                        d.stats.inval_rounds += 1;
-                        d.stats.invals_sent += targets.len() as u64;
-                        return Completion {
-                            actions: vec![DirAction::Invalidate { targets, writer: requester }],
-                            replay: vec![],
-                        };
-                    }
-                    e.state = if retained {
-                        let mut sharers = carried.union(prior);
-                        sharers.insert(requester);
-                        sharers.remove(from);
-                        DirState::Owned { owner: from, sharers }
-                    } else {
-                        set.insert(requester);
-                        DirState::Shared(set)
-                    };
-                    let replay = std::mem::take(&mut e.pending).into_iter().collect();
-                    Completion {
-                        actions: vec![DirAction::ReadReplyClean { to: requester }],
-                        replay,
-                    }
-                }
-                _ => {
-                    // Unsolicited: a switch-directory-initiated CtoC. The block
-                    // must be recorded with `from` as owner; fold in carried
-                    // sharers (and keep the owner OWNED when it retained).
-                    match e.state {
-                        DirState::Modified(owner) if owner == from => {
-                            e.state = if retained {
-                                DirState::Owned { owner: from, sharers: carried }
-                            } else {
-                                DirState::Shared(SharerSet::singleton(from).union(carried))
-                            };
-                            let replay = std::mem::take(&mut e.pending).into_iter().collect();
-                            Completion { actions: vec![], replay }
-                        }
-                        DirState::Owned { owner, sharers } if owner == from => {
-                            // An O owner re-served another reader through a
-                            // switch; it stays owner either way.
-                            e.state =
-                                DirState::Owned { owner: from, sharers: sharers.union(carried) };
-                            let replay = std::mem::take(&mut e.pending).into_iter().collect();
-                            Completion { actions: vec![], replay }
-                        }
-                        _ => {
-                            // Stale copyback (transaction already resolved by a
-                            // racing writeback). Memory write is harmless; fold
-                            // carried sharers if the state is Shared.
-                            if let DirState::Shared(set) = e.state {
-                                e.state = DirState::Shared(set.union(carried));
-                            }
-                            Completion::default()
-                        }
-                    }
-                }
-            }
-        })
-    }
-
-    /// Handles a `WriteBack` (dirty eviction) from `from`. A *marked*
-    /// writeback (non-empty `carried`) means a switch directory already
-    /// answered some requester with the writeback's data, so those pids
-    /// enter the vector as sharers.
-    pub fn handle_writeback(
-        &mut self,
-        block: BlockAddr,
-        from: NodeId,
-        carried: SharerSet,
-    ) -> Completion {
-        self.lookup(block, |d| {
-            if !d.node_ok("dir_writeback_bounds", from) {
-                return Completion::default();
-            }
-            let carried = d.sanitize_carried("dir_writeback_carried_bounds", carried);
-            if !carried.is_empty() {
-                d.stats.marked_completions += 1;
-            }
-            let e = d.entry(block);
-            // Sharers recorded beside an OWNED `from` survive its eviction —
-            // their copies are still valid (memory is fresh under MOESI).
-            let prior = match e.state {
-                DirState::Owned { owner, sharers } if owner == from => sharers,
-                _ => SharerSet::EMPTY,
-            };
-            match e.busy {
-                Some(Busy::CtoC { owner, requester, write_intent }) if owner == from => {
-                    // Eviction race: the owner wrote back before our intervention
-                    // reached it. Serve the waiting requester from memory.
-                    e.busy = None;
-                    if write_intent {
-                        let targets = carried.union(prior);
-                        if targets.is_empty() {
-                            e.state = DirState::Modified(requester);
-                            e.seq += 1;
-                            let replay = std::mem::take(&mut e.pending).into_iter().collect();
-                            return Completion {
-                                actions: vec![DirAction::WriteReplyGrant {
-                                    to: requester,
-                                    seq: e.seq,
-                                }],
-                                replay,
-                            };
-                        }
-                        e.state = DirState::Shared(targets);
-                        e.busy = Some(Busy::Inval {
-                            writer: requester,
-                            acks_left: targets.len() as u32,
-                        });
-                        d.stats.inval_rounds += 1;
-                        d.stats.invals_sent += targets.len() as u64;
-                        return Completion {
-                            actions: vec![DirAction::Invalidate { targets, writer: requester }],
-                            replay: vec![],
-                        };
-                    }
-                    let set = SharerSet::singleton(requester).union(carried).union(prior);
-                    e.state = DirState::Shared(set);
-                    let replay = std::mem::take(&mut e.pending).into_iter().collect();
-                    Completion {
-                        actions: vec![DirAction::ReadReplyClean { to: requester }],
-                        replay,
-                    }
-                }
-                _ => match e.state {
-                    DirState::Modified(owner) if owner == from => {
-                        e.state = if carried.is_empty() {
-                            DirState::Uncached
-                        } else {
-                            DirState::Shared(carried)
-                        };
-                        let replay = std::mem::take(&mut e.pending).into_iter().collect();
-                        Completion { actions: vec![], replay }
-                    }
-                    DirState::Owned { owner, sharers } if owner == from => {
-                        // The O owner evicted; the remaining sharers keep their
-                        // clean copies (memory already has the data).
-                        let left = sharers.union(carried);
-                        e.state = if left.is_empty() {
-                            DirState::Uncached
-                        } else {
-                            DirState::Shared(left)
-                        };
-                        let replay = std::mem::take(&mut e.pending).into_iter().collect();
-                        Completion { actions: vec![], replay }
-                    }
-                    _ => {
-                        // Stale writeback (e.g. the block was already taken over
-                        // by another writer after a read-CtoC downgrade made the
-                        // evicting cache a mere sharer). Ignore.
-                        Completion::default()
-                    }
-                },
-            }
-        })
-    }
-
     /// Number of block entries currently tracked (diagnostic).
     pub fn tracked_blocks(&self) -> usize {
         self.blocks.len()
@@ -896,19 +786,56 @@ mod tests {
 
     const B: BlockAddr = BlockAddr(42);
 
+    fn msi() -> HomeDirectory {
+        HomeDirectory::new(8, 16, Protocol::Msi)
+    }
+
+    /// Handles a read or write request, which never hands back a queue.
+    fn request(d: &mut HomeDirectory, b: BlockAddr, req: Request) -> DirAction {
+        let out = d.handle(b, req);
+        assert!(out.replay.is_empty());
+        out.action.expect("every request gets an action")
+    }
+
+    fn read(d: &mut HomeDirectory, b: BlockAddr, requester: NodeId) -> DirAction {
+        request(d, b, Request::Read { requester })
+    }
+
+    fn write(d: &mut HomeDirectory, b: BlockAddr, requester: NodeId) -> DirAction {
+        request(d, b, Request::Write { requester })
+    }
+
+    fn ack(d: &mut HomeDirectory, b: BlockAddr) -> Outcome {
+        d.handle(b, Request::InvalAck)
+    }
+
+    fn copyback(
+        d: &mut HomeDirectory,
+        b: BlockAddr,
+        from: NodeId,
+        carried: SharerSet,
+        retained: bool,
+    ) -> Outcome {
+        d.handle(b, Request::CopyBack { from, carried, retained })
+    }
+
+    fn writeback(d: &mut HomeDirectory, b: BlockAddr, from: NodeId, carried: SharerSet) -> Outcome {
+        d.handle(b, Request::WriteBack { from, carried })
+    }
+
     #[test]
     fn cold_read_is_clean_and_records_sharer() {
-        let mut d = HomeDirectory::default();
-        assert_eq!(d.handle_read(B, 3), DirAction::ReadReplyClean { to: 3 });
+        let mut d = msi();
+        assert_eq!(read(&mut d, B, 3), DirAction::ReadReplyClean { to: 3 });
         assert_eq!(d.state(B), DirState::Shared(SharerSet::singleton(3)));
         assert_eq!(d.stats().reads_clean, 1);
     }
 
     #[test]
     fn shared_read_accumulates_sharers() {
-        let mut d = HomeDirectory::default();
-        d.handle_read(B, 1);
-        d.handle_read(B, 2);
+        let mut d = msi();
+        read(&mut d, B, 1);
+        read(&mut d, B, 2);
         match d.state(B) {
             DirState::Shared(s) => {
                 assert!(s.contains(1) && s.contains(2));
@@ -920,139 +847,133 @@ mod tests {
 
     #[test]
     fn cold_write_grants_ownership() {
-        let mut d = HomeDirectory::default();
-        assert_eq!(d.handle_write(B, 5), DirAction::WriteReplyGrant { to: 5, seq: 1 });
+        let mut d = msi();
+        assert_eq!(write(&mut d, B, 5), DirAction::WriteReplyGrant { to: 5, seq: 1 });
         assert_eq!(d.state(B), DirState::Modified(5));
     }
 
     #[test]
     fn write_to_shared_invalidates_then_grants() {
-        let mut d = HomeDirectory::default();
-        d.handle_read(B, 1);
-        d.handle_read(B, 2);
-        let act = d.handle_write(B, 3);
+        let mut d = msi();
+        read(&mut d, B, 1);
+        read(&mut d, B, 2);
+        let act = write(&mut d, B, 3);
         let expected: SharerSet = [1u8, 2].into_iter().collect();
         assert_eq!(act, DirAction::Invalidate { targets: expected, writer: 3 });
         assert!(d.is_busy(B));
         // First ack: still waiting.
-        assert_eq!(d.handle_inval_ack(B), Completion::default());
+        assert_eq!(ack(&mut d, B), Outcome::default());
         // Second ack: grant.
-        let c = d.handle_inval_ack(B);
-        assert_eq!(c.actions, vec![DirAction::WriteReplyGrant { to: 3, seq: 1 }]);
+        let c = ack(&mut d, B);
+        assert_eq!(c.action, Some(DirAction::WriteReplyGrant { to: 3, seq: 1 }));
         assert_eq!(d.state(B), DirState::Modified(3));
         assert!(!d.is_busy(B));
     }
 
     #[test]
     fn writer_already_sharing_skips_self_invalidation() {
-        let mut d = HomeDirectory::default();
-        d.handle_read(B, 1);
+        let mut d = msi();
+        read(&mut d, B, 1);
         // Upgrade by the only sharer: immediate grant.
-        assert_eq!(d.handle_write(B, 1), DirAction::WriteReplyGrant { to: 1, seq: 1 });
+        assert_eq!(write(&mut d, B, 1), DirAction::WriteReplyGrant { to: 1, seq: 1 });
         assert_eq!(d.state(B), DirState::Modified(1));
     }
 
     #[test]
     fn read_to_modified_forwards_ctoc_and_copyback_completes() {
-        let mut d = HomeDirectory::default();
-        d.handle_write(B, 7);
-        let act = d.handle_read(B, 2);
+        let mut d = msi();
+        write(&mut d, B, 7);
+        let act = read(&mut d, B, 2);
         assert_eq!(
             act,
             DirAction::ForwardCtoC { owner: 7, requester: 2, write_intent: false, owner_seq: 1 }
         );
         assert_eq!(d.stats().reads_ctoc, 1);
-        let c = d.handle_copyback(B, 7, SharerSet::EMPTY, false);
-        assert_eq!(c.actions, vec![DirAction::ReadReplyClean { to: 2 }]);
+        let c = copyback(&mut d, B, 7, SharerSet::EMPTY, false);
+        assert_eq!(c.action, Some(DirAction::ReadReplyClean { to: 2 }));
         let expected: SharerSet = [2u8, 7].into_iter().collect();
         assert_eq!(d.state(B), DirState::Shared(expected));
     }
 
     #[test]
     fn write_to_modified_transfers_ownership() {
-        let mut d = HomeDirectory::default();
-        d.handle_write(B, 7);
-        let act = d.handle_write(B, 2);
+        let mut d = msi();
+        write(&mut d, B, 7);
+        let act = write(&mut d, B, 2);
         assert_eq!(
             act,
             DirAction::ForwardCtoC { owner: 7, requester: 2, write_intent: true, owner_seq: 1 }
         );
-        let c = d.handle_copyback(B, 7, SharerSet::EMPTY, false);
-        assert!(c.actions.is_empty(), "ownership transfer needs no home reply");
+        let c = copyback(&mut d, B, 7, SharerSet::EMPTY, false);
+        assert!(c.action.is_none(), "ownership transfer needs no home reply");
         assert_eq!(d.state(B), DirState::Modified(2));
     }
 
     #[test]
     fn requests_during_busy_are_queued_and_replayed() {
-        let mut d = HomeDirectory::default();
-        d.handle_write(B, 7);
-        d.handle_read(B, 1); // busy: CtoC
-        assert_eq!(d.handle_read(B, 2), DirAction::Queued);
-        assert_eq!(d.handle_write(B, 3), DirAction::Queued);
-        let c = d.handle_copyback(B, 7, SharerSet::EMPTY, false);
-        assert_eq!(
-            c.replay,
-            vec![
-                QueuedReq { block: B, requester: 2, kind: ReqKind::Read },
-                QueuedReq { block: B, requester: 3, kind: ReqKind::Write },
-            ]
-        );
+        let mut d = msi();
+        write(&mut d, B, 7);
+        read(&mut d, B, 1); // busy: CtoC
+        assert_eq!(read(&mut d, B, 2), DirAction::Queued);
+        assert_eq!(write(&mut d, B, 3), DirAction::Queued);
+        let c = copyback(&mut d, B, 7, SharerSet::EMPTY, false);
+        assert_eq!(c.replay, [Request::Read { requester: 2 }, Request::Write { requester: 3 }]);
     }
 
     #[test]
     fn pending_queue_overflow_naks() {
-        let mut d = HomeDirectory::new(2);
-        d.handle_write(B, 7);
-        d.handle_read(B, 1); // busy
-        assert_eq!(d.handle_read(B, 2), DirAction::Queued);
-        assert_eq!(d.handle_read(B, 3), DirAction::Queued);
-        assert_eq!(d.handle_read(B, 4), DirAction::Nak { to: 4 });
+        let mut d = HomeDirectory::new(2, 16, Protocol::Msi);
+        write(&mut d, B, 7);
+        read(&mut d, B, 1); // busy
+        assert_eq!(read(&mut d, B, 2), DirAction::Queued);
+        assert_eq!(read(&mut d, B, 3), DirAction::Queued);
+        assert_eq!(read(&mut d, B, 4), DirAction::Nak { to: 4 });
         assert_eq!(d.stats().naks, 1);
     }
 
     #[test]
     fn writeback_race_naks_the_owner_request() {
-        let mut d = HomeDirectory::default();
-        d.handle_write(B, 7);
+        let mut d = msi();
+        write(&mut d, B, 7);
         // Owner 7 asks again while the directory still names it owner:
         // only possible when its writeback is in flight.
-        assert_eq!(d.handle_read(B, 7), DirAction::Nak { to: 7 });
-        assert_eq!(d.handle_write(B, 7), DirAction::Nak { to: 7 });
+        assert_eq!(read(&mut d, B, 7), DirAction::Nak { to: 7 });
+        assert_eq!(write(&mut d, B, 7), DirAction::Nak { to: 7 });
         // Writeback lands; retries now succeed.
-        d.handle_writeback(B, 7, SharerSet::EMPTY);
+        writeback(&mut d, B, 7, SharerSet::EMPTY);
         assert_eq!(d.state(B), DirState::Uncached);
-        assert_eq!(d.handle_read(B, 7), DirAction::ReadReplyClean { to: 7 });
+        assert_eq!(read(&mut d, B, 7), DirAction::ReadReplyClean { to: 7 });
     }
 
     #[test]
     fn eviction_race_during_read_ctoc_serves_requester_from_memory() {
-        let mut d = HomeDirectory::default();
-        d.handle_write(B, 7);
-        d.handle_read(B, 2); // busy CtoC to owner 7
-                             // Owner evicts before the intervention arrives.
-        let c = d.handle_writeback(B, 7, SharerSet::EMPTY);
-        assert_eq!(c.actions, vec![DirAction::ReadReplyClean { to: 2 }]);
+        let mut d = msi();
+        write(&mut d, B, 7);
+        read(&mut d, B, 2); // busy CtoC to owner 7
+                            // Owner evicts before the intervention arrives.
+        let c = writeback(&mut d, B, 7, SharerSet::EMPTY);
+        assert_eq!(c.action, Some(DirAction::ReadReplyClean { to: 2 }));
         assert_eq!(d.state(B), DirState::Shared(SharerSet::singleton(2)));
     }
 
     #[test]
     fn eviction_race_during_write_ctoc_grants_from_memory() {
-        let mut d = HomeDirectory::default();
-        d.handle_write(B, 7);
-        d.handle_write(B, 2); // busy CtoC (write intent)
-        let c = d.handle_writeback(B, 7, SharerSet::EMPTY);
-        assert_eq!(c.actions, vec![DirAction::WriteReplyGrant { to: 2, seq: 2 }]);
+        let mut d = msi();
+        write(&mut d, B, 7);
+        write(&mut d, B, 2); // busy CtoC (write intent)
+        let c = writeback(&mut d, B, 7, SharerSet::EMPTY);
+        assert_eq!(c.action, Some(DirAction::WriteReplyGrant { to: 2, seq: 2 }));
         assert_eq!(d.state(B), DirState::Modified(2));
     }
 
     #[test]
     fn marked_copyback_installs_switch_served_sharers() {
-        let mut d = HomeDirectory::default();
-        d.handle_write(B, 7);
+        let mut d = msi();
+        write(&mut d, B, 7);
         // Switch directory served requester 4 directly; owner's copyback is
         // marked with pid 4 and arrives unsolicited.
-        let c = d.handle_copyback(B, 7, SharerSet::singleton(4), false);
-        assert!(c.actions.is_empty());
+        let c = copyback(&mut d, B, 7, SharerSet::singleton(4), false);
+        assert!(c.action.is_none());
         let expected: SharerSet = [4u8, 7].into_iter().collect();
         assert_eq!(d.state(B), DirState::Shared(expected));
         assert_eq!(d.stats().marked_completions, 1);
@@ -1060,55 +981,55 @@ mod tests {
 
     #[test]
     fn marked_writeback_installs_switch_served_sharers() {
-        let mut d = HomeDirectory::default();
-        d.handle_write(B, 7);
+        let mut d = msi();
+        write(&mut d, B, 7);
         // The switch replied to requester 4 from the writeback's data.
-        let c = d.handle_writeback(B, 7, SharerSet::singleton(4));
-        assert!(c.actions.is_empty());
+        let c = writeback(&mut d, B, 7, SharerSet::singleton(4));
+        assert!(c.action.is_none());
         assert_eq!(d.state(B), DirState::Shared(SharerSet::singleton(4)));
     }
 
     #[test]
     fn copyback_while_write_busy_triggers_invalidation_round() {
-        let mut d = HomeDirectory::default();
-        d.handle_write(B, 7);
-        d.handle_write(B, 2); // home wants ownership moved to 2
-                              // But a switch-initiated *read* CtoC completed first: owner 7 copies
-                              // back marked with new sharer 4. Sharers {7,4} must be invalidated
-                              // before 2 can own the block.
-        let c = d.handle_copyback(B, 7, SharerSet::singleton(4), false);
+        let mut d = msi();
+        write(&mut d, B, 7);
+        write(&mut d, B, 2); // home wants ownership moved to 2
+                             // But a switch-initiated *read* CtoC completed first: owner 7 copies
+                             // back marked with new sharer 4. Sharers {7,4} must be invalidated
+                             // before 2 can own the block.
+        let c = copyback(&mut d, B, 7, SharerSet::singleton(4), false);
         let expected: SharerSet = [4u8, 7].into_iter().collect();
-        assert_eq!(c.actions, vec![DirAction::Invalidate { targets: expected, writer: 2 }]);
-        d.handle_inval_ack(B);
-        let c = d.handle_inval_ack(B);
-        assert_eq!(c.actions, vec![DirAction::WriteReplyGrant { to: 2, seq: 2 }]);
+        assert_eq!(c.action, Some(DirAction::Invalidate { targets: expected, writer: 2 }));
+        ack(&mut d, B);
+        let c = ack(&mut d, B);
+        assert_eq!(c.action, Some(DirAction::WriteReplyGrant { to: 2, seq: 2 }));
         assert_eq!(d.state(B), DirState::Modified(2));
     }
 
     #[test]
     fn stale_writeback_is_ignored() {
-        let mut d = HomeDirectory::default();
-        d.handle_read(B, 1);
+        let mut d = msi();
+        read(&mut d, B, 1);
         // Writeback from a node that is not the owner: dropped.
-        let c = d.handle_writeback(B, 9, SharerSet::EMPTY);
-        assert_eq!(c, Completion::default());
+        let c = writeback(&mut d, B, 9, SharerSet::EMPTY);
+        assert_eq!(c, Outcome::default());
         assert_eq!(d.state(B), DirState::Shared(SharerSet::singleton(1)));
     }
 
     #[test]
     fn lookups_and_occupancy_peaks_tracked() {
-        let mut d = HomeDirectory::default();
-        d.handle_write(B, 7); // lookup 1
-        d.handle_read(B, 2); // lookup 2: busy CtoC (busy_now = 1)
-        d.handle_write(BlockAddr(43), 5); // lookup 3
-        d.handle_write(BlockAddr(43), 6); // lookup 4: busy CtoC (busy_now = 2)
-        d.handle_read(B, 3); // lookup 5: parked (pending_now = 1)
+        let mut d = msi();
+        write(&mut d, B, 7); // lookup 1
+        read(&mut d, B, 2); // lookup 2: busy CtoC (busy_now = 1)
+        write(&mut d, BlockAddr(43), 5); // lookup 3
+        write(&mut d, BlockAddr(43), 6); // lookup 4: busy CtoC (busy_now = 2)
+        read(&mut d, B, 3); // lookup 5: parked (pending_now = 1)
         assert_eq!(d.stats().lookups, 5);
         assert_eq!(d.stats().peak_busy, 2);
         assert_eq!(d.stats().peak_pending, 1);
         // Completions drain the occupancy but peaks persist.
-        d.handle_copyback(B, 7, SharerSet::EMPTY, false);
-        d.handle_copyback(BlockAddr(43), 5, SharerSet::EMPTY, false);
+        copyback(&mut d, B, 7, SharerSet::EMPTY, false);
+        copyback(&mut d, BlockAddr(43), 5, SharerSet::EMPTY, false);
         assert!(!d.is_busy(B) && !d.is_busy(BlockAddr(43)));
         assert_eq!(d.stats().peak_busy, 2);
         // Merge takes the max of peaks, the sum of lookups.
@@ -1121,9 +1042,9 @@ mod tests {
 
     #[test]
     fn out_of_range_requester_is_rejected_with_recorded_error() {
-        let mut d = HomeDirectory::with_nodes(8, 16);
-        assert_eq!(d.handle_read(B, 200), DirAction::Nak { to: 200 });
-        assert_eq!(d.handle_write(B, 16), DirAction::Nak { to: 16 });
+        let mut d = msi();
+        assert_eq!(read(&mut d, B, 200), DirAction::Nak { to: 200 });
+        assert_eq!(write(&mut d, B, 16), DirAction::Nak { to: 16 });
         // No silent wrap: nothing entered the directory state.
         assert_eq!(d.state(B), DirState::Uncached);
         let errs = d.take_errors();
@@ -1136,10 +1057,10 @@ mod tests {
 
     #[test]
     fn out_of_range_carried_pids_are_filtered_and_reported() {
-        let mut d = HomeDirectory::with_nodes(8, 16);
-        d.handle_write(B, 7);
+        let mut d = msi();
+        write(&mut d, B, 7);
         let carried: SharerSet = [4u8, 40].into_iter().collect();
-        d.handle_copyback(B, 7, carried, false);
+        copyback(&mut d, B, 7, carried, false);
         // The valid pid folded in; the bogus one was dropped, not wrapped.
         let expected: SharerSet = [4u8, 7].into_iter().collect();
         assert_eq!(d.state(B), DirState::Shared(expected));
@@ -1151,17 +1072,17 @@ mod tests {
 
     #[test]
     fn out_of_range_completion_sender_is_dropped() {
-        let mut d = HomeDirectory::with_nodes(8, 16);
-        d.handle_write(B, 7);
-        assert_eq!(d.handle_writeback(B, 99, SharerSet::EMPTY), Completion::default());
+        let mut d = msi();
+        write(&mut d, B, 7);
+        assert_eq!(writeback(&mut d, B, 99, SharerSet::EMPTY), Outcome::default());
         assert_eq!(d.state(B), DirState::Modified(7));
         assert_eq!(d.take_errors()[0].context, "dir_writeback_bounds");
     }
 
     #[test]
     fn stray_inval_ack_is_recorded_not_asserted() {
-        let mut d = HomeDirectory::default();
-        assert_eq!(d.handle_inval_ack(B), Completion::default());
+        let mut d = msi();
+        assert_eq!(ack(&mut d, B), Outcome::default());
         let errs = d.take_errors();
         assert_eq!(errs.len(), 1);
         assert_eq!(errs[0].context, "dir_inval_ack_stray");
@@ -1169,9 +1090,9 @@ mod tests {
 
     #[test]
     fn compact_drops_quiescent_blocks() {
-        let mut d = HomeDirectory::default();
-        d.handle_write(B, 7);
-        d.handle_writeback(B, 7, SharerSet::EMPTY);
+        let mut d = msi();
+        write(&mut d, B, 7);
+        writeback(&mut d, B, 7, SharerSet::EMPTY);
         assert_eq!(d.state(B), DirState::Uncached);
         assert!(d.tracked_blocks() > 0);
         d.compact();
@@ -1180,109 +1101,109 @@ mod tests {
 
     #[test]
     fn mesi_cold_read_grants_exclusive_and_books_owner() {
-        let mut d = HomeDirectory::with_protocol(8, 16, Protocol::Mesi);
-        assert_eq!(d.handle_read(B, 3), DirAction::ReadReplyExcl { to: 3, seq: 1 });
+        let mut d = HomeDirectory::new(8, 16, Protocol::Mesi);
+        assert_eq!(read(&mut d, B, 3), DirAction::ReadReplyExcl { to: 3, seq: 1 });
         // Booked as ownership: a later reader goes through an intervention.
         assert_eq!(d.state(B), DirState::Modified(3));
         assert_eq!(d.stats().reads_clean, 1);
         assert_eq!(
-            d.handle_read(B, 5),
+            read(&mut d, B, 5),
             DirAction::ForwardCtoC { owner: 3, requester: 5, write_intent: false, owner_seq: 1 }
         );
         // Under MSI the same cold read stays a plain shared fill.
-        let mut msi = HomeDirectory::with_nodes(8, 16);
-        assert_eq!(msi.handle_read(B, 3), DirAction::ReadReplyClean { to: 3 });
+        let mut msi = msi();
+        assert_eq!(read(&mut msi, B, 3), DirAction::ReadReplyClean { to: 3 });
         assert_eq!(msi.state(B), DirState::Shared(SharerSet::singleton(3)));
     }
 
     #[test]
     fn dls_read_to_modified_bypasses_the_intervention() {
-        let mut d = HomeDirectory::with_protocol(8, 16, Protocol::Dls);
-        d.handle_write(B, 7);
+        let mut d = HomeDirectory::new(8, 16, Protocol::Dls);
+        write(&mut d, B, 7);
         // The directoryless baseline serves the read from memory: no busy
         // state, no forwarded intervention, owner still booked.
-        assert_eq!(d.handle_read(B, 2), DirAction::ReadReplyClean { to: 2 });
+        assert_eq!(read(&mut d, B, 2), DirAction::ReadReplyClean { to: 2 });
         assert_eq!(d.state(B), DirState::Modified(7));
         assert!(!d.is_busy(B));
         assert_eq!(d.stats().reads_ctoc, 0);
         assert_eq!(d.stats().reads_clean, 1);
         // The owner's own writeback race still NAKs.
-        assert_eq!(d.handle_read(B, 7), DirAction::Nak { to: 7 });
+        assert_eq!(read(&mut d, B, 7), DirAction::Nak { to: 7 });
     }
 
     #[test]
     fn moesi_retained_copyback_enters_owned_and_owner_keeps_serving() {
-        let mut d = HomeDirectory::with_protocol(8, 16, Protocol::Moesi);
-        d.handle_write(B, 7);
-        d.handle_read(B, 2); // ForwardCtoC to 7
-        let c = d.handle_copyback(B, 7, SharerSet::EMPTY, true);
-        assert_eq!(c.actions, vec![DirAction::ReadReplyClean { to: 2 }]);
+        let mut d = HomeDirectory::new(8, 16, Protocol::Moesi);
+        write(&mut d, B, 7);
+        read(&mut d, B, 2); // ForwardCtoC to 7
+        let c = copyback(&mut d, B, 7, SharerSet::EMPTY, true);
+        assert_eq!(c.action, Some(DirAction::ReadReplyClean { to: 2 }));
         assert_eq!(d.state(B), DirState::Owned { owner: 7, sharers: SharerSet::singleton(2) });
         // Next read is again owner-supplied, and the retained copyback
         // accumulates the new sharer without losing the old one.
         assert_eq!(
-            d.handle_read(B, 4),
+            read(&mut d, B, 4),
             DirAction::ForwardCtoC { owner: 7, requester: 4, write_intent: false, owner_seq: 1 }
         );
         assert_eq!(d.stats().reads_ctoc, 2);
-        d.handle_copyback(B, 7, SharerSet::EMPTY, true);
+        copyback(&mut d, B, 7, SharerSet::EMPTY, true);
         let expected: SharerSet = [2u8, 4].into_iter().collect();
         assert_eq!(d.state(B), DirState::Owned { owner: 7, sharers: expected });
     }
 
     #[test]
     fn moesi_write_to_owned_invalidates_owner_and_sharers() {
-        let mut d = HomeDirectory::with_protocol(8, 16, Protocol::Moesi);
-        d.handle_write(B, 7);
-        d.handle_read(B, 2);
-        d.handle_copyback(B, 7, SharerSet::EMPTY, true); // Owned{7, {2}}
-        let act = d.handle_write(B, 3);
+        let mut d = HomeDirectory::new(8, 16, Protocol::Moesi);
+        write(&mut d, B, 7);
+        read(&mut d, B, 2);
+        copyback(&mut d, B, 7, SharerSet::EMPTY, true); // Owned{7, {2}}
+        let act = write(&mut d, B, 3);
         let expected: SharerSet = [2u8, 7].into_iter().collect();
         assert_eq!(act, DirAction::Invalidate { targets: expected, writer: 3 });
-        d.handle_inval_ack(B);
-        let c = d.handle_inval_ack(B);
-        assert_eq!(c.actions, vec![DirAction::WriteReplyGrant { to: 3, seq: 2 }]);
+        ack(&mut d, B);
+        let c = ack(&mut d, B);
+        assert_eq!(c.action, Some(DirAction::WriteReplyGrant { to: 3, seq: 2 }));
         assert_eq!(d.state(B), DirState::Modified(3));
     }
 
     #[test]
     fn moesi_owner_upgrade_skips_self_invalidation() {
-        let mut d = HomeDirectory::with_protocol(8, 16, Protocol::Moesi);
-        d.handle_write(B, 7);
-        d.handle_read(B, 2);
-        d.handle_copyback(B, 7, SharerSet::EMPTY, true); // Owned{7, {2}}
-                                                         // The owner upgrading only invalidates the sharer, not itself.
+        let mut d = HomeDirectory::new(8, 16, Protocol::Moesi);
+        write(&mut d, B, 7);
+        read(&mut d, B, 2);
+        copyback(&mut d, B, 7, SharerSet::EMPTY, true); // Owned{7, {2}}
+                                                        // The owner upgrading only invalidates the sharer, not itself.
         assert_eq!(
-            d.handle_write(B, 7),
+            write(&mut d, B, 7),
             DirAction::Invalidate { targets: SharerSet::singleton(2), writer: 7 }
         );
-        let c = d.handle_inval_ack(B);
-        assert_eq!(c.actions, vec![DirAction::WriteReplyGrant { to: 7, seq: 2 }]);
+        let c = ack(&mut d, B);
+        assert_eq!(c.action, Some(DirAction::WriteReplyGrant { to: 7, seq: 2 }));
         assert_eq!(d.state(B), DirState::Modified(7));
     }
 
     #[test]
     fn moesi_owner_writeback_leaves_sharers_clean() {
-        let mut d = HomeDirectory::with_protocol(8, 16, Protocol::Moesi);
-        d.handle_write(B, 7);
-        d.handle_read(B, 2);
-        d.handle_copyback(B, 7, SharerSet::EMPTY, true); // Owned{7, {2}}
-        let c = d.handle_writeback(B, 7, SharerSet::EMPTY);
-        assert_eq!(c, Completion::default());
+        let mut d = HomeDirectory::new(8, 16, Protocol::Moesi);
+        write(&mut d, B, 7);
+        read(&mut d, B, 2);
+        copyback(&mut d, B, 7, SharerSet::EMPTY, true); // Owned{7, {2}}
+        let c = writeback(&mut d, B, 7, SharerSet::EMPTY);
+        assert_eq!(c, Outcome::default());
         assert_eq!(d.state(B), DirState::Shared(SharerSet::singleton(2)));
     }
 
     #[test]
     fn moesi_eviction_race_during_owned_read_merges_prior_sharers() {
-        let mut d = HomeDirectory::with_protocol(8, 16, Protocol::Moesi);
-        d.handle_write(B, 7);
-        d.handle_read(B, 2);
-        d.handle_copyback(B, 7, SharerSet::EMPTY, true); // Owned{7, {2}}
-        d.handle_read(B, 4); // busy CtoC to owner 7
-                             // Owner evicts before the intervention lands: requester is served
-                             // from memory and sharer 2's copy survives.
-        let c = d.handle_writeback(B, 7, SharerSet::EMPTY);
-        assert_eq!(c.actions, vec![DirAction::ReadReplyClean { to: 4 }]);
+        let mut d = HomeDirectory::new(8, 16, Protocol::Moesi);
+        write(&mut d, B, 7);
+        read(&mut d, B, 2);
+        copyback(&mut d, B, 7, SharerSet::EMPTY, true); // Owned{7, {2}}
+        read(&mut d, B, 4); // busy CtoC to owner 7
+                            // Owner evicts before the intervention lands: requester is served
+                            // from memory and sharer 2's copy survives.
+        let c = writeback(&mut d, B, 7, SharerSet::EMPTY);
+        assert_eq!(c.action, Some(DirAction::ReadReplyClean { to: 4 }));
         let expected: SharerSet = [2u8, 4].into_iter().collect();
         assert_eq!(d.state(B), DirState::Shared(expected));
     }

@@ -9,15 +9,16 @@
 //! home folds into the vector ("a minor modification in the directory
 //! controller", §3.2).
 //!
-//! This crate is pure protocol logic with no timing: handlers return
-//! [`home::DirAction`]s that the timed simulators (in `dresar` and
-//! `dresar-trace-sim`) turn into messages with DRAM latency and controller
-//! occupancy attached. Keeping the FSM pure makes it exhaustively testable.
+//! This crate is pure protocol logic with no timing. Its one entry point,
+//! [`HomeDirectory::handle`], takes a block and the [`Request`] that
+//! arrived for it and returns an [`Outcome`]: at most one [`DirAction`],
+//! which the timed simulators (in `dresar` and `dresar-trace-sim`) turn
+//! into messages with DRAM latency and controller occupancy attached, and
+//! the parked requests to handle again. Keeping the FSM pure makes it
+//! exhaustively testable.
 
 #![warn(missing_docs)]
 
 pub mod home;
 
-pub use home::{
-    Completion, DirAction, DirError, DirState, DirStats, HomeDirectory, QueuedReq, ReqKind,
-};
+pub use home::{DirAction, DirError, DirState, DirStats, HomeDirectory, Outcome, Request};

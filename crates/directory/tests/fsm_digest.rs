@@ -17,7 +17,7 @@
 //! the four digests; only `drive` and `directory` below may change with
 //! its entry points.
 
-use dresar_directory::{DirAction, DirState, DirStats, HomeDirectory};
+use dresar_directory::{DirAction, DirState, DirStats, HomeDirectory, Request};
 use dresar_obs::DirStateKind;
 use dresar_types::{BlockAddr, NodeId, Protocol, SharerSet};
 
@@ -40,34 +40,30 @@ enum Op {
 // ---- driver: the only lines that name the directory's entry points ----
 
 fn directory(protocol: Protocol) -> HomeDirectory {
-    HomeDirectory::with_protocol(PENDING_LIMIT, NODES, protocol)
+    HomeDirectory::new(PENDING_LIMIT, NODES, protocol)
 }
 
 /// Handles `op` at `block`: the actions to perform and the parked
 /// requests handed back for replay, in queue order.
 fn drive(d: &mut HomeDirectory, block: BlockAddr, op: Op) -> (Vec<DirAction>, Vec<Op>) {
-    use dresar_directory::{QueuedReq, ReqKind};
-    let c = match op {
-        Op::Read(p) => return (vec![d.handle_read(block, p)], vec![]),
-        Op::Write(p) => return (vec![d.handle_write(block, p)], vec![]),
-        Op::InvalAck => d.handle_inval_ack(block),
-        Op::CopyBack { from, carried, retained } => {
-            d.handle_copyback(block, from, carried, retained)
-        }
-        Op::WriteBack { from, carried } => d.handle_writeback(block, from, carried),
+    let req = match op {
+        Op::Read(requester) => Request::Read { requester },
+        Op::Write(requester) => Request::Write { requester },
+        Op::InvalAck => Request::InvalAck,
+        Op::CopyBack { from, carried, retained } => Request::CopyBack { from, carried, retained },
+        Op::WriteBack { from, carried } => Request::WriteBack { from, carried },
     };
-    let replay = c
+    let out = d.handle(block, req);
+    let replay = out
         .replay
         .into_iter()
-        .map(|QueuedReq { block: b, requester, kind }| {
-            assert_eq!(b, block, "a replay belongs to the completed block");
-            match kind {
-                ReqKind::Read => Op::Read(requester),
-                ReqKind::Write => Op::Write(requester),
-            }
+        .map(|r| match r {
+            Request::Read { requester } => Op::Read(requester),
+            Request::Write { requester } => Op::Write(requester),
+            other => panic!("only reads and writes are parked, not {other:?}"),
         })
         .collect();
-    (c.actions, replay)
+    (out.action.into_iter().collect(), replay)
 }
 
 // ---- hashing ----

@@ -2,13 +2,15 @@
 
 use dresar::switchdir::{GenMsg, NullProbe, SnoopAction, SwitchDirectory, SwitchLoc};
 use dresar_cache::{LineState, SetAssocCache};
-use dresar_directory::{DirAction, HomeDirectory};
-use dresar_interconnect::{Bmin, SwitchId};
+use dresar_directory::{DirAction, HomeDirectory, Request};
+use dresar_interconnect::{routes, Bmin, SwitchId};
 use dresar_stats::{BlockHistogram, ReadClass, ReadStats};
 use dresar_types::addr::AddressMap;
 use dresar_types::config::TraceSimConfig;
 use dresar_types::msg::{Endpoint, Message, MsgType};
-use dresar_types::{BlockAddr, Cycle, ItemView, NodeId, RefKind, SharerSet, StreamItem, Workload};
+use dresar_types::{
+    BlockAddr, Cycle, ItemView, NodeId, Protocol, RefKind, SharerSet, StreamItem, Workload,
+};
 
 /// Results of a trace-driven run.
 #[derive(Debug, Clone, Default)]
@@ -96,7 +98,7 @@ impl TraceSimulator {
         TraceSimulator {
             map: cfg.address_map(),
             caches: (0..cfg.nodes).map(|_| SetAssocCache::new(cfg.cache)).collect(),
-            dir: HomeDirectory::with_nodes(usize::MAX / 2, cfg.nodes),
+            dir: HomeDirectory::new(usize::MAX / 2, cfg.nodes, Protocol::Msi),
             sdirs: (0..bmin.total_switches())
                 .map(|_| cfg.switch_dir.map(SwitchDirectory::new))
                 .collect(),
@@ -154,11 +156,10 @@ impl TraceSimulator {
         if p == home || self.cfg.switch_dir.is_none() {
             return None;
         }
-        let mut path = self.bmin.path_switches(p, home);
-        if !toward_home {
-            path.reverse();
-        }
-        for sw in path {
+        let route = routes::forward(&self.bmin, p, home);
+        let hops = route.switch_hops();
+        for i in 0..hops {
+            let sw = route.switch(if toward_home { i } else { hops - 1 - i });
             let idx = self.linear(sw);
             let action = match self.sdirs[idx].as_mut() {
                 Some(sd) => sd.snoop(msg, SwitchLoc::default(), 0, &mut NullProbe),
@@ -170,6 +171,24 @@ impl TraceSimulator {
             }
         }
         None
+    }
+
+    /// Hands `req` to the home directory. Transactions are atomic here, so
+    /// no block is ever busy and nothing is parked or replayed.
+    fn home(&mut self, block: BlockAddr, req: Request) -> Option<DirAction> {
+        let out = self.dir.handle(block, req);
+        debug_assert!(out.replay.is_empty(), "atomic trace model: nothing is ever parked");
+        out.action
+    }
+
+    /// The owner's copyback reaches home (MSI: the owner never retains).
+    fn copyback(
+        &mut self,
+        block: BlockAddr,
+        from: NodeId,
+        carried: SharerSet,
+    ) -> Option<DirAction> {
+        self.home(block, Request::CopyBack { from, carried, retained: false })
     }
 
     /// Runs the full ownership-transfer bookkeeping when `owner` supplies
@@ -188,7 +207,7 @@ impl TraceSimulator {
             c.remove(owner);
             c
         };
-        let _ = self.dir.handle_copyback(block, owner, carried, false);
+        self.copyback(block, owner, carried);
     }
 
     /// Processes one read by processor `p`; returns the latency charged.
@@ -230,8 +249,8 @@ impl TraceSimulator {
         }
 
         // Home-node path.
-        match self.dir.handle_read(block, p) {
-            DirAction::ReadReplyClean { .. } => {
+        match self.home(block, Request::Read { requester: p }) {
+            Some(DirAction::ReadReplyClean { .. }) => {
                 self.fill(p, block, LineState::Shared);
                 self.record_read(block, ReadClass::CleanMemory);
                 if p == home {
@@ -240,10 +259,10 @@ impl TraceSimulator {
                     lat.remote_memory as Cycle
                 }
             }
-            DirAction::ForwardCtoC { owner, .. } => {
+            Some(DirAction::ForwardCtoC { owner, .. }) => {
                 // The home-forwarded intervention completes atomically.
-                let c = self.dir.handle_copyback(block, owner, SharerSet::EMPTY, false);
-                debug_assert_eq!(c.actions.len(), 1);
+                let done = self.copyback(block, owner, SharerSet::EMPTY);
+                debug_assert!(done.is_some());
                 self.caches[owner as usize].set_state(block, LineState::Shared);
                 // The copyback still cleans stale switch entries.
                 let mut cb = self.mk_msg(MsgType::CopyBack, block, owner, home);
@@ -276,25 +295,23 @@ impl TraceSimulator {
         let intercepted = self.walk_path(p, home, &mut req, true);
         debug_assert!(intercepted.is_none(), "no TRANSIENT entries persist between ops");
 
-        match self.dir.handle_write(block, p) {
-            DirAction::WriteReplyGrant { .. } => {}
-            DirAction::Invalidate { targets, .. } => {
+        match self.home(block, Request::Write { requester: p }) {
+            Some(DirAction::WriteReplyGrant { .. }) => {}
+            Some(DirAction::Invalidate { targets, .. }) => {
                 for t in targets.iter() {
                     self.caches[t as usize].invalidate(block);
-                    let c = self.dir.handle_inval_ack(block);
-                    if !c.actions.is_empty() {
-                        debug_assert!(matches!(c.actions[0], DirAction::WriteReplyGrant { .. }));
-                    }
+                    let done = self.home(block, Request::InvalAck);
+                    debug_assert!(matches!(done, None | Some(DirAction::WriteReplyGrant { .. })));
                 }
             }
-            DirAction::ForwardCtoC { owner, .. } => {
+            Some(DirAction::ForwardCtoC { owner, .. }) => {
                 // The intervention travels home -> owner, invalidating the
                 // stale MODIFIED entries recorded along the old owner's
                 // path (they would otherwise mis-route later reads).
                 let mut intervention = self.mk_msg(MsgType::CtoCRequest, block, p, home);
                 let _ = self.walk_path(owner, home, &mut intervention, false);
                 self.caches[owner as usize].invalidate(block);
-                let _ = self.dir.handle_copyback(block, owner, SharerSet::EMPTY, false);
+                self.copyback(block, owner, SharerSet::EMPTY);
             }
             other => unreachable!("atomic trace model: unexpected {other:?}"),
         }
@@ -320,7 +337,7 @@ impl TraceSimulator {
                 c.remove(p);
                 c
             };
-            let _ = self.dir.handle_writeback(victim, p, carried);
+            self.home(victim, Request::WriteBack { from: p, carried });
         }
     }
 
@@ -540,6 +557,21 @@ mod tests {
         let h = r.histogram.unwrap();
         assert_eq!(h.total_misses(), 2);
         assert_eq!(h.total_ctocs(), 0);
+    }
+
+    #[test]
+    fn forward_route_names_the_path_switches() {
+        for (nodes, radix) in [(16, 4), (16, 2), (64, 4)] {
+            let bmin = Bmin::new(nodes, radix);
+            for p in 0..nodes as NodeId {
+                for m in 0..nodes as NodeId {
+                    let route = routes::forward(&bmin, p, m);
+                    let walked: Vec<SwitchId> =
+                        (0..route.switch_hops()).map(|i| route.switch(i)).collect();
+                    assert_eq!(walked, bmin.path_switches(p, m), "{nodes}x{radix}: {p} -> {m}");
+                }
+            }
+        }
     }
 
     #[test]
