@@ -391,7 +391,10 @@ fn params() {
     if let Some(sd) = t2.switch_dir {
         println!(
             "  switch directory     : {} entries ({}-way, {} ports, {} pending)",
-            sd.entries, sd.ways, sd.lookup_ports, sd.pending_buffer_entries
+            sd.entries,
+            sd.ways,
+            PortScheduler::paper_4x4().main_ports,
+            sd.pending_buffer_entries
         );
     }
 

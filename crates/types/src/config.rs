@@ -113,8 +113,6 @@ pub struct SwitchDirConfig {
     pub entries: u32,
     /// Associativity (paper: 4-way).
     pub ways: u32,
-    /// Lookup ports on the SRAM array (paper: 2-way multiported).
-    pub lookup_ports: u32,
     /// Pending-buffer entries for transient blocks in large (8x8) switches
     /// (paper §4.3: 8–16 entries).
     pub pending_buffer_entries: u32,
@@ -147,7 +145,6 @@ impl SwitchDirConfig {
         SwitchDirConfig {
             entries: 1024,
             ways: 4,
-            lookup_ports: 2,
             pending_buffer_entries: 16,
             transient_policy: TransientReadPolicy::Retry,
         }
@@ -171,9 +168,6 @@ impl SwitchDirConfig {
         }
         if !(self.entries / self.ways).is_power_of_two() {
             return Err("switch-directory set count must be a power of two".into());
-        }
-        if self.lookup_ports == 0 {
-            return Err("need at least one lookup port".into());
         }
         if self.pending_buffer_entries > Self::MAX_PENDING_BUFFER_ENTRIES {
             return Err(format!(
