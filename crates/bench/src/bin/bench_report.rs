@@ -14,7 +14,7 @@
 //! ```text
 //! bench_report [tiny|reduced|paper] [--out PATH] [--heatmap PATH]
 //!              [--scaling PATH] [--protocols PATH]
-//!              [--baseline PATH [--tolerance PCT] [--informational]]
+//!              [--baseline PATH [--tolerance PCT]]
 //! ```
 //!
 //! `--scaling` and `--protocols` each write one switch-directory benefit
@@ -41,9 +41,9 @@
 //! With `--baseline`, the freshly produced registries are diffed scalar-by-
 //! scalar against the baseline document. Any scalar whose relative change
 //! exceeds the tolerance (percent, default 0 — exact match) is a
-//! regression: they are listed on stderr and the process exits nonzero,
-//! unless `--informational` downgrades the gate to reporting only (the
-//! mode CI uses on pull requests).
+//! regression: they are listed on stderr and the process exits nonzero.
+//! CI runs the gate exactly (tolerance 0) on pull requests and pushes
+//! alike.
 
 use dresar_bench::benefit::{PROTOCOLS, SCALING};
 use dresar_bench::cli::{parse_scale, CliError, ErrorCode};
@@ -62,7 +62,6 @@ struct Args {
     protocols: Option<String>,
     baseline: Option<String>,
     tolerance_pct: f64,
-    informational: bool,
 }
 
 fn parse_args() -> Result<Args, CliError> {
@@ -74,7 +73,6 @@ fn parse_args() -> Result<Args, CliError> {
         protocols: None,
         baseline: None,
         tolerance_pct: 0.0,
-        informational: false,
     };
     let mut scale: Option<String> = None;
     let mut it = std::env::args().skip(1);
@@ -96,7 +94,6 @@ fn parse_args() -> Result<Args, CliError> {
                 .ok_or_else(|| CliError::new(ErrorCode::BadField, format!("{a} needs a value")))
         };
         match a.as_str() {
-            "--informational" => args.informational = true,
             "--out" => args.out = value()?,
             "--heatmap" => args.heatmap = Some(value()?),
             "--scaling" => args.scaling = Some(value()?),
@@ -331,11 +328,6 @@ fn main() -> ExitCode {
             "bench_report: {regressions} regression(s) vs {baseline_path} (tolerance {}%)",
             args.tolerance_pct
         );
-        if args.informational {
-            eprintln!("bench_report: informational mode, not failing");
-            ExitCode::SUCCESS
-        } else {
-            ExitCode::FAILURE
-        }
+        ExitCode::FAILURE
     }
 }
