@@ -694,15 +694,13 @@ impl HomeDirectory {
             }
         }
         let e = self.blocks.entry(block).or_insert_with(BlockEntry::stable_uncached);
+        // Acks with no round to count are recorded, in release builds too,
+        // not dropped silently. A round is never left with zero acks
+        // outstanding, so an ack finding one is duplicated or forged.
         let stray_ack = match (req, e.busy) {
-            // Was a debug_assert!(acks_left > 0): an inval round can never
-            // be parked with zero outstanding acks, so reaching here means
-            // a duplicated or forged ack.
             (Request::InvalAck, Some(Busy::Inval { acks_left: 0, .. })) => {
                 Some(("dir_inval_ack_underflow", "with zero acks outstanding"))
             }
-            // Was a debug_assert!(false, ...): promoted so release runs
-            // surface the stray ack instead of silently dropping it.
             (Request::InvalAck, Some(Busy::CtoC { .. }) | None) => {
                 Some(("dir_inval_ack_stray", "with no inval round in flight"))
             }
