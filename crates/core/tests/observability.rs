@@ -1,9 +1,10 @@
 //! Tier-1 observability guarantees: the latency breakdown accounts for
 //! every read-stall cycle exactly, traces are deterministic and valid
-//! Chrome trace-event documents, and the JSON reports name every read class.
+//! Chrome trace-event documents, the JSON reports name every read class,
+//! and a fully observed run's report and trace bytes are pinned.
 
 use dresar::system::{ExecutionReport, RunOptions, System};
-use dresar_obs::{ObserverConfig, CLASS_LABELS};
+use dresar_obs::{ObserverConfig, CLASS_LABELS, DEFAULT_ATTRIB_WINDOW};
 use dresar_types::config::{SwitchDirConfig, SystemConfig};
 use dresar_types::{JsonValue, ToJson, Workload};
 use dresar_workloads::scientific;
@@ -16,6 +17,14 @@ fn cfg(switch_dir: bool) -> SystemConfig {
 
 fn workload() -> Workload {
     scientific::fft(16, 256)
+}
+
+const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
+
+fn fnv1a(bytes: &[u8]) -> String {
+    let h = bytes.iter().fold(FNV_OFFSET, |h, &b| (h ^ u64::from(b)).wrapping_mul(FNV_PRIME));
+    format!("{h:016x}")
 }
 
 fn run_observed(switch_dir: bool, observers: ObserverConfig) -> ExecutionReport {
@@ -129,4 +138,16 @@ fn obs_report_json_names_every_read_class() {
     for label in CLASS_LABELS {
         assert!(classes.get(label).is_some(), "class {label} present");
     }
+}
+
+/// The bytes a fully observed run reaches, pinned: the whole report as
+/// `to_json().dump()` writes it (the trace nested as an escaped string)
+/// and the raw trace document. A change to how the event log, the report
+/// or the JSON writer produce bytes must leave both digests where they are.
+#[test]
+fn observed_report_and_trace_bytes_are_pinned() {
+    let r = run_observed(true, ObserverConfig::all(DEFAULT_ATTRIB_WINDOW));
+    let trace = r.obs.as_ref().and_then(|o| o.trace.as_ref()).expect("trace recorded");
+    assert_eq!(fnv1a(trace.as_bytes()), "4308b3e24b8c7d4c", "trace document");
+    assert_eq!(fnv1a(r.to_json().dump().as_bytes()), "83f584f8a703f8d8", "report");
 }
