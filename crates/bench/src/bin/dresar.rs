@@ -639,7 +639,7 @@ fn scope_overhead(args: &Args) {
             .execution()
             .and_then(|r| r.obs?.trace)
             .expect("traced execution-driven run yields a trace");
-        print!("{trace}");
+        print!("{}", trace.document());
         return;
     }
 

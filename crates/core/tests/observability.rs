@@ -62,6 +62,7 @@ fn identical_runs_produce_byte_identical_traces() {
     let observers = ObserverConfig { trace: true, ..Default::default() };
     let t1 = run_observed(true, observers).obs.and_then(|o| o.trace).expect("trace recorded");
     let t2 = run_observed(true, observers).obs.and_then(|o| o.trace).expect("trace recorded");
+    let (t1, t2) = (t1.document(), t2.document());
     assert!(!t1.is_empty());
     assert_eq!(t1, t2, "tracing must be deterministic");
 }
@@ -78,8 +79,8 @@ fn traces_are_deterministic_on_8x8_pending_buffer_config() {
     let observers = ObserverConfig { trace: true, ..Default::default() };
     let run = || System::new(c, &workload()).run(RunOptions { observers, ..RunOptions::default() });
     let (r1, r2) = (run(), run());
-    let t1 = r1.obs.as_ref().and_then(|o| o.trace.as_ref()).expect("trace recorded");
-    let t2 = r2.obs.as_ref().and_then(|o| o.trace.as_ref()).expect("trace recorded");
+    let t1 = r1.obs.as_ref().and_then(|o| o.trace.as_ref()).expect("trace recorded").document();
+    let t2 = r2.obs.as_ref().and_then(|o| o.trace.as_ref()).expect("trace recorded").document();
     assert!(!t1.is_empty());
     assert_eq!(t1, t2, "tracing must be deterministic with a constrained pending buffer");
     assert_eq!(r1.metrics, r2.metrics);
@@ -103,7 +104,7 @@ fn metrics_snapshots_are_identical_across_same_seed_runs() {
 fn trace_is_a_valid_chrome_trace_event_document() {
     let observers = ObserverConfig { trace: true, ..Default::default() };
     let trace = run_observed(true, observers).obs.and_then(|o| o.trace).expect("trace recorded");
-    let doc = JsonValue::parse(&trace).expect("trace parses as JSON");
+    let doc = JsonValue::parse(&trace.document()).expect("trace parses as JSON");
     let events = doc.as_arr().expect("trace-event array flavour");
     assert!(events.len() > 10, "trace has events");
     let mut phases_seen = std::collections::BTreeSet::new();
@@ -148,6 +149,6 @@ fn obs_report_json_names_every_read_class() {
 fn observed_report_and_trace_bytes_are_pinned() {
     let r = run_observed(true, ObserverConfig::all(DEFAULT_ATTRIB_WINDOW));
     let trace = r.obs.as_ref().and_then(|o| o.trace.as_ref()).expect("trace recorded");
-    assert_eq!(fnv1a(trace.as_bytes()), "4308b3e24b8c7d4c", "trace document");
+    assert_eq!(fnv1a(trace.document().as_bytes()), "4308b3e24b8c7d4c", "trace document");
     assert_eq!(fnv1a(r.to_json().dump().as_bytes()), "83f584f8a703f8d8", "report");
 }

@@ -23,12 +23,12 @@
 //!   class, distilled into a deterministic topology heatmap naming the
 //!   critical resource;
 //! * the event log ([`recorder`]) — one compact record per protocol
-//!   event, with two renderings: a bounded flight-recorder ring, cheap
-//!   enough to leave on for every run and dumped post mortem when a
-//!   watchdog, audit or fault anomaly fires; and, when traced, a Chrome
-//!   `about:tracing` / Perfetto trace-event document of message and
-//!   transaction lifecycles, with flow events stitching each transaction
-//!   into a causal tree.
+//!   event, kept two ways: a bounded flight-recorder ring, cheap enough to
+//!   leave on for every run and dumped post mortem when a watchdog, audit
+//!   or fault anomaly fires; and, when traced, every record, as a
+//!   [`Trace`] that renders on demand as a Chrome `about:tracing` /
+//!   Perfetto trace-event document of message and transaction lifecycles,
+//!   with flow events stitching each transaction into a causal tree.
 //!
 //! [`ObserverSet`] bundles any subset of the four behind one `Probe`
 //! implementation and is what [`ObserverConfig`] enables from run options.
@@ -54,7 +54,7 @@ pub use breakdown::{
 pub use hostprof::{HostProfile, HostProfiler, PhaseTiming, RunTiming};
 pub use metrics::{MetricDelta, MetricValue, MetricsRegistry};
 use recorder::EventLog;
-pub use recorder::{FlightDump, DEFAULT_FLIGHT_CAPACITY};
+pub use recorder::{FlightDump, Trace, DEFAULT_FLIGHT_CAPACITY};
 pub use sampler::{Sampler, TimeSeries, WindowSample};
 
 /// Identifies a switch: BMIN position plus the simulator's linear index
@@ -350,8 +350,8 @@ pub struct ObserverConfig {
     pub latency_breakdown: bool,
     /// Collect a time series with this window size in cycles.
     pub timeseries_window: Option<Cycle>,
-    /// Render the event log as a Chrome trace-event JSON document (the
-    /// log then keeps every record).
+    /// Keep every event-log record as a [`Trace`], which renders as a
+    /// Chrome trace-event JSON document.
     pub trace: bool,
     /// Keep the last N event-log records for postmortem flight dumps.
     pub flight: Option<usize>,
@@ -417,8 +417,9 @@ pub struct ObsReport {
     pub breakdown: Option<LatencyBreakdown>,
     /// Cycle-windowed time series, if sampled.
     pub timeseries: Option<TimeSeries>,
-    /// Chrome trace-event JSON document, if traced.
-    pub trace: Option<String>,
+    /// Every event-log record, if traced; [`Trace::document`] and
+    /// [`ObsReport::to_json`] render it.
+    pub trace: Option<Trace>,
     /// Flight-recorder dump, if attached (anomalous runs only).
     pub flight: Option<FlightDump>,
     /// Topology contention heatmap, if attributed.
@@ -446,7 +447,7 @@ impl ToJson for ObsReport {
             b = b.field("timeseries", ts.to_json());
         }
         if let Some(tr) = &self.trace {
-            b = b.field("trace_events", JsonValue::Str(tr.clone()));
+            b = b.field("trace_events", tr.document());
         }
         if let Some(fl) = &self.flight {
             b = b.field("flight", fl.to_json());

@@ -1,5 +1,6 @@
-//! The event log: one compact record per protocol event, rendered as the
-//! flight-recorder dump and as the Chrome/Perfetto trace.
+//! The event log: one compact record per protocol event, kept as the
+//! flight-recorder dump and, when traced, as the [`Trace`] whose records
+//! render on demand as a Chrome/Perfetto document.
 //!
 //! Every hook of the coherence narrative — message sends, switch sinks,
 //! deliveries, SD outcomes, home FSM transitions and service slices, NAKs
@@ -13,9 +14,10 @@
 //!   audit, fault anomaly); the simulator is deterministic, so the same
 //!   seed and fault plan reproduce the dump byte for byte.
 //! * **Trace.** With `trace` on the log keeps every record and `finish`
-//!   folds them into one trace document. The flight dump is then the last
-//!   `capacity` flight-kind records, with `total` counting flight kinds
-//!   only, so it is byte-identical to the ring's.
+//!   moves them into a [`Trace`], which renders the trace document only
+//!   when asked. The flight dump is then a copy of the last `capacity`
+//!   flight-kind records, with `total` counting flight kinds only, so it
+//!   is byte-identical to the ring's.
 //!
 //! Records capture the *coherence* narrative, not per-cycle resource
 //! telemetry: "what were the last N protocol steps before the wreck".
@@ -203,27 +205,28 @@ impl EventLog {
         }
     }
 
-    /// Renders the trace document (if traced) and the flight dump (if
+    /// Hands the records to the trace (if traced) and the flight dump (if
     /// configured).
-    pub(crate) fn finish(self) -> (Option<String>, Option<FlightDump>) {
+    pub(crate) fn finish(self) -> (Option<Trace>, Option<FlightDump>) {
         let EventLog { mut records, flight, keep_all, head, total, .. } = self;
-        let trace = keep_all.then(|| crate::trace::render(&records));
         let flight = flight.map(|capacity| {
-            if keep_all {
-                records = records
+            let kept = if keep_all {
+                let mut kept: Vec<Record> = records
                     .iter()
                     .rev()
                     .filter(|r| r.event.is_flight())
                     .take(capacity)
                     .copied()
                     .collect();
-                records.reverse();
+                kept.reverse();
+                kept
             } else {
                 records.rotate_left(head);
-            }
-            FlightDump { capacity, total, records }
+                std::mem::take(&mut records)
+            };
+            FlightDump { capacity, total, records: kept }
         });
-        (trace, flight)
+        (keep_all.then_some(Trace { records }), flight)
     }
 }
 
@@ -323,6 +326,21 @@ impl Probe for EventLog {
         txn: u64,
     ) {
         self.push(t, u64::from(node), block.0, txn, 0, Event::ReadComplete { class, latency });
+    }
+}
+
+/// A traced run's event log: every record, oldest first. It renders as a
+/// Chrome trace-event document only when asked, by [`Trace::document`]
+/// or by the report's JSON writer.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Trace {
+    records: Vec<Record>,
+}
+
+impl Trace {
+    /// The Chrome trace-event JSON document: an array, one event per line.
+    pub fn document(&self) -> String {
+        crate::trace::render(&self.records)
     }
 }
 

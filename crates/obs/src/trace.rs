@@ -188,7 +188,7 @@ mod tests {
     }
 
     fn doc(log: EventLog) -> String {
-        log.finish().0.expect("trace configured")
+        log.finish().0.expect("trace configured").document()
     }
 
     #[test]

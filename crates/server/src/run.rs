@@ -115,7 +115,7 @@ impl ValidatedSpec {
         if let RunReport::Execution(r) = &mut report {
             if let Some(obs) = r.obs.as_mut() {
                 flight = obs.flight.as_ref().map(|f| f.to_json().dump());
-                trace = obs.trace.take();
+                trace = obs.trace.take().map(|t| t.document());
                 if obs.is_empty() {
                     r.obs = None;
                 }

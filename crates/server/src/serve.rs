@@ -151,6 +151,21 @@ impl<T: Clone> Flight<T> {
     /// than the leader gives up on time even though the shared execution
     /// keeps running (and lands in the cache for its retry).
     fn wait(&self, deadline: Instant, deadline_ms: u64) -> Result<T, ServeError> {
+        self.published(deadline, deadline_ms)?.as_ref().expect("published").clone()
+    }
+
+    /// [`Flight::wait`] for a result with one waiter: moves it out instead
+    /// of copying it.
+    fn take(&self, deadline: Instant, deadline_ms: u64) -> Result<T, ServeError> {
+        self.published(deadline, deadline_ms)?.take().expect("published")
+    }
+
+    /// The result slot once it holds a result, or the deadline error.
+    fn published(
+        &self,
+        deadline: Instant,
+        deadline_ms: u64,
+    ) -> Result<MutexGuard<'_, Option<Result<T, ServeError>>>, ServeError> {
         let mut slot = lock_recover(&self.result);
         while slot.is_none() {
             let left = deadline.saturating_duration_since(Instant::now());
@@ -161,7 +176,7 @@ impl<T: Clone> Flight<T> {
                 self.ready.wait_timeout(slot, left).unwrap_or_else(PoisonError::into_inner);
             slot = guard;
         }
-        slot.as_ref().expect("checked above").clone()
+        Ok(slot)
     }
 }
 
@@ -821,7 +836,7 @@ fn serve_run_traced(body: &str, trace_id: &str, shared: &Arc<Shared>) -> Result<
         move |_: &Shared, result| flight.publish(result)
     };
     submit_execution(shared, validated, digest_hex.clone(), ExecPath::Traced, finish)?;
-    let Executed { out, queue_us, exec_us } = flight.wait(deadline, deadline_ms)?;
+    let Executed { out, queue_us, exec_us } = flight.take(deadline, deadline_ms)?;
 
     let ser_off = us(t0.elapsed());
     let sim_events = out.trace.as_deref().map(trace_inner).unwrap_or_default();

@@ -163,22 +163,49 @@ fn write_num(n: f64, out: &mut String) {
     }
 }
 
-fn write_str(s: &str, out: &mut String) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                use fmt::Write;
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
+/// What [`write_str`] writes for each byte: 0 for the byte itself, else
+/// the letter after the backslash, with `u` for `\u00XX`. Only the quote,
+/// the backslash and the controls below 0x20 escape; every byte of a
+/// multi-byte UTF-8 char is 0x80 or above, so a run between escapes always
+/// ends on a char boundary.
+const ESCAPES: [u8; 256] = {
+    let mut table = [0u8; 256];
+    let mut b = 0;
+    while b < 0x20 {
+        table[b] = b'u';
+        b += 1;
     }
+    table[b'\n' as usize] = b'n';
+    table[b'\r' as usize] = b'r';
+    table[b'\t' as usize] = b't';
+    table[b'"' as usize] = b'"';
+    table[b'\\' as usize] = b'\\';
+    table
+};
+
+/// Writes `s` as a quoted JSON string, copying each run of bytes that
+/// needs no escape in one piece.
+fn write_str(s: &str, out: &mut String) {
+    const HEX: &[u8; 16] = b"0123456789abcdef";
+    out.reserve(s.len() + 2);
+    out.push('"');
+    let mut run = 0;
+    for (i, &b) in s.as_bytes().iter().enumerate() {
+        let escape = ESCAPES[usize::from(b)];
+        if escape == 0 {
+            continue;
+        }
+        out.push_str(&s[run..i]);
+        out.push('\\');
+        out.push(char::from(escape));
+        if escape == b'u' {
+            out.push_str("00");
+            out.push(char::from(HEX[usize::from(b >> 4)]));
+            out.push(char::from(HEX[usize::from(b & 0xf)]));
+        }
+        run = i + 1;
+    }
+    out.push_str(&s[run..]);
     out.push('"');
 }
 
@@ -187,9 +214,9 @@ fn write_str(s: &str, out: &mut String) {
 pub struct ObjBuilder(Vec<(String, JsonValue)>);
 
 impl ObjBuilder {
-    /// Adds a field.
+    /// Adds a field, moving an owned `value` into the tree.
     pub fn field(mut self, key: &str, value: impl ToJson) -> Self {
-        self.0.push((key.to_string(), value.to_json()));
+        self.0.push((key.to_string(), value.into_json()));
         self
     }
 
@@ -203,6 +230,16 @@ impl ObjBuilder {
 pub trait ToJson {
     /// Builds the JSON representation.
     fn to_json(&self) -> JsonValue;
+
+    /// Builds the JSON representation from an owned value, moving what it
+    /// can instead of copying it: a [`JsonValue`] subtree, a `String`, and
+    /// the items of a `Vec` or an `Option`.
+    fn into_json(self) -> JsonValue
+    where
+        Self: Sized,
+    {
+        self.to_json()
+    }
 }
 
 /// Conversion from a [`JsonValue`].
@@ -214,6 +251,10 @@ pub trait FromJson: Sized {
 impl ToJson for JsonValue {
     fn to_json(&self) -> JsonValue {
         self.clone()
+    }
+
+    fn into_json(self) -> JsonValue {
+        self
     }
 }
 
@@ -239,6 +280,10 @@ impl ToJson for String {
     fn to_json(&self) -> JsonValue {
         JsonValue::Str(self.clone())
     }
+
+    fn into_json(self) -> JsonValue {
+        JsonValue::Str(self)
+    }
 }
 
 macro_rules! impl_tojson_int {
@@ -257,6 +302,10 @@ impl<T: ToJson> ToJson for Vec<T> {
     fn to_json(&self) -> JsonValue {
         JsonValue::Arr(self.iter().map(ToJson::to_json).collect())
     }
+
+    fn into_json(self) -> JsonValue {
+        JsonValue::Arr(self.into_iter().map(ToJson::into_json).collect())
+    }
 }
 
 impl<T: ToJson> ToJson for Option<T> {
@@ -265,6 +314,10 @@ impl<T: ToJson> ToJson for Option<T> {
             Some(v) => v.to_json(),
             None => JsonValue::Null,
         }
+    }
+
+    fn into_json(self) -> JsonValue {
+        self.map_or(JsonValue::Null, ToJson::into_json)
     }
 }
 
@@ -596,6 +649,78 @@ mod tests {
         assert!(JsonValue::parse(&nested(10_000)).is_err());
         let objects = format!("{}1{}", "{\"k\":".repeat(MAX_DEPTH + 1), "}".repeat(MAX_DEPTH + 1));
         assert!(JsonValue::parse(&objects).is_err());
+    }
+
+    /// The per-`char` escaper `write_str` replaced, kept as the reference
+    /// its output must equal byte for byte.
+    fn write_str_per_char(s: &str, out: &mut String) {
+        out.push('"');
+        for c in s.chars() {
+            match c {
+                '"' => out.push_str("\\\""),
+                '\\' => out.push_str("\\\\"),
+                '\n' => out.push_str("\\n"),
+                '\r' => out.push_str("\\r"),
+                '\t' => out.push_str("\\t"),
+                c if (c as u32) < 0x20 => {
+                    use fmt::Write;
+                    let _ = write!(out, "\\u{:04x}", c as u32);
+                }
+                c => out.push(c),
+            }
+        }
+        out.push('"');
+    }
+
+    fn assert_escapes_like_reference(s: &str) {
+        let (mut new, mut reference) = (String::new(), String::new());
+        write_str(s, &mut new);
+        write_str_per_char(s, &mut reference);
+        assert_eq!(new, reference, "escaping {s:?}");
+        let back = JsonValue::parse(&new).expect("escaped string parses");
+        assert_eq!(back.as_str(), Some(s), "round trip of {s:?}");
+    }
+
+    #[test]
+    fn escaper_matches_the_per_char_reference() {
+        assert_escapes_like_reference("");
+        for c in '\u{0}'..='\u{7f}' {
+            assert_escapes_like_reference(&c.to_string());
+            assert_escapes_like_reference(&format!("a{c}b{c}{c}"));
+        }
+        // 2-, 3- and 4-byte chars, alone and on either side of an escape,
+        // so a copied run starts or ends next to a multi-byte char.
+        for wide in ["é", "ß", "€", "中", "😀", "𝄞"] {
+            assert_escapes_like_reference(wide);
+            for esc in ["\"", "\\", "\n", "\r", "\t", "\u{1}", "\u{1f}"] {
+                assert_escapes_like_reference(&format!("{wide}{esc}"));
+                assert_escapes_like_reference(&format!("{esc}{wide}"));
+                assert_escapes_like_reference(&format!("{esc}{wide}{esc}{wide}{wide}{esc}"));
+            }
+        }
+        // A seeded 1 MB mix of plain ASCII, escapes and wide chars.
+        let alphabet: Vec<char> = "ab{}:,0 \"\\\n\r\t\u{0}\u{8}\u{1b}\u{7f}é€😀".chars().collect();
+        let mut x = 0x9e37_79b9_7f4a_7c15u64;
+        let mut mixed = String::new();
+        while mixed.len() < 1 << 20 {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            mixed.push(alphabet[(x % alphabet.len() as u64) as usize]);
+        }
+        assert_escapes_like_reference(&mixed);
+    }
+
+    #[test]
+    fn field_moves_an_owned_string_without_copying_it() {
+        let s = "x".repeat(1000);
+        let ptr = s.as_ptr();
+        let v = JsonValue::obj().field("k", JsonValue::Str(s)).build();
+        let moved = v.get("k").and_then(JsonValue::as_str).expect("field kept");
+        assert_eq!(moved.as_ptr(), ptr, "the string's heap buffer moved, not a copy");
+        let nested = JsonValue::obj().field("outer", v).build();
+        let inner = nested.get("outer").and_then(|o| o.get("k")).and_then(JsonValue::as_str);
+        assert_eq!(inner.map(str::as_ptr), Some(ptr), "nesting moves the subtree too");
     }
 
     #[test]

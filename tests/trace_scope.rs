@@ -34,7 +34,7 @@ fn traced_run(workload: &Workload, sd_entries: Option<u32>) -> String {
     let observers = ObserverConfig { trace: true, ..ObserverConfig::default() };
     let report = System::new(cfg(sd_entries), workload)
         .run(RunOptions { observers, ..RunOptions::default() });
-    report.obs.and_then(|o| o.trace).expect("traced run yields a trace document")
+    report.obs.and_then(|o| o.trace).expect("traced run yields a trace").document()
 }
 
 #[test]
