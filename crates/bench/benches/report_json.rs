@@ -1,0 +1,31 @@
+//! Microbenchmarks of the path from a traced run's report to JSON bytes:
+//! escaping a trace-sized string, and `to_json().dump()` of a traced tiny
+//! run (trace render, tree build and escape together).
+
+use dresar::system::RunOptions;
+use dresar_bench::harness::{bench, black_box};
+use dresar_bench::suite;
+use dresar_obs::ObserverConfig;
+use dresar_types::{JsonValue, ToJson};
+use dresar_workloads::Scale;
+
+/// About the size of the fft-observed benchmark workload's trace document.
+const TRACE_BYTES: usize = 100 << 20;
+
+fn main() {
+    let fft = suite(Scale::Tiny).into_iter().find(|b| b.label == "FFT").expect("suite has FFT");
+    let observers = ObserverConfig { trace: true, ..ObserverConfig::default() };
+    let report = fft
+        .run(Some(1024), RunOptions { observers, ..RunOptions::default() })
+        .execution()
+        .expect("FFT is execution-driven");
+    let document = report.obs.as_ref().and_then(|o| o.trace.as_ref()).expect("traced").document();
+
+    let big = JsonValue::Str(document.repeat(TRACE_BYTES.div_ceil(document.len())));
+    bench(&format!("report_json/escape_{}MB_trace", TRACE_BYTES >> 20), || {
+        black_box(big.dump().len());
+    });
+    bench("report_json/traced_tiny_fft_report", || {
+        black_box(report.to_json().dump().len());
+    });
+}

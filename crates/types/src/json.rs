@@ -187,26 +187,29 @@ const ESCAPES: [u8; 256] = {
 /// needs no escape in one piece.
 fn write_str(s: &str, out: &mut String) {
     const HEX: &[u8; 16] = b"0123456789abcdef";
-    out.reserve(s.len() + 2);
-    out.push('"');
+    let bytes = s.as_bytes();
+    // SAFETY: only ASCII bytes and whole runs of `s` cut at ASCII bytes,
+    // hence at char boundaries, are appended, so `out` stays UTF-8.
+    let out = unsafe { out.as_mut_vec() };
+    out.reserve(bytes.len() + 2);
+    out.push(b'"');
     let mut run = 0;
-    for (i, &b) in s.as_bytes().iter().enumerate() {
+    for (i, &b) in bytes.iter().enumerate() {
         let escape = ESCAPES[usize::from(b)];
         if escape == 0 {
             continue;
         }
-        out.push_str(&s[run..i]);
-        out.push('\\');
-        out.push(char::from(escape));
+        out.extend_from_slice(&bytes[run..i]);
         if escape == b'u' {
-            out.push_str("00");
-            out.push(char::from(HEX[usize::from(b >> 4)]));
-            out.push(char::from(HEX[usize::from(b & 0xf)]));
+            let (hi, lo) = (HEX[usize::from(b >> 4)], HEX[usize::from(b & 0xf)]);
+            out.extend_from_slice(&[b'\\', b'u', b'0', b'0', hi, lo]);
+        } else {
+            out.extend_from_slice(&[b'\\', escape]);
         }
         run = i + 1;
     }
-    out.push_str(&s[run..]);
-    out.push('"');
+    out.extend_from_slice(&bytes[run..]);
+    out.push(b'"');
 }
 
 /// Builder for object nodes with a fluent field API.
