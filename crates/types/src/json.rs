@@ -236,7 +236,7 @@ pub trait ToJson {
 
     /// Builds the JSON representation from an owned value, moving what it
     /// can instead of copying it: a [`JsonValue`] subtree, a `String`, and
-    /// the items of a `Vec` or an `Option`.
+    /// the items of a `Vec`.
     fn into_json(self) -> JsonValue
     where
         Self: Sized,
@@ -317,10 +317,6 @@ impl<T: ToJson> ToJson for Option<T> {
             Some(v) => v.to_json(),
             None => JsonValue::Null,
         }
-    }
-
-    fn into_json(self) -> JsonValue {
-        self.map_or(JsonValue::Null, ToJson::into_json)
     }
 }
 
