@@ -38,6 +38,25 @@ impl StreamRecorder {
         self.streams[p].reserve_exact(len);
     }
 
+    /// Ends processor `p`'s stream at its exact length, for a generator
+    /// that records one processor's stream after another and cannot know
+    /// their lengths up front. The stream becomes an exact-size copy, and
+    /// the buffer it grew in passes, emptied, to stream `p + 1` if that
+    /// one is still unallocated. One buffer then grows per workload, and no
+    /// spare capacity is freed between the streams for later small
+    /// allocations to land in and fragment the heap under the next
+    /// workload's streams.
+    pub fn seal(&mut self, p: usize) {
+        let exact = self.streams[p].to_vec();
+        let mut spare = std::mem::replace(&mut self.streams[p], exact);
+        spare.clear();
+        if let Some(next) = self.streams.get_mut(p + 1) {
+            if next.capacity() == 0 {
+                *next = spare;
+            }
+        }
+    }
+
     /// Records a load by processor `p` at simulated address `addr`.
     #[inline]
     pub fn read(&mut self, p: usize, addr: Addr) {
@@ -140,6 +159,26 @@ mod tests {
         assert_eq!(w.total_refs(), 2);
         assert_eq!(w.streams[0].len(), 2); // read + barrier
         assert_eq!(w.streams[1].len(), 2); // barrier + write
+    }
+
+    #[test]
+    fn seal_keeps_items_and_hands_the_buffer_on() {
+        let mut sealed = StreamRecorder::new(3, 1);
+        let mut plain = StreamRecorder::new(3, 1);
+        for p in 0..3 {
+            for i in 0..(100 + 7 * p as u64) {
+                sealed.read(p, i * 32);
+                plain.read(p, i * 32);
+            }
+            let grown = sealed.streams[p].capacity();
+            sealed.seal(p);
+            assert_eq!(sealed.streams[p].capacity(), sealed.streams[p].len());
+            if let Some(next) = sealed.streams.get(p + 1) {
+                assert!(next.is_empty());
+                assert_eq!(next.capacity(), grown);
+            }
+        }
+        assert_eq!(sealed.into_workload("t").streams, plain.into_workload("t").streams);
     }
 
     #[test]

@@ -209,6 +209,7 @@ pub fn generate(params: &CommercialParams) -> Workload {
                 }
             }
         }
+        rec.seal(p);
     }
     rec.into_workload(params.name.clone())
 }
