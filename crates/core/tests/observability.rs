@@ -152,3 +152,38 @@ fn observed_report_and_trace_bytes_are_pinned() {
     assert_eq!(fnv1a(trace.document().as_bytes()), "4308b3e24b8c7d4c", "trace document");
     assert_eq!(fnv1a(r.to_json().dump().as_bytes()), "83f584f8a703f8d8", "report");
 }
+
+/// The report writes the trace straight into its bytes as an escaped
+/// string; that must be exactly the raw document escaped by the JSON
+/// writer, and parse back to it.
+fn assert_forms_agree(r: &ExecutionReport) -> String {
+    let obs = r.obs.as_ref().expect("observers attached");
+    let raw = obs.trace.as_ref().expect("trace recorded").document();
+    let json = obs.to_json();
+    let escaped = json.get("trace_events").expect("trace_events field").dump();
+    assert_eq!(escaped, JsonValue::Str(raw.clone()).dump(), "escaped form");
+    assert_eq!(JsonValue::parse(&escaped), Ok(JsonValue::Str(raw.clone())));
+    JsonValue::parse(&raw).expect("the raw form parses");
+    raw
+}
+
+#[test]
+fn the_report_escapes_exactly_the_trace_document() {
+    assert_forms_agree(&run_observed(true, ObserverConfig::all(DEFAULT_ATTRIB_WINDOW)));
+    // A two-entry pending buffer makes switch directories NAK, so this run
+    // reaches every record kind: NAKs, read retries, busy home transitions
+    // and every read class.
+    let mut c = cfg(true);
+    c.switch_dir =
+        Some(SwitchDirConfig { pending_buffer_entries: 2, ..SwitchDirConfig::paper_default() });
+    let observers = ObserverConfig { trace: true, ..Default::default() };
+    let r = System::new(c, &workload()).run(RunOptions { observers, ..RunOptions::default() });
+    let raw = assert_forms_agree(&r);
+    let busy_star = "*\",";
+    for needle in ["\"name\":\"nak\"", "\"name\":\"read_retry\"", busy_star] {
+        assert!(raw.contains(needle), "the run reaches {needle}");
+    }
+    for label in CLASS_LABELS {
+        assert!(raw.contains(&format!("\"class\":\"{label}\"")), "the run reaches {label}");
+    }
+}

@@ -44,6 +44,7 @@ mod trace;
 use dresar_stats::ReadClass;
 use dresar_types::msg::{Message, MsgType};
 use dresar_types::{BlockAddr, Cycle, JsonValue, NodeId, ToJson};
+use std::sync::Arc;
 
 pub use attrib::{
     link_label, traffic_class, AttribObserver, Heatmap, DEFAULT_ATTRIB_WINDOW, TRAFFIC_CLASSES,
@@ -447,7 +448,7 @@ impl ToJson for ObsReport {
             b = b.field("timeseries", ts.to_json());
         }
         if let Some(tr) = &self.trace {
-            b = b.field("trace_events", tr.document());
+            b = b.field("trace_events", JsonValue::Deferred(Arc::new(tr.clone())));
         }
         if let Some(fl) = &self.flight {
             b = b.field("flight", fl.to_json());

@@ -26,8 +26,10 @@ use crate::{
     class_index, HomeTransition, MachineShape, Probe, SdProbeEvent, ServicePoint, SwitchLoc,
 };
 use dresar_stats::ReadClass;
+use dresar_types::json::WriteJson;
 use dresar_types::msg::{Endpoint, Message, MsgType};
 use dresar_types::{BlockAddr, Cycle, JsonValue, NodeId, ToJson};
+use std::sync::Arc;
 
 /// Default flight capacity: enough to cover several thousand protocol
 /// steps leading up to an anomaly while keeping the ring under ~256 KiB.
@@ -226,7 +228,7 @@ impl EventLog {
             };
             FlightDump { capacity, total, records: kept }
         });
-        (keep_all.then_some(Trace { records }), flight)
+        (keep_all.then(|| Trace { records: Arc::new(records) }), flight)
     }
 }
 
@@ -329,18 +331,29 @@ impl Probe for EventLog {
     }
 }
 
-/// A traced run's event log: every record, oldest first. It renders as a
-/// Chrome trace-event document only when asked, by [`Trace::document`]
-/// or by the report's JSON writer.
+/// A traced run's event log: every record, oldest first, shared by its
+/// clones. It renders as a Chrome trace-event document only when asked:
+/// raw by [`Trace::document`], or, as a [`JsonValue::Deferred`] node of
+/// the report's JSON tree, escaped straight into the dumped bytes.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Trace {
-    records: Vec<Record>,
+    records: Arc<Vec<Record>>,
 }
 
 impl Trace {
     /// The Chrome trace-event JSON document: an array, one event per line.
     pub fn document(&self) -> String {
-        crate::trace::render(&self.records)
+        let mut out = String::new();
+        crate::trace::render::<false>(&self.records, &mut out);
+        out
+    }
+}
+
+/// Writes the document as a JSON string, as `JsonValue::Str` of
+/// [`Trace::document`] would, without building the document.
+impl WriteJson for Trace {
+    fn write_json(&self, out: &mut String) {
+        crate::trace::render::<true>(&self.records, out);
     }
 }
 

@@ -18,19 +18,44 @@
 //! processor at completion — one causal tree per miss, across pids.
 //!
 //! The document is a fold over the log's records, written in one pass
-//! into one pre-sized `String`. Timestamps are simulation cycles written as
-//! integer `ts` values. The output is fully deterministic: two identical
-//! runs produce byte-identical documents (asserted by the tier-1
-//! observability tests).
+//! from one byte-level template in either of two forms: the raw document,
+//! or the same document as a quoted JSON string, byte for byte what
+//! `json::write_str` makes of the raw one. Each fixed fragment is a source
+//! literal whose escaped twin is computed at compile time ([`lit!`]);
+//! labels and integers need no escape, so they are copied alike into both
+//! forms and nothing is escaped at run time. Timestamps are simulation
+//! cycles written as integer `ts` values. The output is fully
+//! deterministic: two identical runs produce byte-identical documents
+//! (asserted by the tier-1 observability tests).
 
 use crate::recorder::{Event, Record, LOC_MEM, LOC_SWITCH};
 use crate::{class_index, CLASS_LABELS};
-use std::collections::HashMap;
-use std::fmt::{self, Arguments, Write};
+use dresar_types::json::{escape, escaped_len};
+use dresar_types::FastMap;
 
-/// Rendered bytes per record with headroom (FFT traces average ~128), to
-/// pre-size the document so it never reallocates.
+/// Raw bytes per record with headroom (FFT traces average ~128), to
+/// pre-size the output so it rarely reallocates. Escaping adds about a
+/// quarter.
 const BYTES_PER_RECORD: usize = 144;
+
+/// A fixed fragment of the document: its raw bytes, and the same bytes
+/// escaped as the inside of a JSON string.
+type Lit = (&'static [u8], &'static [u8]);
+
+/// The [`Lit`] of a string literal, its escaped form computed at compile
+/// time.
+macro_rules! lit {
+    ($raw:expr) => {{
+        const RAW: &str = $raw;
+        const ESCAPED: &[u8] = &escape::<{ escaped_len(RAW) }>(RAW);
+        (RAW.as_bytes(), ESCAPED)
+    }};
+}
+
+/// The opening of an event object's name.
+const NAME: Lit = lit!(",\n{\"name\":\"");
+/// The close of an event's `args` object and of the event.
+const ARGS_END: Lit = lit!("}}");
 
 /// The Perfetto track of a record: the `loc` tag is the pid, the payload
 /// (a switch's linear index) the tid.
@@ -40,147 +65,248 @@ fn track(r: &Record) -> (u64, u64) {
     (pid, tid)
 }
 
-/// Renders `records` as one JSON document (an array, one event per line).
-pub(crate) fn render(records: &[Record]) -> String {
-    let mut out = String::with_capacity(256 + records.len() * BYTES_PER_RECORD);
-    write_document(&mut out, records).expect("formatting into a String cannot fail");
-    out
-}
-
-fn write_document(out: &mut String, records: &[Record]) -> fmt::Result {
-    out.push_str(concat!(
+/// Appends `records` as the Chrome trace document (an array, one event
+/// per line) to `out`, raw or, with `ESCAPED`, as a quoted JSON string.
+pub(crate) fn render<const ESCAPED: bool>(records: &[Record], out: &mut String) {
+    // SAFETY: `Doc` appends only whole `&str`s (labels, raw fragments),
+    // ASCII (digits, quotes) and `json::escape` of a `&str`, which swaps
+    // ASCII bytes for ASCII and copies every other byte, so `out` stays
+    // UTF-8.
+    let out = unsafe { out.as_mut_vec() };
+    let per_record = if ESCAPED { BYTES_PER_RECORD * 5 / 4 } else { BYTES_PER_RECORD };
+    out.reserve(256 + records.len() * per_record);
+    let mut doc = Doc::<ESCAPED>(out);
+    doc.quote().lit(lit!(concat!(
         "[\n",
         r#"{"name":"process_name","ph":"M","pid":0,"tid":0,"args":{"name":"processors"}}"#,
         ",\n",
         r#"{"name":"process_name","ph":"M","pid":1,"tid":0,"args":{"name":"home directories"}}"#,
         ",\n",
         r#"{"name":"process_name","ph":"M","pid":2,"tid":0,"args":{"name":"switches"}}"#,
-    ));
+    )));
     // Open read spans by (node, block), so a service arrival or completion
     // finds the span its issue began.
-    let mut open_reads: HashMap<(u64, u64), u64> = HashMap::new();
+    let mut open_reads: FastMap<(u64, u64), u64> = FastMap::default();
     for r in records {
         let (pid, tid) = track(r);
-        let (t, block, txn) = (r.t, r.block, r.txn);
+        let at = (pid, tid, r.t);
+        let (block, txn) = (r.block, r.txn);
         match r.event {
-            Event::Send { kind, id, requester } => instant(
-                out,
-                format_args!("send:{kind:?}"),
-                (pid, tid, t),
-                format_args!("\"block\":{block},\"msg\":{id},\"req\":{requester},\"txn\":{txn}"),
-            )?,
-            Event::Sink { kind, id } => instant(
-                out,
-                format_args!("sink:{kind:?}"),
-                (pid, tid, t),
-                format_args!("\"block\":{block},\"msg\":{id},\"txn\":{txn}"),
-            )?,
-            Event::Deliver { kind, id } => instant(
-                out,
-                format_args!("deliver:{kind:?}"),
-                (pid, tid, t),
-                format_args!("\"block\":{block},\"msg\":{id},\"txn\":{txn}"),
-            )?,
-            Event::Sd(ev) => instant(
-                out,
-                format_args!("{}", ev.label()),
-                (pid, tid, t),
-                format_args!("\"block\":{block}"),
-            )?,
-            Event::HomeFsm(tr) => instant(
-                out,
-                format_args!("fsm:{}", tr.req.label()),
-                (pid, tid, t),
-                format_args!(
-                    "\"block\":{block},\"from\":\"{}{}\",\"to\":\"{}{}\",\"nak\":{},\"queued\":{}",
-                    tr.from.label(),
-                    if tr.from_busy { "*" } else { "" },
-                    tr.to.label(),
-                    if tr.to_busy { "*" } else { "" },
-                    tr.nak,
-                    tr.queued
-                ),
-            )?,
-            Event::HomeService { kind, dur } => write!(
-                out,
-                ",\n{{\"name\":\"home_service\",\"ph\":\"X\",\"pid\":{pid},\"tid\":{tid},\"ts\":{t},\"dur\":{dur},\"args\":{{\"block\":{block},\"kind\":\"{}\"}}}}",
-                kind.label()
-            )?,
+            Event::Send { kind, id, requester } => {
+                doc.instant(lit!(",\n{\"name\":\"send:"), kind.label(), at, block)
+                    .lit(lit!(",\"msg\":"))
+                    .num(id)
+                    .lit(lit!(",\"req\":"))
+                    .num(u64::from(requester))
+                    .lit(lit!(",\"txn\":"))
+                    .num(txn)
+                    .lit(ARGS_END);
+            }
+            Event::Sink { kind, id } => {
+                doc.instant(lit!(",\n{\"name\":\"sink:"), kind.label(), at, block).msg_txn(id, txn);
+            }
+            Event::Deliver { kind, id } => {
+                doc.instant(lit!(",\n{\"name\":\"deliver:"), kind.label(), at, block)
+                    .msg_txn(id, txn);
+            }
+            Event::Sd(ev) => {
+                doc.instant(NAME, ev.label(), at, block).lit(ARGS_END);
+            }
+            Event::HomeFsm(tr) => {
+                let star = |busy| if busy { "*" } else { "" };
+                doc.instant(lit!(",\n{\"name\":\"fsm:"), tr.req.label(), at, block)
+                    .lit(lit!(",\"from\":\""))
+                    .label(tr.from.label())
+                    .label(star(tr.from_busy))
+                    .lit(lit!("\",\"to\":\""))
+                    .label(tr.to.label())
+                    .label(star(tr.to_busy))
+                    .lit(lit!("\",\"nak\":"))
+                    .label(bool_label(tr.nak))
+                    .lit(lit!(",\"queued\":"))
+                    .label(bool_label(tr.queued))
+                    .lit(ARGS_END);
+            }
+            Event::HomeService { kind, dur } => {
+                doc.lit(lit!(",\n{\"name\":\"home_service\",\"ph\":\"X\","))
+                    .at(at)
+                    .lit(lit!(",\"dur\":"))
+                    .num(dur)
+                    .lit(lit!(",\"args\":{\"block\":"))
+                    .num(block)
+                    .lit(lit!(",\"kind\":\""))
+                    .label(kind.label())
+                    .lit(lit!("\"}}"));
+            }
             Event::Nak => {
-                instant(out, format_args!("nak"), (pid, tid, t), format_args!("\"block\":{block}"))?
+                doc.instant(NAME, "nak", at, block).lit(ARGS_END);
             }
             Event::ReadIssue { .. } => {
                 open_reads.insert((tid, block), txn);
-                write!(
-                    out,
-                    ",\n{{\"name\":\"read_miss\",\"cat\":\"read\",\"ph\":\"b\",\"id\":{txn},\"pid\":{pid},\"tid\":{tid},\"ts\":{t},\"args\":{{\"block\":{block},\"txn\":{txn}}}}}"
-                )?;
-                flow(out, 's', txn, (pid, tid, t))?;
+                doc.lit(lit!(",\n{\"name\":\"read_miss\",\"cat\":\"read\",\"ph\":\"b\",\"id\":"))
+                    .num(txn)
+                    .lit(lit!(","))
+                    .at(at)
+                    .lit(lit!(",\"args\":{\"block\":"))
+                    .num(block)
+                    .lit(lit!(",\"txn\":"))
+                    .num(txn)
+                    .lit(ARGS_END)
+                    .flow("s", txn, at);
             }
-            Event::ReadRetry => instant(
-                out,
-                format_args!("read_retry"),
-                (pid, tid, t),
-                format_args!("\"block\":{block},\"txn\":{txn}"),
-            )?,
+            Event::ReadRetry => {
+                doc.instant(NAME, "read_retry", at, block)
+                    .lit(lit!(",\"txn\":"))
+                    .num(txn)
+                    .lit(ARGS_END);
+            }
             Event::ReadServiceArrive { node } => {
-                let at = if pid == LOC_MEM { "home" } else { "switch" };
-                instant(
-                    out,
-                    format_args!("read_service"),
-                    (pid, tid, t),
-                    format_args!("\"block\":{block},\"node\":{node},\"at\":\"{at}\",\"txn\":{txn}"),
-                )?;
+                doc.instant(NAME, "read_service", at, block)
+                    .lit(lit!(",\"node\":"))
+                    .num(u64::from(node))
+                    .lit(lit!(",\"at\":\""))
+                    .label(if pid == LOC_MEM { "home" } else { "switch" })
+                    .lit(lit!("\",\"txn\":"))
+                    .num(txn)
+                    .lit(ARGS_END);
                 if let Some(&id) = open_reads.get(&(u64::from(node), block)) {
-                    flow(out, 't', id, (pid, tid, t))?;
+                    doc.flow("t", id, at);
                 }
             }
             Event::ReadServiceDone => {}
             Event::ReadComplete { class, latency } => {
                 let Some(id) = open_reads.remove(&(tid, block)) else { continue };
-                write!(
-                    out,
-                    ",\n{{\"name\":\"read_miss\",\"cat\":\"read\",\"ph\":\"e\",\"id\":{id},\"pid\":{pid},\"tid\":{tid},\"ts\":{t},\"args\":{{\"block\":{block},\"class\":\"{}\",\"latency\":{latency},\"txn\":{txn}}}}}",
-                    CLASS_LABELS[class_index(class)]
-                )?;
-                flow(out, 'f', id, (pid, tid, t))?;
+                doc.lit(lit!(",\n{\"name\":\"read_miss\",\"cat\":\"read\",\"ph\":\"e\",\"id\":"))
+                    .num(id)
+                    .lit(lit!(","))
+                    .at(at)
+                    .lit(lit!(",\"args\":{\"block\":"))
+                    .num(block)
+                    .lit(lit!(",\"class\":\""))
+                    .label(CLASS_LABELS[class_index(class)])
+                    .lit(lit!("\",\"latency\":"))
+                    .num(latency)
+                    .lit(lit!(",\"txn\":"))
+                    .num(txn)
+                    .lit(ARGS_END)
+                    .flow("f", id, at);
             }
         }
     }
-    out.push_str("\n]\n");
-    Ok(())
+    doc.lit(lit!("\n]\n")).quote();
 }
 
-/// One instant event at `(pid, tid, ts)`.
-fn instant(
-    out: &mut String,
-    name: Arguments<'_>,
-    (pid, tid, ts): (u64, u64, u64),
-    args: Arguments<'_>,
-) -> fmt::Result {
-    write!(
-        out,
-        ",\n{{\"name\":\"{name}\",\"ph\":\"i\",\"s\":\"t\",\"pid\":{pid},\"tid\":{tid},\"ts\":{ts},\"args\":{{{args}}}}}"
-    )
+fn bool_label(b: bool) -> &'static str {
+    if b {
+        "true"
+    } else {
+        "false"
+    }
 }
 
-/// One flow event (`ph` is `"s"`, `"t"` or `"f"`) at `(pid, tid, ts)`,
-/// keyed by the transaction id so Perfetto draws the causal arrows.
-fn flow(out: &mut String, ph: char, id: u64, (pid, tid, ts): (u64, u64, u64)) -> fmt::Result {
-    let bind = if ph == 'f' { ",\"bp\":\"e\"" } else { "" };
-    write!(
-        out,
-        ",\n{{\"name\":\"txn\",\"cat\":\"txn\",\"ph\":\"{ph}\",\"id\":{id},\"pid\":{pid},\"tid\":{tid},\"ts\":{ts}{bind}}}"
-    )
+/// The output in one of the template's two forms.
+struct Doc<'a, const ESCAPED: bool>(&'a mut Vec<u8>);
+
+impl<const ESCAPED: bool> Doc<'_, ESCAPED> {
+    /// A fixed fragment, in this form.
+    #[inline(always)]
+    fn lit(&mut self, (raw, escaped): Lit) -> &mut Self {
+        self.0.extend_from_slice(if ESCAPED { escaped } else { raw });
+        self
+    }
+
+    /// A label holding no byte that escapes, so the same in both forms.
+    #[inline(always)]
+    fn label(&mut self, label: &str) -> &mut Self {
+        self.0.extend_from_slice(label.as_bytes());
+        self
+    }
+
+    #[inline(always)]
+    fn num(&mut self, n: u64) -> &mut Self {
+        write_decimal(self.0, n);
+        self
+    }
+
+    /// The string's quote, in the escaped form only.
+    fn quote(&mut self) -> &mut Self {
+        if ESCAPED {
+            self.0.push(b'"');
+        }
+        self
+    }
+
+    /// `"pid":P,"tid":T,"ts":TS`.
+    #[inline(always)]
+    fn at(&mut self, (pid, tid, ts): (u64, u64, u64)) -> &mut Self {
+        self.lit(lit!("\"pid\":"))
+            .num(pid)
+            .lit(lit!(",\"tid\":"))
+            .num(tid)
+            .lit(lit!(",\"ts\":"))
+            .num(ts)
+    }
+
+    /// An instant event named `name` + `label` at `at`, up to its first
+    /// argument, the block; the caller writes the rest and [`ARGS_END`].
+    #[inline(always)]
+    fn instant(&mut self, name: Lit, label: &str, at: (u64, u64, u64), block: u64) -> &mut Self {
+        self.lit(name)
+            .label(label)
+            .lit(lit!("\",\"ph\":\"i\",\"s\":\"t\","))
+            .at(at)
+            .lit(lit!(",\"args\":{\"block\":"))
+            .num(block)
+    }
+
+    /// The message id and txn that close a sink or delivery.
+    fn msg_txn(&mut self, id: u64, txn: u64) -> &mut Self {
+        self.lit(lit!(",\"msg\":")).num(id).lit(lit!(",\"txn\":")).num(txn).lit(ARGS_END)
+    }
+
+    /// One flow event (`ph` is `"s"`, `"t"` or `"f"`) at `at`, keyed by
+    /// the transaction id so Perfetto draws the causal arrows.
+    fn flow(&mut self, ph: &str, id: u64, at: (u64, u64, u64)) -> &mut Self {
+        self.lit(lit!(",\n{\"name\":\"txn\",\"cat\":\"txn\",\"ph\":\""))
+            .label(ph)
+            .lit(lit!("\",\"id\":"))
+            .num(id)
+            .lit(lit!(","))
+            .at(at);
+        if ph == "f" {
+            self.lit(lit!(",\"bp\":\"e\""));
+        }
+        self.lit(lit!("}"))
+    }
+}
+
+/// Appends `n` in decimal, as `n.to_string()` writes it.
+fn write_decimal(out: &mut Vec<u8>, mut n: u64) {
+    let mut digits = [0u8; 20];
+    let mut start = digits.len();
+    loop {
+        start -= 1;
+        digits[start] = b'0' + (n % 10) as u8;
+        n /= 10;
+        if n == 0 {
+            break;
+        }
+    }
+    out.extend_from_slice(&digits[start..]);
 }
 
 #[cfg(test)]
 mod tests {
+    use super::write_decimal;
     use crate::recorder::EventLog;
-    use crate::{MachineShape, Probe, ServicePoint, SwitchLoc};
+    use crate::{
+        DirStateKind, HomeReq, HomeTransition, MachineShape, Probe, SdProbeEvent, ServicePoint,
+        SwitchLoc, CLASS_LABELS,
+    };
     use dresar_stats::ReadClass;
     use dresar_types::msg::{Endpoint, Message, MsgType};
     use dresar_types::{BlockAddr, JsonValue};
+    use std::sync::Arc;
 
     fn traced() -> EventLog {
         EventLog::new(None, true, MachineShape { nodes: 16, switches: 8 })
@@ -329,5 +455,185 @@ mod tests {
         t.read_complete(0, BlockAddr(1), ReadClass::CleanMemory, 10, 10, 3);
         let doc = doc(t);
         assert!(!doc.contains("\"ph\":\"e\""));
+    }
+
+    #[test]
+    fn decimal_writer_matches_to_string() {
+        let mut values = vec![0, 1, 9, 10, u64::MAX];
+        for power in (1..=19).map(|e| 10u64.pow(e)) {
+            values.extend([power - 1, power, power + 1]);
+        }
+        for n in values {
+            let mut out = Vec::new();
+            write_decimal(&mut out, n);
+            assert_eq!(String::from_utf8(out).unwrap(), n.to_string());
+        }
+    }
+
+    const MSG_TYPES: [MsgType; 12] = [
+        MsgType::ReadRequest,
+        MsgType::WriteRequest,
+        MsgType::WriteReply,
+        MsgType::CtoCRequest,
+        MsgType::CopyBack,
+        MsgType::WriteBack,
+        MsgType::Retry,
+        MsgType::ReadReply,
+        MsgType::CtoCData,
+        MsgType::Invalidate,
+        MsgType::InvalAck,
+        MsgType::WriteBackAck,
+    ];
+    const SD_EVENTS: [SdProbeEvent; 10] = [
+        SdProbeEvent::Insert,
+        SdProbeEvent::InsertBlocked,
+        SdProbeEvent::Evict,
+        SdProbeEvent::ReadHit { owner: 1, requester: 2 },
+        SdProbeEvent::TransientNak { requester: 3 },
+        SdProbeEvent::ReaderAccumulated { requester: 4 },
+        SdProbeEvent::Invalidate,
+        SdProbeEvent::WriteNak { requester: 5 },
+        SdProbeEvent::CopybackMarked { served: 2 },
+        SdProbeEvent::WritebackServed { served: 1 },
+    ];
+    const HOME_REQS: [HomeReq; 5] =
+        [HomeReq::Read, HomeReq::Write, HomeReq::InvalAck, HomeReq::CopyBack, HomeReq::WriteBack];
+    const DIR_STATES: [DirStateKind; 4] =
+        [DirStateKind::Uncached, DirStateKind::Shared, DirStateKind::Modified, DirStateKind::Owned];
+    const READ_CLASSES: [ReadClass; 3] =
+        [ReadClass::CleanMemory, ReadClass::DirtyCtoCHome, ReadClass::DirtyCtoCSwitch];
+
+    /// Fails to compile when a variant is added, as a reminder to list it
+    /// in the arrays above.
+    #[allow(dead_code)]
+    fn listed(kind: MsgType, ev: SdProbeEvent, req: HomeReq, state: DirStateKind) {
+        use {DirStateKind as D, HomeReq as H, MsgType as M, SdProbeEvent as S};
+        match kind {
+            M::ReadRequest | M::WriteRequest | M::WriteReply | M::CtoCRequest | M::CopyBack => {}
+            M::WriteBack | M::Retry | M::ReadReply | M::CtoCData | M::Invalidate => {}
+            M::InvalAck | M::WriteBackAck => {}
+        }
+        match ev {
+            S::Insert | S::InsertBlocked | S::Evict | S::ReadHit { .. } => {}
+            S::TransientNak { .. } | S::ReaderAccumulated { .. } | S::Invalidate => {}
+            S::WriteNak { .. } | S::CopybackMarked { .. } | S::WritebackServed { .. } => {}
+        }
+        match req {
+            H::Read | H::Write | H::InvalAck | H::CopyBack | H::WriteBack => {}
+        }
+        match state {
+            D::Uncached | D::Shared | D::Modified | D::Owned => {}
+        }
+    }
+
+    /// A log that reaches every record kind, every message type, SD
+    /// outcome, home request, directory state and read class, busy stars
+    /// on both sides of a transition, and sends from all three tracks.
+    fn every_event_kind() -> EventLog {
+        let mut t = traced();
+        let sw = SwitchLoc { stage: 1, index: 2, linear: 6 };
+        let (node, block) = (3, BlockAddr(40));
+        let mut clock = 0;
+        let mut tick = || {
+            clock += 7;
+            clock
+        };
+        for (i, kind) in MSG_TYPES.into_iter().enumerate() {
+            let i = i as u64;
+            let src =
+                [Endpoint::Proc(node), Endpoint::Mem(9), Endpoint::Switch { stage: 1, index: 2 }]
+                    [i as usize % 3];
+            let msg =
+                Message::new(100 + i, kind, block, src, Endpoint::Proc(5), node, 9).with_txn(i);
+            t.msg_send(tick(), &msg);
+            t.msg_sink(tick(), &msg, sw);
+            t.msg_deliver(tick(), &msg);
+            t.home_service(9, block, kind, tick(), tick(), tick() + i);
+        }
+        for ev in SD_EVENTS {
+            t.sd_event(tick(), sw, block, ev);
+        }
+        for (i, req) in HOME_REQS.into_iter().enumerate() {
+            for (j, from) in DIR_STATES.into_iter().enumerate() {
+                let to = DIR_STATES[(i + j) % DIR_STATES.len()];
+                let odd = |k: usize| k % 2 == 1;
+                let tr = HomeTransition {
+                    req,
+                    from,
+                    from_busy: odd(i + j),
+                    to,
+                    to_busy: odd(i),
+                    nak: odd(j),
+                    queued: odd(i * j + 1),
+                };
+                t.home_fsm(tick(), 9, block, tr);
+            }
+        }
+        for (i, class) in READ_CLASSES.into_iter().enumerate() {
+            let (b, txn) = (BlockAddr(50 + i as u64), 70 + i as u64);
+            let at = if i == 0 { ServicePoint::Home(9) } else { ServicePoint::Switch(sw) };
+            t.read_issue(node, b, tick(), tick(), txn);
+            t.nak_received(tick(), node, b);
+            t.read_retry(node, b, tick(), txn);
+            t.read_service_arrive(node, b, at, tick(), txn);
+            t.read_service_done(node, b, tick(), txn);
+            t.read_complete(node, b, class, 123_456_789 * i as u64, tick(), txn);
+        }
+        t
+    }
+
+    #[test]
+    fn the_two_forms_agree_on_every_event_kind() {
+        let trace = every_event_kind().finish().0.expect("trace configured");
+        let raw = trace.document();
+        let escaped = JsonValue::Deferred(Arc::new(trace)).dump();
+        let reference = JsonValue::Str(raw.clone()).dump();
+        assert_eq!(escaped, reference, "the escaped form is the escaped document");
+        assert_eq!(JsonValue::parse(&escaped), Ok(JsonValue::Str(raw.clone())));
+        let events = JsonValue::parse(&raw).expect("the raw form parses");
+        let names: Vec<&str> = events
+            .as_arr()
+            .expect("array form")
+            .iter()
+            .filter_map(|e| e.get("name").and_then(JsonValue::as_str))
+            .collect();
+        for name in ["nak", "read_retry", "read_service", "home_service", "read_miss", "txn"] {
+            assert!(names.contains(&name), "no {name} event");
+        }
+        for kind in MSG_TYPES {
+            for prefix in ["send", "sink", "deliver"] {
+                assert!(names.contains(&format!("{prefix}:{}", kind.label()).as_str()));
+            }
+        }
+        for ev in SD_EVENTS {
+            assert!(names.contains(&ev.label()));
+        }
+        for req in HOME_REQS {
+            assert!(names.contains(&format!("fsm:{}", req.label()).as_str()));
+        }
+        for state in DIR_STATES {
+            assert!(raw.contains(&format!("\"from\":\"{}*\"", state.label())));
+            assert!(raw.contains(&format!("\"to\":\"{}\"", state.label())));
+        }
+        for label in CLASS_LABELS {
+            assert!(raw.contains(&format!("\"class\":\"{label}\"")), "class {label}");
+        }
+        for ph in ["s", "t", "f"] {
+            assert!(raw.contains(&format!("\"cat\":\"txn\",\"ph\":\"{ph}\"")), "flow {ph}");
+        }
+    }
+
+    #[test]
+    fn every_verbatim_label_needs_no_escape() {
+        let mut labels: Vec<&str> = vec!["*", "true", "false", "home", "switch", "s", "t", "f"];
+        labels.extend(["nak", "read_retry", "read_service"]);
+        labels.extend(MSG_TYPES.map(MsgType::label));
+        labels.extend(SD_EVENTS.iter().map(SdProbeEvent::label));
+        labels.extend(HOME_REQS.iter().map(HomeReq::label));
+        labels.extend(DIR_STATES.iter().map(DirStateKind::label));
+        labels.extend(CLASS_LABELS);
+        for label in labels {
+            assert_eq!(JsonValue::Str(label.into()).dump(), format!("\"{label}\""), "{label:?}");
+        }
     }
 }

@@ -14,9 +14,16 @@
 //! Determinism matters here: two identical simulator runs must serialize to
 //! byte-identical output, so objects are ordered vectors (never hash maps)
 //! and float formatting is the shortest round-trip form Rust's `{}` gives.
+//!
+//! A value too large to build as a tree first (a traced run's event log)
+//! joins it as a [`JsonValue::Deferred`] node, which writes its own bytes
+//! straight into the output when the tree is dumped. [`escape`] gives the
+//! escaped twin of a string at compile time, for such writers' fixed
+//! fragments.
 
 use std::collections::BTreeMap;
 use std::fmt;
+use std::sync::Arc;
 
 /// Version stamp carried by every machine-readable JSON document the
 /// workspace emits (`--json` modes of the bench binaries, `BENCH_*.json`).
@@ -43,6 +50,28 @@ pub enum JsonValue {
     Arr(Vec<JsonValue>),
     /// An object; insertion order is preserved when writing.
     Obj(Vec<(String, JsonValue)>),
+    /// A value that writes its own bytes when the tree is dumped. Two
+    /// deferred nodes are equal when they write equal bytes; [`parse`]
+    /// never produces one.
+    ///
+    /// [`parse`]: JsonValue::parse
+    Deferred(Arc<dyn WriteJson>),
+}
+
+/// A value that writes itself as JSON text, for a [`JsonValue::Deferred`]
+/// node.
+pub trait WriteJson: fmt::Debug + Send + Sync {
+    /// Appends exactly one complete JSON value to `out`.
+    fn write_json(&self, out: &mut String);
+}
+
+impl PartialEq for dyn WriteJson {
+    fn eq(&self, other: &Self) -> bool {
+        let (mut a, mut b) = (String::new(), String::new());
+        self.write_json(&mut a);
+        other.write_json(&mut b);
+        a == b
+    }
 }
 
 impl JsonValue {
@@ -135,6 +164,7 @@ impl JsonValue {
                 }
                 out.push('}');
             }
+            JsonValue::Deferred(w) => w.write_json(out),
         }
     }
 
@@ -163,11 +193,11 @@ fn write_num(n: f64, out: &mut String) {
     }
 }
 
-/// What [`write_str`] writes for each byte: 0 for the byte itself, else
-/// the letter after the backslash, with `u` for `\u00XX`. Only the quote,
-/// the backslash and the controls below 0x20 escape; every byte of a
-/// multi-byte UTF-8 char is 0x80 or above, so a run between escapes always
-/// ends on a char boundary.
+/// What [`write_str`] and [`escape`] write for each byte: 0 for the byte
+/// itself, else the letter after the backslash, with `u` for `\u00XX`.
+/// Only the quote, the backslash and the controls below 0x20 escape; every
+/// byte of a multi-byte UTF-8 char is 0x80 or above, so a run between
+/// escapes always ends on a char boundary.
 const ESCAPES: [u8; 256] = {
     let mut table = [0u8; 256];
     let mut b = 0;
@@ -183,10 +213,63 @@ const ESCAPES: [u8; 256] = {
     table
 };
 
+const HEX: &[u8; 16] = b"0123456789abcdef";
+
+/// The length of `s` once escaped as a [`JsonValue::Str`] is dumped,
+/// without the quotes: the `N` to call [`escape`] with.
+pub const fn escaped_len(s: &str) -> usize {
+    let bytes = s.as_bytes();
+    let (mut len, mut i) = (0, 0);
+    while i < bytes.len() {
+        len += match ESCAPES[bytes[i] as usize] {
+            0 => 1,
+            b'u' => 6,
+            _ => 2,
+        };
+        i += 1;
+    }
+    len
+}
+
+/// `s` escaped as a [`JsonValue::Str`] is dumped, without the quotes, for
+/// use in a constant: `escape::<{ escaped_len(S) }>(S)`. Panics (at
+/// compile time, in a constant) when `N` is not [`escaped_len`]`(s)`.
+pub const fn escape<const N: usize>(s: &str) -> [u8; N] {
+    let bytes = s.as_bytes();
+    let mut out = [0u8; N];
+    let (mut i, mut o) = (0, 0);
+    while i < bytes.len() {
+        let b = bytes[i];
+        match ESCAPES[b as usize] {
+            0 => {
+                out[o] = b;
+                o += 1;
+            }
+            b'u' => {
+                let hex =
+                    [b'\\', b'u', b'0', b'0', HEX[(b >> 4) as usize], HEX[(b & 0xf) as usize]];
+                let mut k = 0;
+                while k < hex.len() {
+                    out[o + k] = hex[k];
+                    k += 1;
+                }
+                o += hex.len();
+            }
+            letter => {
+                out[o] = b'\\';
+                out[o + 1] = letter;
+                o += 2;
+            }
+        }
+        i += 1;
+    }
+    assert!(o == N, "escape::<N> wants N == escaped_len(s)");
+    out
+}
+
 /// Writes `s` as a quoted JSON string, copying each run of bytes that
 /// needs no escape in one piece.
 fn write_str(s: &str, out: &mut String) {
-    const HEX: &[u8; 16] = b"0123456789abcdef";
     let bytes = s.as_bytes();
     // SAFETY: only ASCII bytes and whole runs of `s` cut at ASCII bytes,
     // hence at char boundaries, are appended, so `out` stays UTF-8.
@@ -708,6 +791,64 @@ mod tests {
             mixed.push(alphabet[(x % alphabet.len() as u64) as usize]);
         }
         assert_escapes_like_reference(&mixed);
+    }
+
+    #[test]
+    fn const_escape_matches_write_str() {
+        const S: &str = "a\"b\\c\nd\re\tf\u{0}\u{1f}\u{7f} é€😀 {\"k\":1}";
+        const ESCAPED: [u8; escaped_len(S)] = escape::<{ escaped_len(S) }>(S);
+        let mut quoted = String::new();
+        write_str(S, &mut quoted);
+        assert_eq!(ESCAPED.as_slice(), &quoted.as_bytes()[1..quoted.len() - 1]);
+        assert_eq!(escaped_len("plain_label"), "plain_label".len());
+    }
+
+    /// A deferred value that writes fixed text.
+    #[derive(Debug)]
+    struct Fixed(&'static str);
+
+    impl WriteJson for Fixed {
+        fn write_json(&self, out: &mut String) {
+            out.push_str(self.0);
+        }
+    }
+
+    fn deferred(text: &'static str) -> JsonValue {
+        JsonValue::Deferred(Arc::new(Fixed(text)))
+    }
+
+    #[test]
+    fn deferred_node_writes_in_place() {
+        let v = JsonValue::obj()
+            .field("a", 1u64)
+            .field("d", deferred("\"x\\ny\""))
+            .field("arr", JsonValue::Arr(vec![deferred("[1,2]"), JsonValue::Null, deferred("{}")]))
+            .field("z", "end")
+            .build();
+        let text = v.dump();
+        assert_eq!(text, r#"{"a":1,"d":"x\ny","arr":[[1,2],null,{}],"z":"end"}"#);
+        let back = JsonValue::parse(&text).expect("dump of a deferred node parses");
+        assert_eq!(back.get("d").and_then(JsonValue::as_str), Some("x\ny"));
+        assert_eq!(back.get("arr").and_then(JsonValue::as_arr).map(<[_]>::len), Some(3));
+        assert_eq!(back.dump(), text, "the parsed tree writes the same bytes");
+    }
+
+    #[test]
+    fn deferred_nodes_compare_by_written_bytes() {
+        #[derive(Debug)]
+        struct Pieces;
+        impl WriteJson for Pieces {
+            fn write_json(&self, out: &mut String) {
+                out.push('"');
+                out.push_str("ab");
+                out.push('"');
+            }
+        }
+        let pieces = JsonValue::Deferred(Arc::new(Pieces));
+        assert_eq!(deferred("\"ab\""), pieces, "different writers, same bytes");
+        assert_ne!(deferred("\"ab\""), deferred("\"abc\""));
+        assert_eq!(pieces.clone(), pieces, "a clone shares the writer");
+        assert_ne!(pieces, JsonValue::Str("ab".into()), "a deferred node is not a parsed one");
     }
 
     #[test]
