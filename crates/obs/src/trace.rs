@@ -128,7 +128,7 @@ pub(crate) fn render<const ESCAPED: bool>(records: &[Record], out: &mut String) 
                     .lit(ARGS_END);
             }
             Event::HomeService { kind, dur } => {
-                doc.lit(lit!(",\n{\"name\":\"home_service\",\"ph\":\"X\","))
+                doc.lit(lit!(",\n{\"name\":\"home_service\",\"ph\":\"X\""))
                     .at(at)
                     .lit(lit!(",\"dur\":"))
                     .num(dur)
@@ -145,7 +145,6 @@ pub(crate) fn render<const ESCAPED: bool>(records: &[Record], out: &mut String) 
                 open_reads.insert((tid, block), txn);
                 doc.lit(lit!(",\n{\"name\":\"read_miss\",\"cat\":\"read\",\"ph\":\"b\",\"id\":"))
                     .num(txn)
-                    .lit(lit!(","))
                     .at(at)
                     .lit(lit!(",\"args\":{\"block\":"))
                     .num(block)
@@ -178,7 +177,6 @@ pub(crate) fn render<const ESCAPED: bool>(records: &[Record], out: &mut String) 
                 let Some(id) = open_reads.remove(&(tid, block)) else { continue };
                 doc.lit(lit!(",\n{\"name\":\"read_miss\",\"cat\":\"read\",\"ph\":\"e\",\"id\":"))
                     .num(id)
-                    .lit(lit!(","))
                     .at(at)
                     .lit(lit!(",\"args\":{\"block\":"))
                     .num(block)
@@ -236,10 +234,10 @@ impl<const ESCAPED: bool> Doc<'_, ESCAPED> {
         self
     }
 
-    /// `"pid":P,"tid":T,"ts":TS`.
+    /// `,"pid":P,"tid":T,"ts":TS`.
     #[inline(always)]
     fn at(&mut self, (pid, tid, ts): (u64, u64, u64)) -> &mut Self {
-        self.lit(lit!("\"pid\":"))
+        self.lit(lit!(",\"pid\":"))
             .num(pid)
             .lit(lit!(",\"tid\":"))
             .num(tid)
@@ -253,7 +251,7 @@ impl<const ESCAPED: bool> Doc<'_, ESCAPED> {
     fn instant(&mut self, name: Lit, label: &str, at: (u64, u64, u64), block: u64) -> &mut Self {
         self.lit(name)
             .label(label)
-            .lit(lit!("\",\"ph\":\"i\",\"s\":\"t\","))
+            .lit(lit!("\",\"ph\":\"i\",\"s\":\"t\""))
             .at(at)
             .lit(lit!(",\"args\":{\"block\":"))
             .num(block)
@@ -271,7 +269,6 @@ impl<const ESCAPED: bool> Doc<'_, ESCAPED> {
             .label(ph)
             .lit(lit!("\",\"id\":"))
             .num(id)
-            .lit(lit!(","))
             .at(at);
         if ph == "f" {
             self.lit(lit!(",\"bp\":\"e\""));
