@@ -142,15 +142,18 @@ fn obs_report_json_names_every_read_class() {
 }
 
 /// The bytes a fully observed run reaches, pinned: the whole report as
-/// `to_json().dump()` writes it (the trace nested as an escaped string)
-/// and the raw trace document. A change to how the event log, the report
-/// or the JSON writer produce bytes must leave both digests where they are.
+/// `to_json().dump()` writes it (the trace nested as an escaped string),
+/// the same report with the trace taken out, and the raw trace document.
+/// A change to how the event log, the report or the JSON writer produce
+/// bytes must leave the digests where they are.
 #[test]
 fn observed_report_and_trace_bytes_are_pinned() {
-    let r = run_observed(true, ObserverConfig::all(DEFAULT_ATTRIB_WINDOW));
+    let mut r = run_observed(true, ObserverConfig::all(DEFAULT_ATTRIB_WINDOW));
     let trace = r.obs.as_ref().and_then(|o| o.trace.as_ref()).expect("trace recorded");
     assert_eq!(fnv1a(trace.document().as_bytes()), "4308b3e24b8c7d4c", "trace document");
     assert_eq!(fnv1a(r.to_json().dump().as_bytes()), "83f584f8a703f8d8", "report");
+    r.obs.as_mut().expect("observers attached").trace = None;
+    assert_eq!(fnv1a(r.to_json().dump().as_bytes()), "57bdd365ac281ef6", "report without trace");
 }
 
 /// The report writes the trace straight into its bytes as an escaped
