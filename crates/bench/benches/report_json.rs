@@ -1,8 +1,9 @@
 //! Microbenchmarks of the path from a traced run's report to JSON bytes:
-//! escaping a trace-sized string (what `json::write_str` still does for
-//! every other string), and `to_json().dump()` of a traced tiny FFT run
+//! escaping a trace-sized string (what `json::write_str` does for every
+//! string in a report), and `to_json().dump()` of a traced tiny FFT run
 //! and of the fft-observed benchmark workload's run (4K-point FFT, every
-//! observer on), whose trace is escaped straight into the dumped bytes.
+//! observer on), whose trace is written straight into the dumped bytes as
+//! the `trace_events` array.
 
 use dresar::system::{RunOptions, System};
 use dresar_bench::harness::{bench, black_box};

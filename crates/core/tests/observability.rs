@@ -142,37 +142,37 @@ fn obs_report_json_names_every_read_class() {
 }
 
 /// The bytes a fully observed run reaches, pinned: the whole report as
-/// `to_json().dump()` writes it (the trace nested as an escaped string),
-/// the same report with the trace taken out, and the raw trace document.
-/// A change to how the event log, the report or the JSON writer produce
-/// bytes must leave the digests where they are.
+/// `to_json().dump()` writes it (the trace document embedded as the
+/// `trace_events` array), the same report with the trace taken out, and
+/// the trace document. A change to how the event log, the report or the
+/// JSON writer produce bytes must leave the digests where they are.
 #[test]
 fn observed_report_and_trace_bytes_are_pinned() {
     let mut r = run_observed(true, ObserverConfig::all(DEFAULT_ATTRIB_WINDOW));
     let trace = r.obs.as_ref().and_then(|o| o.trace.as_ref()).expect("trace recorded");
     assert_eq!(fnv1a(trace.document().as_bytes()), "4308b3e24b8c7d4c", "trace document");
-    assert_eq!(fnv1a(r.to_json().dump().as_bytes()), "83f584f8a703f8d8", "report");
+    assert_eq!(fnv1a(r.to_json().dump().as_bytes()), "2561687d6a11520a", "report");
     r.obs.as_mut().expect("observers attached").trace = None;
     assert_eq!(fnv1a(r.to_json().dump().as_bytes()), "57bdd365ac281ef6", "report without trace");
 }
 
-/// The report writes the trace straight into its bytes as an escaped
-/// string; that must be exactly the raw document escaped by the JSON
-/// writer, and parse back to it.
-fn assert_forms_agree(r: &ExecutionReport) -> String {
-    let obs = r.obs.as_ref().expect("observers attached");
-    let raw = obs.trace.as_ref().expect("trace recorded").document();
-    let json = obs.to_json();
-    let escaped = json.get("trace_events").expect("trace_events field").dump();
-    assert_eq!(escaped, JsonValue::Str(raw.clone()).dump(), "escaped form");
-    assert_eq!(JsonValue::parse(&escaped), Ok(JsonValue::Str(raw.clone())));
-    JsonValue::parse(&raw).expect("the raw form parses");
+/// The report writes the trace document's bytes verbatim at
+/// `obs.trace_events`, and they parse there to exactly the document.
+fn assert_report_embeds_document(r: &ExecutionReport) -> String {
+    let raw = r.obs.as_ref().and_then(|o| o.trace.as_ref()).expect("trace recorded").document();
+    let json = r.to_json().dump();
+    let key = "\"trace_events\":";
+    let at = json.find(key).expect("trace_events field") + key.len();
+    assert!(json[at..].starts_with(&raw), "the document's bytes, verbatim");
+    let parsed = JsonValue::parse(&json).expect("the report parses");
+    let events = parsed.get("obs").and_then(|o| o.get("trace_events"));
+    assert_eq!(events, Some(&JsonValue::parse(&raw).expect("the document parses")));
     raw
 }
 
 #[test]
-fn the_report_escapes_exactly_the_trace_document() {
-    assert_forms_agree(&run_observed(true, ObserverConfig::all(DEFAULT_ATTRIB_WINDOW)));
+fn the_report_embeds_exactly_the_trace_document() {
+    assert_report_embeds_document(&run_observed(true, ObserverConfig::all(DEFAULT_ATTRIB_WINDOW)));
     // A two-entry pending buffer makes switch directories NAK, so this run
     // reaches every record kind: NAKs, read retries, busy home transitions
     // and every read class.
@@ -181,7 +181,7 @@ fn the_report_escapes_exactly_the_trace_document() {
         Some(SwitchDirConfig { pending_buffer_entries: 2, ..SwitchDirConfig::paper_default() });
     let observers = ObserverConfig { trace: true, ..Default::default() };
     let r = System::new(c, &workload()).run(RunOptions { observers, ..RunOptions::default() });
-    let raw = assert_forms_agree(&r);
+    let raw = assert_report_embeds_document(&r);
     let busy_star = "*\",";
     for needle in ["\"name\":\"nak\"", "\"name\":\"read_retry\"", busy_star] {
         assert!(raw.contains(needle), "the run reaches {needle}");

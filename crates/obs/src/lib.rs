@@ -418,8 +418,9 @@ pub struct ObsReport {
     pub breakdown: Option<LatencyBreakdown>,
     /// Cycle-windowed time series, if sampled.
     pub timeseries: Option<TimeSeries>,
-    /// Every event-log record, if traced; [`Trace::document`] and
-    /// [`ObsReport::to_json`] render it.
+    /// Every event-log record, if traced; [`Trace::document`] renders it,
+    /// and [`ObsReport::to_json`] writes the same bytes as the
+    /// `trace_events` array.
     pub trace: Option<Trace>,
     /// Flight-recorder dump, if attached (anomalous runs only).
     pub flight: Option<FlightDump>,

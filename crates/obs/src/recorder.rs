@@ -333,8 +333,9 @@ impl Probe for EventLog {
 
 /// A traced run's event log: every record, oldest first, shared by its
 /// clones. It renders as a Chrome trace-event document only when asked:
-/// raw by [`Trace::document`], or, as a [`JsonValue::Deferred`] node of
-/// the report's JSON tree, escaped straight into the dumped bytes.
+/// as a `String` by [`Trace::document`], or, as a
+/// [`JsonValue::Deferred`] node of the report's JSON tree, straight into
+/// the dumped bytes.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Trace {
     records: Arc<Vec<Record>>,
@@ -344,16 +345,15 @@ impl Trace {
     /// The Chrome trace-event JSON document: an array, one event per line.
     pub fn document(&self) -> String {
         let mut out = String::new();
-        crate::trace::render::<false>(&self.records, &mut out);
+        self.write_json(&mut out);
         out
     }
 }
 
-/// Writes the document as a JSON string, as `JsonValue::Str` of
-/// [`Trace::document`] would, without building the document.
+/// Writes [`Trace::document`] without building it as a `String` first.
 impl WriteJson for Trace {
     fn write_json(&self, out: &mut String) {
-        crate::trace::render::<true>(&self.records, out);
+        crate::trace::render(&self.records, out);
     }
 }
 

@@ -18,44 +18,27 @@
 //! processor at completion — one causal tree per miss, across pids.
 //!
 //! The document is a fold over the log's records, written in one pass
-//! from one byte-level template in either of two forms: the raw document,
-//! or the same document as a quoted JSON string, byte for byte what
-//! `json::write_str` makes of the raw one. Each fixed fragment is a source
-//! literal whose escaped twin is computed at compile time ([`lit!`]);
-//! labels and integers need no escape, so they are copied alike into both
-//! forms and nothing is escaped at run time. Timestamps are simulation
-//! cycles written as integer `ts` values. The output is fully
-//! deterministic: two identical runs produce byte-identical documents
-//! (asserted by the tier-1 observability tests).
+//! straight into the output's bytes: fixed fragments are source literals,
+//! labels are copied verbatim (none holds a byte JSON escapes, since they
+//! sit inside JSON strings), and integers go through a small decimal
+//! writer, not `fmt`. The same bytes are the raw document and the
+//! report's `trace_events` array. Timestamps are simulation cycles written
+//! as integer `ts` values. The output is fully deterministic: two
+//! identical runs produce byte-identical documents (asserted by the tier-1
+//! observability tests).
 
 use crate::recorder::{Event, Record, LOC_MEM, LOC_SWITCH};
 use crate::{class_index, CLASS_LABELS};
-use dresar_types::json::{escape, escaped_len};
 use dresar_types::FastMap;
 
-/// Raw bytes per record with headroom (FFT traces average ~128), to
-/// pre-size the output so it rarely reallocates. Escaping adds about a
-/// quarter.
+/// Bytes per record with headroom (FFT traces average ~128), to pre-size
+/// the output so it rarely reallocates.
 const BYTES_PER_RECORD: usize = 144;
 
-/// A fixed fragment of the document: its raw bytes, and the same bytes
-/// escaped as the inside of a JSON string.
-type Lit = (&'static [u8], &'static [u8]);
-
-/// The [`Lit`] of a string literal, its escaped form computed at compile
-/// time.
-macro_rules! lit {
-    ($raw:expr) => {{
-        const RAW: &str = $raw;
-        const ESCAPED: &[u8] = &escape::<{ escaped_len(RAW) }>(RAW);
-        (RAW.as_bytes(), ESCAPED)
-    }};
-}
-
 /// The opening of an event object's name.
-const NAME: Lit = lit!(",\n{\"name\":\"");
+const NAME: &str = ",\n{\"name\":\"";
 /// The close of an event's `args` object and of the event.
-const ARGS_END: Lit = lit!("}}");
+const ARGS_END: &str = "}}";
 
 /// The Perfetto track of a record: the `loc` tag is the pid, the payload
 /// (a switch's linear index) the tid.
@@ -66,24 +49,21 @@ fn track(r: &Record) -> (u64, u64) {
 }
 
 /// Appends `records` as the Chrome trace document (an array, one event
-/// per line) to `out`, raw or, with `ESCAPED`, as a quoted JSON string.
-pub(crate) fn render<const ESCAPED: bool>(records: &[Record], out: &mut String) {
-    // SAFETY: `Doc` appends only whole `&str`s (labels, raw fragments),
-    // ASCII (digits, quotes) and `json::escape` of a `&str`, which swaps
-    // ASCII bytes for ASCII and copies every other byte, so `out` stays
-    // UTF-8.
+/// per line) to `out`.
+pub(crate) fn render(records: &[Record], out: &mut String) {
+    // SAFETY: `Doc` appends only whole `&str`s and ASCII digits, so `out`
+    // stays UTF-8.
     let out = unsafe { out.as_mut_vec() };
-    let per_record = if ESCAPED { BYTES_PER_RECORD * 5 / 4 } else { BYTES_PER_RECORD };
-    out.reserve(256 + records.len() * per_record);
-    let mut doc = Doc::<ESCAPED>(out);
-    doc.quote().lit(lit!(concat!(
+    out.reserve(256 + records.len() * BYTES_PER_RECORD);
+    let mut doc = Doc(out);
+    doc.text(concat!(
         "[\n",
         r#"{"name":"process_name","ph":"M","pid":0,"tid":0,"args":{"name":"processors"}}"#,
         ",\n",
         r#"{"name":"process_name","ph":"M","pid":1,"tid":0,"args":{"name":"home directories"}}"#,
         ",\n",
         r#"{"name":"process_name","ph":"M","pid":2,"tid":0,"args":{"name":"switches"}}"#,
-    )));
+    ));
     // Open read spans by (node, block), so a service arrival or completion
     // finds the span its issue began.
     let mut open_reads: FastMap<(u64, u64), u64> = FastMap::default();
@@ -93,81 +73,80 @@ pub(crate) fn render<const ESCAPED: bool>(records: &[Record], out: &mut String) 
         let (block, txn) = (r.block, r.txn);
         match r.event {
             Event::Send { kind, id, requester } => {
-                doc.instant(lit!(",\n{\"name\":\"send:"), kind.label(), at, block)
-                    .lit(lit!(",\"msg\":"))
+                doc.instant(",\n{\"name\":\"send:", kind.label(), at, block)
+                    .text(",\"msg\":")
                     .num(id)
-                    .lit(lit!(",\"req\":"))
+                    .text(",\"req\":")
                     .num(u64::from(requester))
-                    .lit(lit!(",\"txn\":"))
+                    .text(",\"txn\":")
                     .num(txn)
-                    .lit(ARGS_END);
+                    .text(ARGS_END);
             }
             Event::Sink { kind, id } => {
-                doc.instant(lit!(",\n{\"name\":\"sink:"), kind.label(), at, block).msg_txn(id, txn);
+                doc.instant(",\n{\"name\":\"sink:", kind.label(), at, block).msg_txn(id, txn);
             }
             Event::Deliver { kind, id } => {
-                doc.instant(lit!(",\n{\"name\":\"deliver:"), kind.label(), at, block)
-                    .msg_txn(id, txn);
+                doc.instant(",\n{\"name\":\"deliver:", kind.label(), at, block).msg_txn(id, txn);
             }
             Event::Sd(ev) => {
-                doc.instant(NAME, ev.label(), at, block).lit(ARGS_END);
+                doc.instant(NAME, ev.label(), at, block).text(ARGS_END);
             }
             Event::HomeFsm(tr) => {
                 let star = |busy| if busy { "*" } else { "" };
-                doc.instant(lit!(",\n{\"name\":\"fsm:"), tr.req.label(), at, block)
-                    .lit(lit!(",\"from\":\""))
-                    .label(tr.from.label())
-                    .label(star(tr.from_busy))
-                    .lit(lit!("\",\"to\":\""))
-                    .label(tr.to.label())
-                    .label(star(tr.to_busy))
-                    .lit(lit!("\",\"nak\":"))
-                    .label(bool_label(tr.nak))
-                    .lit(lit!(",\"queued\":"))
-                    .label(bool_label(tr.queued))
-                    .lit(ARGS_END);
+                doc.instant(",\n{\"name\":\"fsm:", tr.req.label(), at, block)
+                    .text(",\"from\":\"")
+                    .text(tr.from.label())
+                    .text(star(tr.from_busy))
+                    .text("\",\"to\":\"")
+                    .text(tr.to.label())
+                    .text(star(tr.to_busy))
+                    .text("\",\"nak\":")
+                    .text(bool_label(tr.nak))
+                    .text(",\"queued\":")
+                    .text(bool_label(tr.queued))
+                    .text(ARGS_END);
             }
             Event::HomeService { kind, dur } => {
-                doc.lit(lit!(",\n{\"name\":\"home_service\",\"ph\":\"X\""))
+                doc.text(",\n{\"name\":\"home_service\",\"ph\":\"X\"")
                     .at(at)
-                    .lit(lit!(",\"dur\":"))
+                    .text(",\"dur\":")
                     .num(dur)
-                    .lit(lit!(",\"args\":{\"block\":"))
+                    .text(",\"args\":{\"block\":")
                     .num(block)
-                    .lit(lit!(",\"kind\":\""))
-                    .label(kind.label())
-                    .lit(lit!("\"}}"));
+                    .text(",\"kind\":\"")
+                    .text(kind.label())
+                    .text("\"}}");
             }
             Event::Nak => {
-                doc.instant(NAME, "nak", at, block).lit(ARGS_END);
+                doc.instant(NAME, "nak", at, block).text(ARGS_END);
             }
             Event::ReadIssue { .. } => {
                 open_reads.insert((tid, block), txn);
-                doc.lit(lit!(",\n{\"name\":\"read_miss\",\"cat\":\"read\",\"ph\":\"b\",\"id\":"))
+                doc.text(",\n{\"name\":\"read_miss\",\"cat\":\"read\",\"ph\":\"b\",\"id\":")
                     .num(txn)
                     .at(at)
-                    .lit(lit!(",\"args\":{\"block\":"))
+                    .text(",\"args\":{\"block\":")
                     .num(block)
-                    .lit(lit!(",\"txn\":"))
+                    .text(",\"txn\":")
                     .num(txn)
-                    .lit(ARGS_END)
+                    .text(ARGS_END)
                     .flow("s", txn, at);
             }
             Event::ReadRetry => {
                 doc.instant(NAME, "read_retry", at, block)
-                    .lit(lit!(",\"txn\":"))
+                    .text(",\"txn\":")
                     .num(txn)
-                    .lit(ARGS_END);
+                    .text(ARGS_END);
             }
             Event::ReadServiceArrive { node } => {
                 doc.instant(NAME, "read_service", at, block)
-                    .lit(lit!(",\"node\":"))
+                    .text(",\"node\":")
                     .num(u64::from(node))
-                    .lit(lit!(",\"at\":\""))
-                    .label(if pid == LOC_MEM { "home" } else { "switch" })
-                    .lit(lit!("\",\"txn\":"))
+                    .text(",\"at\":\"")
+                    .text(if pid == LOC_MEM { "home" } else { "switch" })
+                    .text("\",\"txn\":")
                     .num(txn)
-                    .lit(ARGS_END);
+                    .text(ARGS_END);
                 if let Some(&id) = open_reads.get(&(u64::from(node), block)) {
                     doc.flow("t", id, at);
                 }
@@ -175,23 +154,23 @@ pub(crate) fn render<const ESCAPED: bool>(records: &[Record], out: &mut String) 
             Event::ReadServiceDone => {}
             Event::ReadComplete { class, latency } => {
                 let Some(id) = open_reads.remove(&(tid, block)) else { continue };
-                doc.lit(lit!(",\n{\"name\":\"read_miss\",\"cat\":\"read\",\"ph\":\"e\",\"id\":"))
+                doc.text(",\n{\"name\":\"read_miss\",\"cat\":\"read\",\"ph\":\"e\",\"id\":")
                     .num(id)
                     .at(at)
-                    .lit(lit!(",\"args\":{\"block\":"))
+                    .text(",\"args\":{\"block\":")
                     .num(block)
-                    .lit(lit!(",\"class\":\""))
-                    .label(CLASS_LABELS[class_index(class)])
-                    .lit(lit!("\",\"latency\":"))
+                    .text(",\"class\":\"")
+                    .text(CLASS_LABELS[class_index(class)])
+                    .text("\",\"latency\":")
                     .num(latency)
-                    .lit(lit!(",\"txn\":"))
+                    .text(",\"txn\":")
                     .num(txn)
-                    .lit(ARGS_END)
+                    .text(ARGS_END)
                     .flow("f", id, at);
             }
         }
     }
-    doc.lit(lit!("\n]\n")).quote();
+    doc.text("\n]\n");
 }
 
 fn bool_label(b: bool) -> &'static str {
@@ -202,21 +181,14 @@ fn bool_label(b: bool) -> &'static str {
     }
 }
 
-/// The output in one of the template's two forms.
-struct Doc<'a, const ESCAPED: bool>(&'a mut Vec<u8>);
+/// The document's bytes.
+struct Doc<'a>(&'a mut Vec<u8>);
 
-impl<const ESCAPED: bool> Doc<'_, ESCAPED> {
-    /// A fixed fragment, in this form.
+impl Doc<'_> {
+    /// A fixed fragment or a label, verbatim.
     #[inline(always)]
-    fn lit(&mut self, (raw, escaped): Lit) -> &mut Self {
-        self.0.extend_from_slice(if ESCAPED { escaped } else { raw });
-        self
-    }
-
-    /// A label holding no byte that escapes, so the same in both forms.
-    #[inline(always)]
-    fn label(&mut self, label: &str) -> &mut Self {
-        self.0.extend_from_slice(label.as_bytes());
+    fn text(&mut self, text: &str) -> &mut Self {
+        self.0.extend_from_slice(text.as_bytes());
         self
     }
 
@@ -226,54 +198,41 @@ impl<const ESCAPED: bool> Doc<'_, ESCAPED> {
         self
     }
 
-    /// The string's quote, in the escaped form only.
-    fn quote(&mut self) -> &mut Self {
-        if ESCAPED {
-            self.0.push(b'"');
-        }
-        self
-    }
-
     /// `,"pid":P,"tid":T,"ts":TS`.
     #[inline(always)]
     fn at(&mut self, (pid, tid, ts): (u64, u64, u64)) -> &mut Self {
-        self.lit(lit!(",\"pid\":"))
-            .num(pid)
-            .lit(lit!(",\"tid\":"))
-            .num(tid)
-            .lit(lit!(",\"ts\":"))
-            .num(ts)
+        self.text(",\"pid\":").num(pid).text(",\"tid\":").num(tid).text(",\"ts\":").num(ts)
     }
 
     /// An instant event named `name` + `label` at `at`, up to its first
     /// argument, the block; the caller writes the rest and [`ARGS_END`].
     #[inline(always)]
-    fn instant(&mut self, name: Lit, label: &str, at: (u64, u64, u64), block: u64) -> &mut Self {
-        self.lit(name)
-            .label(label)
-            .lit(lit!("\",\"ph\":\"i\",\"s\":\"t\""))
+    fn instant(&mut self, name: &str, label: &str, at: (u64, u64, u64), block: u64) -> &mut Self {
+        self.text(name)
+            .text(label)
+            .text("\",\"ph\":\"i\",\"s\":\"t\"")
             .at(at)
-            .lit(lit!(",\"args\":{\"block\":"))
+            .text(",\"args\":{\"block\":")
             .num(block)
     }
 
     /// The message id and txn that close a sink or delivery.
     fn msg_txn(&mut self, id: u64, txn: u64) -> &mut Self {
-        self.lit(lit!(",\"msg\":")).num(id).lit(lit!(",\"txn\":")).num(txn).lit(ARGS_END)
+        self.text(",\"msg\":").num(id).text(",\"txn\":").num(txn).text(ARGS_END)
     }
 
     /// One flow event (`ph` is `"s"`, `"t"` or `"f"`) at `at`, keyed by
     /// the transaction id so Perfetto draws the causal arrows.
     fn flow(&mut self, ph: &str, id: u64, at: (u64, u64, u64)) -> &mut Self {
-        self.lit(lit!(",\n{\"name\":\"txn\",\"cat\":\"txn\",\"ph\":\""))
-            .label(ph)
-            .lit(lit!("\",\"id\":"))
+        self.text(",\n{\"name\":\"txn\",\"cat\":\"txn\",\"ph\":\"")
+            .text(ph)
+            .text("\",\"id\":")
             .num(id)
             .at(at);
         if ph == "f" {
-            self.lit(lit!(",\"bp\":\"e\""));
+            self.text(",\"bp\":\"e\"");
         }
-        self.lit(lit!("}"))
+        self.text("}")
     }
 }
 
@@ -303,7 +262,6 @@ mod tests {
     use dresar_stats::ReadClass;
     use dresar_types::msg::{Endpoint, Message, MsgType};
     use dresar_types::{BlockAddr, JsonValue};
-    use std::sync::Arc;
 
     fn traced() -> EventLog {
         EventLog::new(None, true, MachineShape { nodes: 16, switches: 8 })
@@ -580,14 +538,9 @@ mod tests {
     }
 
     #[test]
-    fn the_two_forms_agree_on_every_event_kind() {
-        let trace = every_event_kind().finish().0.expect("trace configured");
-        let raw = trace.document();
-        let escaped = JsonValue::Deferred(Arc::new(trace)).dump();
-        let reference = JsonValue::Str(raw.clone()).dump();
-        assert_eq!(escaped, reference, "the escaped form is the escaped document");
-        assert_eq!(JsonValue::parse(&escaped), Ok(JsonValue::Str(raw.clone())));
-        let events = JsonValue::parse(&raw).expect("the raw form parses");
+    fn the_document_parses_on_every_event_kind() {
+        let raw = doc(every_event_kind());
+        let events = JsonValue::parse(&raw).expect("the document parses");
         let names: Vec<&str> = events
             .as_arr()
             .expect("array form")

@@ -17,9 +17,7 @@
 //!
 //! A value too large to build as a tree first (a traced run's event log)
 //! joins it as a [`JsonValue::Deferred`] node, which writes its own bytes
-//! straight into the output when the tree is dumped. [`escape`] gives the
-//! escaped twin of a string at compile time, for such writers' fixed
-//! fragments.
+//! straight into the output when the tree is dumped.
 
 use std::collections::BTreeMap;
 use std::fmt;
@@ -61,7 +59,8 @@ pub enum JsonValue {
 /// A value that writes itself as JSON text, for a [`JsonValue::Deferred`]
 /// node.
 pub trait WriteJson: fmt::Debug + Send + Sync {
-    /// Appends exactly one complete JSON value to `out`.
+    /// Appends exactly one complete JSON value to `out`, optionally with
+    /// whitespace around it.
     fn write_json(&self, out: &mut String);
 }
 
@@ -193,7 +192,7 @@ fn write_num(n: f64, out: &mut String) {
     }
 }
 
-/// What [`write_str`] and [`escape`] write for each byte: 0 for the byte
+/// What [`write_str`] writes for each byte: 0 for the byte
 /// itself, else the letter after the backslash, with `u` for `\u00XX`.
 /// Only the quote, the backslash and the controls below 0x20 escape; every
 /// byte of a multi-byte UTF-8 char is 0x80 or above, so a run between
@@ -214,58 +213,6 @@ const ESCAPES: [u8; 256] = {
 };
 
 const HEX: &[u8; 16] = b"0123456789abcdef";
-
-/// The length of `s` once escaped as a [`JsonValue::Str`] is dumped,
-/// without the quotes: the `N` to call [`escape`] with.
-pub const fn escaped_len(s: &str) -> usize {
-    let bytes = s.as_bytes();
-    let (mut len, mut i) = (0, 0);
-    while i < bytes.len() {
-        len += match ESCAPES[bytes[i] as usize] {
-            0 => 1,
-            b'u' => 6,
-            _ => 2,
-        };
-        i += 1;
-    }
-    len
-}
-
-/// `s` escaped as a [`JsonValue::Str`] is dumped, without the quotes, for
-/// use in a constant: `escape::<{ escaped_len(S) }>(S)`. Panics (at
-/// compile time, in a constant) when `N` is not [`escaped_len`]`(s)`.
-pub const fn escape<const N: usize>(s: &str) -> [u8; N] {
-    let bytes = s.as_bytes();
-    let mut out = [0u8; N];
-    let (mut i, mut o) = (0, 0);
-    while i < bytes.len() {
-        let b = bytes[i];
-        match ESCAPES[b as usize] {
-            0 => {
-                out[o] = b;
-                o += 1;
-            }
-            b'u' => {
-                let hex =
-                    [b'\\', b'u', b'0', b'0', HEX[(b >> 4) as usize], HEX[(b & 0xf) as usize]];
-                let mut k = 0;
-                while k < hex.len() {
-                    out[o + k] = hex[k];
-                    k += 1;
-                }
-                o += hex.len();
-            }
-            letter => {
-                out[o] = b'\\';
-                out[o + 1] = letter;
-                o += 2;
-            }
-        }
-        i += 1;
-    }
-    assert!(o == N, "escape::<N> wants N == escaped_len(s)");
-    out
-}
 
 /// Writes `s` as a quoted JSON string, copying each run of bytes that
 /// needs no escape in one piece.
@@ -791,16 +738,6 @@ mod tests {
             mixed.push(alphabet[(x % alphabet.len() as u64) as usize]);
         }
         assert_escapes_like_reference(&mixed);
-    }
-
-    #[test]
-    fn const_escape_matches_write_str() {
-        const S: &str = "a\"b\\c\nd\re\tf\u{0}\u{1f}\u{7f} é€😀 {\"k\":1}";
-        const ESCAPED: [u8; escaped_len(S)] = escape::<{ escaped_len(S) }>(S);
-        let mut quoted = String::new();
-        write_str(S, &mut quoted);
-        assert_eq!(ESCAPED.as_slice(), &quoted.as_bytes()[1..quoted.len() - 1]);
-        assert_eq!(escaped_len("plain_label"), "plain_label".len());
     }
 
     /// A deferred value that writes fixed text.
