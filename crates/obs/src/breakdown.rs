@@ -324,9 +324,9 @@ impl Probe for LatencyRecorder {
             l2_miss + retry_wait + request_network + service + data_return,
             t.saturating_sub(r.t0)
         );
-        // `latency` is what ReadStats recorded (t - issued_at with the same
-        // t0/t); use it directly so the sums match by construction.
-        let _ = latency;
+        // `latency` is what ReadStats recorded, `t - issued_at` with the
+        // same issue cycle as `r.t0`, so the phases also sum to it.
+        debug_assert_eq!(latency, t.saturating_sub(r.t0));
         self.out.classes[class_index(class)].record(
             [l2_miss, retry_wait, request_network, service, data_return],
             t.saturating_sub(r.t0),
