@@ -29,6 +29,7 @@
 
 #![warn(missing_docs)]
 
+use dresar_types::kvspec;
 use dresar_types::msg::MsgType;
 use dresar_types::{BlockAddr, Cycle, JsonValue, NodeId, SmallRng, ToJson};
 
@@ -117,32 +118,25 @@ impl FaultPlan {
     /// Unset keys keep their defaults.
     pub fn parse(spec: &str) -> Result<FaultPlan, String> {
         let mut plan = FaultPlan::default();
-        for part in spec.split(',').map(str::trim).filter(|p| !p.is_empty()) {
-            let (key, value) = part
-                .split_once('=')
-                .ok_or_else(|| format!("fault spec item '{part}' is not key=value"))?;
-            let num = || -> Result<u64, String> {
-                value
-                    .parse::<u64>()
-                    .map_err(|_| format!("fault spec {key}='{value}': not a number"))
-            };
-            match key {
-                "seed" => plan.seed = num()?,
-                "drop_ppm" => plan.drop_ppm = num()? as u32,
-                "max_retries" => plan.max_retries = num()? as u32,
-                "backoff" => plan.backoff_base = num()? as u32,
-                "scrub_period" => plan.scrub_period = num()?,
-                "storm_at" => plan.storm_at = num()?,
-                "storm_evictions" => plan.storm_evictions = num()? as u32,
-                "disable_at" => plan.disable_at = num()?,
-                "enable_at" => plan.enable_at = num()?,
-                "lose_nth" => plan.lose_nth = (num()?).max(1) as u32,
+        for item in kvspec::items("fault spec", spec) {
+            let item = item?;
+            match item.key {
+                "seed" => plan.seed = item.num()?,
+                "drop_ppm" => plan.drop_ppm = item.num()? as u32,
+                "max_retries" => plan.max_retries = item.num()? as u32,
+                "backoff" => plan.backoff_base = item.num()? as u32,
+                "scrub_period" => plan.scrub_period = item.num()?,
+                "storm_at" => plan.storm_at = item.num()?,
+                "storm_evictions" => plan.storm_evictions = item.num()? as u32,
+                "disable_at" => plan.disable_at = item.num()?,
+                "enable_at" => plan.enable_at = item.num()?,
+                "lose_nth" => plan.lose_nth = item.num()?.max(1) as u32,
                 "lose_kind" => {
-                    plan.lose_kind = Some(MsgType::parse(value).ok_or_else(|| {
-                        format!("fault spec lose_kind='{value}': unknown message type")
+                    plan.lose_kind = Some(MsgType::parse(item.value).ok_or_else(|| {
+                        format!("fault spec lose_kind='{}': unknown message type", item.value)
                     })?)
                 }
-                other => return Err(format!("fault spec: unknown key '{other}'")),
+                _ => return Err(item.unknown_key()),
             }
         }
         Ok(plan)

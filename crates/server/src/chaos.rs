@@ -15,7 +15,7 @@
 //! environment variable by the binary. The default for every config is
 //! `None` — zero plan, zero overhead, zero injected faults.
 
-use dresar_types::SmallRng;
+use dresar_types::{kvspec, SmallRng};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
@@ -54,24 +54,17 @@ impl ServeFaultPlan {
     /// `store_read_corrupt_nth`. Unset keys keep their defaults (off).
     pub fn parse(spec: &str) -> Result<ServeFaultPlan, String> {
         let mut plan = ServeFaultPlan::default();
-        for part in spec.split(',').map(str::trim).filter(|p| !p.is_empty()) {
-            let (key, value) = part
-                .split_once('=')
-                .ok_or_else(|| format!("serve chaos item '{part}' is not key=value"))?;
-            let num = || -> Result<u64, String> {
-                value
-                    .parse::<u64>()
-                    .map_err(|_| format!("serve chaos {key}='{value}': not a number"))
-            };
-            match key {
-                "seed" => plan.seed = num()?,
-                "panic_nth" => plan.panic_nth = num()?,
-                "panic_ppm" => plan.panic_ppm = num()? as u32,
-                "slow_ms" => plan.slow_ms = num()?,
-                "store_write_fail_nth" => plan.store_write_fail_nth = num()?,
-                "store_write_fail_ppm" => plan.store_write_fail_ppm = num()? as u32,
-                "store_read_corrupt_nth" => plan.store_read_corrupt_nth = num()?,
-                other => return Err(format!("serve chaos: unknown key '{other}'")),
+        for item in kvspec::items("serve chaos", spec) {
+            let item = item?;
+            match item.key {
+                "seed" => plan.seed = item.num()?,
+                "panic_nth" => plan.panic_nth = item.num()?,
+                "panic_ppm" => plan.panic_ppm = item.num()? as u32,
+                "slow_ms" => plan.slow_ms = item.num()?,
+                "store_write_fail_nth" => plan.store_write_fail_nth = item.num()?,
+                "store_write_fail_ppm" => plan.store_write_fail_ppm = item.num()? as u32,
+                "store_read_corrupt_nth" => plan.store_read_corrupt_nth = item.num()?,
+                _ => return Err(item.unknown_key()),
             }
         }
         Ok(plan)

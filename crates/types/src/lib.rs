@@ -22,6 +22,8 @@
 //!   generators and consumed by the simulators.
 //! * [`json`] — a dependency-free JSON tree, writer and parser with the
 //!   [`ToJson`]/[`FromJson`] traits behind the `--json` telemetry surface.
+//! * [`kvspec`] — the `key=value,...` spec syntax of fault plans and
+//!   serve-tier chaos plans.
 //! * [`protocol`] — the coherence-protocol family identifier
 //!   (MSI/MESI/MOESI + the directoryless baseline).
 //! * [`lru`] — the 32-bit LRU clock of the set-associative arrays, with
@@ -37,6 +39,7 @@ pub mod addr;
 pub mod config;
 pub mod fasthash;
 pub mod json;
+pub mod kvspec;
 pub mod lru;
 pub mod msg;
 pub mod protocol;
