@@ -46,7 +46,7 @@
 //! alike.
 
 use dresar_bench::benefit::{PROTOCOLS, SCALING};
-use dresar_bench::cli::{parse_scale, CliError, ErrorCode};
+use dresar_bench::cli::{flag_value, parse_scale, CliError, ErrorCode};
 use dresar_bench::sweep::{heatmap_runs, standard_runs, RunResult, SweepRunner};
 use dresar_bench::{json_doc, suite};
 use dresar_obs::{HostProfiler, MetricsRegistry};
@@ -88,11 +88,7 @@ fn parse_args() -> Result<Args, CliError> {
             scale = Some(a);
             continue;
         }
-        let mut value = || {
-            it.next()
-                .filter(|v| !v.starts_with("--"))
-                .ok_or_else(|| CliError::new(ErrorCode::BadField, format!("{a} needs a value")))
-        };
+        let mut value = || flag_value(&a, it.next());
         match a.as_str() {
             "--out" => args.out = value()?,
             "--heatmap" => args.heatmap = Some(value()?),

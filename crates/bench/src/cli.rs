@@ -16,8 +16,8 @@
 //! only its own flags. Anything else is refused with exit status 2 and one
 //! `error[<code>]: <detail>` line on stderr, using the serve tier's error
 //! codes, so a bad command line and a bad `/run` request classify alike.
-//! `bench_report` and `dresar_diff` refuse bad input through the same
-//! [`CliError`].
+//! `bench_report`, `dresar_diff`, `dresar_serve` and `dresar_client`
+//! refuse bad input through the same [`CliError`].
 
 use dresar_faults::FaultPlan;
 use dresar_workloads::Scale;
@@ -171,6 +171,23 @@ pub fn parse_scale(arg: &str) -> Result<Scale, CliError> {
         CliError::new(
             ErrorCode::BadScale,
             format!("unknown scale '{arg}'; expected tiny|reduced|paper"),
+        )
+    })
+}
+
+/// The value after `flag` (the command line's next argument), refused
+/// when missing or when it is the next flag.
+pub fn flag_value(flag: &str, next: Option<String>) -> Result<String, CliError> {
+    next.filter(|v| !v.starts_with("--"))
+        .ok_or_else(|| CliError::new(ErrorCode::BadField, format!("{flag} needs a value")))
+}
+
+/// The value of `flag` as a non-negative integer.
+pub fn parse_count(flag: &str, value: &str) -> Result<usize, CliError> {
+    value.parse().map_err(|_| {
+        CliError::new(
+            ErrorCode::BadField,
+            format!("{flag} wants a non-negative integer, got '{value}'"),
         )
     })
 }

@@ -25,67 +25,87 @@
 //! frame with the counters that moved inside that frame's window (`--json`
 //! prints each frame's raw payload instead). `--frames 0` (the default)
 //! watches until the server drains or the connection drops.
+//!
+//! A bad command line is refused with exit status 2 and one
+//! `error[<code>]` line on stderr, as `dresar` refuses one
+//! ([`dresar_bench::cli::CliError`]).
 
+use dresar_bench::cli::{flag_value, parse_count, CliError, ErrorCode};
 use dresar_server::client::{
     default_mix, http_request, run_load, stream_metrics, LoadOptions, RetryPolicy,
 };
 use dresar_types::{JsonValue, ToJson};
 
-fn main() {
-    let mut addr = "127.0.0.1:8757".to_string();
-    let mut opts = LoadOptions::default();
-    let mut json = false;
-    let mut shutdown = false;
-    let mut watch = false;
-    let mut frames = 0usize;
-    let mut interval_ms = 1000usize;
+const USAGE: &str = "usage: dresar_client [--addr HOST:PORT] [--requests N] [--concurrency N] \
+                     [--retries N] [--backoff-ms M] [--retry-seed S] [--json] | \
+                     --watch [--frames N] [--interval-ms M] | --shutdown";
+
+/// A parsed command line.
+struct Args {
+    addr: String,
+    opts: LoadOptions,
+    json: bool,
+    shutdown: bool,
+    watch: bool,
+    frames: usize,
+    interval_ms: usize,
+}
+
+/// Parses the command line. `--help` prints the usage and exits.
+fn parse_args() -> Result<Args, CliError> {
+    let mut a = Args {
+        addr: "127.0.0.1:8757".to_string(),
+        opts: LoadOptions::default(),
+        json: false,
+        shutdown: false,
+        watch: false,
+        frames: 0,
+        interval_ms: 1000,
+    };
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
-        let mut take = |name: &str| {
-            args.next().unwrap_or_else(|| {
-                eprintln!("error: {name} needs a value");
-                std::process::exit(2);
-            })
-        };
+        let mut value = || flag_value(&arg, args.next());
         match arg.as_str() {
-            "--addr" => addr = take("--addr"),
-            "--requests" => opts.total = parse_num(&take("--requests"), "--requests"),
-            "--concurrency" => {
-                opts.concurrency = parse_num(&take("--concurrency"), "--concurrency")
-            }
+            "--addr" => a.addr = value()?,
+            "--requests" => a.opts.total = parse_count(&arg, &value()?)?,
+            "--concurrency" => a.opts.concurrency = parse_count(&arg, &value()?)?,
             "--retries" => {
-                let n = parse_num(&take("--retries"), "--retries");
-                opts.retry.get_or_insert_with(RetryPolicy::default).max_retries = n as u32;
+                let n = parse_count(&arg, &value()?)?;
+                a.opts.retry.get_or_insert_with(RetryPolicy::default).max_retries = n as u32;
             }
             "--backoff-ms" => {
-                let base = parse_num(&take("--backoff-ms"), "--backoff-ms").max(1) as u64;
-                let policy = opts.retry.get_or_insert_with(RetryPolicy::default);
+                let base = parse_count(&arg, &value()?)?.max(1) as u64;
+                let policy = a.opts.retry.get_or_insert_with(RetryPolicy::default);
                 policy.base_ms = base;
                 policy.cap_ms = base.saturating_mul(40);
             }
             "--retry-seed" => {
-                let seed = parse_num(&take("--retry-seed"), "--retry-seed") as u64;
-                opts.retry.get_or_insert_with(RetryPolicy::default).seed = seed;
+                let seed = parse_count(&arg, &value()?)? as u64;
+                a.opts.retry.get_or_insert_with(RetryPolicy::default).seed = seed;
             }
-            "--json" => json = true,
-            "--shutdown" => shutdown = true,
-            "--watch" => watch = true,
-            "--frames" => frames = parse_num(&take("--frames"), "--frames"),
-            "--interval-ms" => interval_ms = parse_num(&take("--interval-ms"), "--interval-ms"),
+            "--json" => a.json = true,
+            "--shutdown" => a.shutdown = true,
+            "--watch" => a.watch = true,
+            "--frames" => a.frames = parse_count(&arg, &value()?)?,
+            "--interval-ms" => a.interval_ms = parse_count(&arg, &value()?)?,
             "--help" | "-h" => {
-                println!(
-                    "usage: dresar_client [--addr HOST:PORT] [--requests N] [--concurrency N] \
-                     [--retries N] [--backoff-ms M] [--retry-seed S] [--json] | \
-                     --watch [--frames N] [--interval-ms M] | --shutdown"
-                );
-                return;
+                println!("{USAGE}");
+                std::process::exit(0)
             }
             other => {
-                eprintln!("error: unknown flag '{other}' (try --help)");
-                std::process::exit(2);
+                return Err(CliError::new(
+                    ErrorCode::UnknownField,
+                    format!("unknown flag '{other}' for dresar_client (try --help)"),
+                ))
             }
         }
     }
+    Ok(a)
+}
+
+fn main() {
+    let Args { addr, opts, json, shutdown, watch, frames, interval_ms } =
+        parse_args().unwrap_or_else(|e| e.exit());
     if shutdown {
         match http_request(&addr, "POST", "/shutdown", "") {
             Ok(resp) => eprintln!("shutdown requested: HTTP {}", resp.status),
@@ -187,11 +207,4 @@ fn render_frame(data: &str) {
     } else {
         eprintln!("frame {seq} @{uptime:.1}s {}", moved.join("  "));
     }
-}
-
-fn parse_num(value: &str, flag: &str) -> usize {
-    value.parse().unwrap_or_else(|_| {
-        eprintln!("error: {flag} wants a non-negative integer, got '{value}'");
-        std::process::exit(2);
-    })
 }

@@ -14,54 +14,23 @@
 //! persisted under the directory (one content-addressed file per digest),
 //! and a restarted server re-serves those digests byte-identically without
 //! recomputing. `--max-deadline-ms` caps per-request `deadline_ms` values.
-//! `--chaos` (or the `DRESAR_SERVE_CHAOS` environment variable) arms the
-//! seeded fault-injection plan — a test harness, never for production.
+//! `--chaos` (or the `DRESAR_SERVE_CHAOS` environment variable, which
+//! `--chaos` overrides) arms the seeded fault-injection plan — a test
+//! harness, never for production.
+//!
+//! A bad command line is refused with exit status 2 and one
+//! `error[<code>]` line on stderr, as `dresar` refuses one
+//! ([`dresar_bench::cli::CliError`]).
 
+use dresar_bench::cli::{flag_value, parse_count, CliError, ErrorCode};
 use dresar_server::serve::{Server, ServerConfig};
 use dresar_server::ServeFaultPlan;
 
+const USAGE: &str = "usage: dresar_serve [--addr HOST:PORT] [--queue-depth N] [--workers N] \
+                     [--cache N] [--store-dir PATH] [--max-deadline-ms N] [--chaos SPEC]";
+
 fn main() {
-    let mut addr = "127.0.0.1:8757".to_string();
-    let mut cfg = ServerConfig::default();
-    if let Ok(spec) = std::env::var("DRESAR_SERVE_CHAOS") {
-        cfg.chaos = Some(parse_chaos(&spec));
-    }
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        let mut take = |name: &str| {
-            args.next().unwrap_or_else(|| {
-                eprintln!("error: {name} needs a value");
-                std::process::exit(2);
-            })
-        };
-        match arg.as_str() {
-            "--addr" => addr = take("--addr"),
-            "--queue-depth" => cfg.queue_depth = parse_num(&take("--queue-depth"), "--queue-depth"),
-            "--workers" => cfg.workers = parse_num(&take("--workers"), "--workers"),
-            "--cache" => cfg.cache_entries = parse_num(&take("--cache"), "--cache"),
-            "--store-dir" => cfg.store_dir = Some(take("--store-dir").into()),
-            "--max-deadline-ms" => {
-                let ms = parse_num(&take("--max-deadline-ms"), "--max-deadline-ms");
-                if ms == 0 {
-                    eprintln!("error: --max-deadline-ms must be positive");
-                    std::process::exit(2);
-                }
-                cfg.max_deadline = std::time::Duration::from_millis(ms as u64);
-            }
-            "--chaos" => cfg.chaos = Some(parse_chaos(&take("--chaos"))),
-            "--help" | "-h" => {
-                println!(
-                    "usage: dresar_serve [--addr HOST:PORT] [--queue-depth N] [--workers N] \
-                     [--cache N] [--store-dir PATH] [--max-deadline-ms N] [--chaos SPEC]"
-                );
-                return;
-            }
-            other => {
-                eprintln!("error: unknown flag '{other}' (try --help)");
-                std::process::exit(2);
-            }
-        }
-    }
+    let (addr, cfg) = parse_args().unwrap_or_else(|e| e.exit());
     let server = match Server::start(&addr, cfg) {
         Ok(s) => s,
         Err(e) => {
@@ -74,24 +43,52 @@ fn main() {
     eprintln!("dresar-serve drained and stopped");
 }
 
-fn parse_chaos(spec: &str) -> ServeFaultPlan {
-    match ServeFaultPlan::parse(spec) {
-        Ok(plan) => {
-            if plan.is_active() {
-                eprintln!("dresar-serve: CHAOS ARMED ({spec}) — fault injection is live");
+/// Parses the command line into the listen address and the server
+/// configuration. `--help` prints the usage and exits.
+fn parse_args() -> Result<(String, ServerConfig), CliError> {
+    let mut addr = "127.0.0.1:8757".to_string();
+    let mut cfg = ServerConfig::default();
+    let mut chaos = std::env::var("DRESAR_SERVE_CHAOS").ok();
+    let mut args = std::env::args().skip(1);
+    while let Some(arg) = args.next() {
+        let mut value = || flag_value(&arg, args.next());
+        match arg.as_str() {
+            "--addr" => addr = value()?,
+            "--queue-depth" => cfg.queue_depth = parse_count(&arg, &value()?)?,
+            "--workers" => cfg.workers = parse_count(&arg, &value()?)?,
+            "--cache" => cfg.cache_entries = parse_count(&arg, &value()?)?,
+            "--store-dir" => cfg.store_dir = Some(value()?.into()),
+            "--max-deadline-ms" => {
+                let ms = parse_count(&arg, &value()?)?;
+                if ms == 0 {
+                    return Err(CliError::new(
+                        ErrorCode::BadField,
+                        "--max-deadline-ms must be positive",
+                    ));
+                }
+                cfg.max_deadline = std::time::Duration::from_millis(ms as u64);
             }
-            plan
-        }
-        Err(e) => {
-            eprintln!("error: bad chaos spec '{spec}': {e}");
-            std::process::exit(2);
+            "--chaos" => chaos = Some(value()?),
+            "--help" | "-h" => {
+                println!("{USAGE}");
+                std::process::exit(0)
+            }
+            other => {
+                return Err(CliError::new(
+                    ErrorCode::UnknownField,
+                    format!("unknown flag '{other}' for dresar_serve (try --help)"),
+                ))
+            }
         }
     }
-}
-
-fn parse_num(value: &str, flag: &str) -> usize {
-    value.parse().unwrap_or_else(|_| {
-        eprintln!("error: {flag} wants a non-negative integer, got '{value}'");
-        std::process::exit(2);
-    })
+    if let Some(spec) = chaos {
+        let plan = ServeFaultPlan::parse(&spec).map_err(|e| {
+            CliError::new(ErrorCode::BadFaults, format!("bad chaos spec '{spec}': {e}"))
+        })?;
+        if plan.is_active() {
+            eprintln!("dresar-serve: CHAOS ARMED ({spec}) — fault injection is live");
+        }
+        cfg.chaos = Some(plan);
+    }
+    Ok((addr, cfg))
 }
