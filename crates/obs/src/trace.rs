@@ -21,7 +21,7 @@
 //! straight into the output's bytes: fixed fragments are source literals,
 //! labels are copied verbatim (none holds a byte JSON escapes, since they
 //! sit inside JSON strings), and integers go through a small decimal
-//! writer, not `fmt`. The same bytes are the raw document and the
+//! writer, not `fmt`. The same bytes are `Trace::document()` and the
 //! report's `trace_events` array. Timestamps are simulation cycles written
 //! as integer `ts` values. The output is fully deterministic: two
 //! identical runs produce byte-identical documents (asserted by the tier-1
