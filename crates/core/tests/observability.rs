@@ -159,15 +159,16 @@ fn observed_report_and_trace_bytes_are_pinned() {
 /// The report writes the trace document's bytes verbatim at
 /// `obs.trace_events`, and they parse there to exactly the document.
 fn assert_report_embeds_document(r: &ExecutionReport) -> String {
-    let raw = r.obs.as_ref().and_then(|o| o.trace.as_ref()).expect("trace recorded").document();
+    let document =
+        r.obs.as_ref().and_then(|o| o.trace.as_ref()).expect("trace recorded").document();
     let json = r.to_json().dump();
     let key = "\"trace_events\":";
     let at = json.find(key).expect("trace_events field") + key.len();
-    assert!(json[at..].starts_with(&raw), "the document's bytes, verbatim");
+    assert!(json[at..].starts_with(&document), "the document's bytes, verbatim");
     let parsed = JsonValue::parse(&json).expect("the report parses");
     let events = parsed.get("obs").and_then(|o| o.get("trace_events"));
-    assert_eq!(events, Some(&JsonValue::parse(&raw).expect("the document parses")));
-    raw
+    assert_eq!(events, Some(&JsonValue::parse(&document).expect("the document parses")));
+    document
 }
 
 #[test]
@@ -181,12 +182,12 @@ fn the_report_embeds_exactly_the_trace_document() {
         Some(SwitchDirConfig { pending_buffer_entries: 2, ..SwitchDirConfig::paper_default() });
     let observers = ObserverConfig { trace: true, ..Default::default() };
     let r = System::new(c, &workload()).run(RunOptions { observers, ..RunOptions::default() });
-    let raw = assert_report_embeds_document(&r);
+    let document = assert_report_embeds_document(&r);
     let busy_star = "*\",";
     for needle in ["\"name\":\"nak\"", "\"name\":\"read_retry\"", busy_star] {
-        assert!(raw.contains(needle), "the run reaches {needle}");
+        assert!(document.contains(needle), "the run reaches {needle}");
     }
     for label in CLASS_LABELS {
-        assert!(raw.contains(&format!("\"class\":\"{label}\"")), "the run reaches {label}");
+        assert!(document.contains(&format!("\"class\":\"{label}\"")), "the run reaches {label}");
     }
 }

@@ -539,8 +539,8 @@ mod tests {
 
     #[test]
     fn the_document_parses_on_every_event_kind() {
-        let raw = doc(every_event_kind());
-        let events = JsonValue::parse(&raw).expect("the document parses");
+        let document = doc(every_event_kind());
+        let events = JsonValue::parse(&document).expect("the document parses");
         let names: Vec<&str> = events
             .as_arr()
             .expect("array form")
@@ -562,14 +562,14 @@ mod tests {
             assert!(names.contains(&format!("fsm:{}", req.label()).as_str()));
         }
         for state in DIR_STATES {
-            assert!(raw.contains(&format!("\"from\":\"{}*\"", state.label())));
-            assert!(raw.contains(&format!("\"to\":\"{}\"", state.label())));
+            assert!(document.contains(&format!("\"from\":\"{}*\"", state.label())));
+            assert!(document.contains(&format!("\"to\":\"{}\"", state.label())));
         }
         for label in CLASS_LABELS {
-            assert!(raw.contains(&format!("\"class\":\"{label}\"")), "class {label}");
+            assert!(document.contains(&format!("\"class\":\"{label}\"")), "class {label}");
         }
         for ph in ["s", "t", "f"] {
-            assert!(raw.contains(&format!("\"cat\":\"txn\",\"ph\":\"{ph}\"")), "flow {ph}");
+            assert!(document.contains(&format!("\"cat\":\"txn\",\"ph\":\"{ph}\"")), "flow {ph}");
         }
     }
 
