@@ -34,8 +34,8 @@ use dresar_faults::{
 use dresar_interconnect::routes::{self, Route};
 use dresar_interconnect::{Bmin, HopNetwork, SwitchId};
 use dresar_obs::{
-    HomeTransition, MachineShape, NullProbe, ObserverConfig, ObserverSet, Probe, ServicePoint,
-    SwitchLoc,
+    EventLog, HomeTransition, MachineShape, NullProbe, ObsReport, ObserverConfig, ObserverSet,
+    Probe, ServicePoint, SwitchLoc,
 };
 use dresar_stats::ReadClass;
 use dresar_types::addr::AddressMap;
@@ -84,18 +84,22 @@ impl Default for RunOptions {
     }
 }
 
-/// Simulation events.
+/// Simulation events. A message event names the [`Flights`] slot its
+/// message rides in, so an event stays small and the hot loop does not
+/// allocate.
 enum Ev {
     /// Processor resumes stream execution.
     Proc(NodeId),
-    /// A message header arrives at `route.link(hop)`'s far side.
-    Msg(Box<InFlight>),
-    /// The home directory/DRAM finished processing `msg`; execute the FSM.
+    /// The header of the message in this slot arrives at its
+    /// `route.link(hop)`'s far side.
+    Msg(u32),
+    /// The home directory/DRAM finished processing the message in `slot`;
+    /// execute the FSM.
     HomeExec {
         /// Home node.
         home: NodeId,
-        /// The processed message.
-        msg: Box<Message>,
+        /// Slot of the processed message.
+        slot: u32,
     },
     /// A NAK'd transaction re-issues.
     Retry {
@@ -106,18 +110,67 @@ enum Ev {
     },
     /// A dropped message retransmits from its source (fault injection).
     Relaunch {
-        /// The message and its route, re-entering at hop 0.
-        flight: Box<InFlight>,
+        /// Slot of the message, re-entering its route at hop 0.
+        slot: u32,
         /// Retransmission attempt number (1 = first retry).
         attempt: u32,
     },
 }
 
+// The event queue moves every event several times; unboxing the message
+// into `Ev` once made it 136 bytes and slowed every run.
+const _: () = assert!(std::mem::size_of::<Ev>() <= 16);
+
 /// A message in transit.
+#[derive(Clone, Copy)]
 struct InFlight {
     msg: Message,
     route: Route,
     hop: usize,
+}
+
+/// The messages in transit: a slab of [`InFlight`] slots. A message keeps
+/// its slot from launch until it is delivered, sunk, lost or, at a home,
+/// executed; freed slots are reused last in, first out, so the slab only
+/// grows with the peak number of messages in flight.
+#[derive(Default)]
+struct Flights {
+    slots: Vec<InFlight>,
+    free: Vec<u32>,
+}
+
+impl Flights {
+    fn insert(&mut self, flight: InFlight) -> u32 {
+        match self.free.pop() {
+            Some(slot) => {
+                self.slots[slot as usize] = flight;
+                slot
+            }
+            None => {
+                self.slots.push(flight);
+                (self.slots.len() - 1) as u32
+            }
+        }
+    }
+
+    /// Frees `slot` and returns its message.
+    fn remove(&mut self, slot: u32) -> Message {
+        self.free.push(slot);
+        self.slots[slot as usize].msg
+    }
+
+    fn get(&self, slot: u32) -> &InFlight {
+        &self.slots[slot as usize]
+    }
+
+    fn get_mut(&mut self, slot: u32) -> &mut InFlight {
+        &mut self.slots[slot as usize]
+    }
+
+    /// Whether no message holds a slot.
+    fn is_empty(&self) -> bool {
+        self.free.len() == self.slots.len()
+    }
 }
 
 /// Barrier rendezvous. Tracks only the arrival count — the old per-node
@@ -135,6 +188,9 @@ pub struct System<'w> {
     cfg: SystemConfig,
     map: AddressMap,
     bmin: Bmin,
+    /// `bmin.switches_per_stage()`, kept so a hop's switch index costs no
+    /// division.
+    switches_per_stage: usize,
     net: HopNetwork,
     nodes: Vec<Node<'w>>,
     homes: Vec<HomeDirectory>,
@@ -142,6 +198,7 @@ pub struct System<'w> {
     dram: Vec<BankedResource>,
     sdirs: Vec<Option<SwitchDirectory>>,
     queue: EventQueue<Ev>,
+    flights: Flights,
     msg_seq: u64,
     /// Transaction ids: one per tracked miss, stable across retries,
     /// coalesced upgrades and cache-to-cache forwards. Distinct from
@@ -184,6 +241,7 @@ impl<'w> System<'w> {
             (0..bmin.total_switches()).map(|_| cfg.switch_dir.map(SwitchDirectory::new)).collect();
         System {
             map,
+            switches_per_stage: bmin.switches_per_stage(),
             bmin,
             net: HopNetwork::new(cfg.switch, cfg.nodes),
             nodes,
@@ -194,6 +252,7 @@ impl<'w> System<'w> {
                 .collect(),
             sdirs,
             queue: EventQueue::new(),
+            flights: Flights::default(),
             msg_seq: 0,
             txn_seq: 0,
             barrier: BarrierState::default(),
@@ -206,10 +265,6 @@ impl<'w> System<'w> {
             lost_log: Vec::new(),
             cfg,
         }
-    }
-
-    fn linear(&self, sw: SwitchId) -> usize {
-        sw.stage as usize * self.bmin.switches_per_stage() + sw.index as usize
     }
 
     fn next_id(&mut self) -> u64 {
@@ -232,27 +287,21 @@ impl<'w> System<'w> {
     /// # Panics
     /// Panics on protocol deadlock (event queue drains with undrained
     /// nodes) or when `opts.max_cycles` is exceeded (livelock guard).
+    ///
+    /// The probe follows `opts.observers`: with the flight recorder alone
+    /// (the default) it is the event log's flight ring itself, so every
+    /// hook the ring does not record compiles away; with any other
+    /// observer on it is an [`ObserverSet`]; with none, [`NullProbe`].
     pub fn run(self, opts: RunOptions) -> ExecutionReport {
-        if opts.observers.enabled() {
-            let shape =
-                MachineShape { nodes: self.cfg.nodes, switches: self.bmin.total_switches() };
+        let shape = MachineShape { nodes: self.cfg.nodes, switches: self.bmin.total_switches() };
+        if let Some(capacity) = opts.observers.flight_only() {
+            let mut log = EventLog::flight_only(capacity, shape);
+            let report = self.run_probed(opts, &mut log);
+            attach_observations(report, log.finish())
+        } else if opts.observers.enabled() {
             let mut set = ObserverSet::new(opts.observers, shape);
-            let mut report = self.run_probed(opts, &mut set);
-            let mut obs = set.finish();
-            // The flight recorder is a black box: it records always but
-            // its dump only surfaces when the run is anomalous, so healthy
-            // reports stay byte-identical with or without it.
-            let anomalous = report.watchdog.is_some()
-                || report.coherence.as_ref().is_some_and(|c| !c.ok())
-                || report.faults.is_some_and(|f| f.lost > 0)
-                || !report.sim_errors.is_empty();
-            if !anomalous {
-                obs.flight = None;
-            }
-            if !obs.is_empty() {
-                report.obs = Some(obs);
-            }
-            report
+            let report = self.run_probed(opts, &mut set);
+            attach_observations(report, set.finish())
         } else {
             self.run_probed(opts, &mut NullProbe)
         }
@@ -294,15 +343,19 @@ impl<'w> System<'w> {
             probe.tick(t, self.queue.len());
             match ev {
                 Ev::Proc(p) => self.on_proc(p, t, probe),
-                Ev::Msg(infl) => self.on_msg(infl, t, probe),
-                Ev::HomeExec { home, msg } => self.on_home_exec(home, *msg, t, probe),
+                Ev::Msg(slot) => self.on_msg(slot, t, probe),
+                Ev::HomeExec { home, slot } => self.on_home_exec(home, slot, t, probe),
                 Ev::Retry { node, block } => self.on_retry(node, block, t, probe),
-                Ev::Relaunch { flight, attempt } => {
-                    let InFlight { msg, route, .. } = *flight;
-                    self.launch_attempt(msg, route, t, attempt, probe);
-                }
+                Ev::Relaunch { slot, attempt } => self.launch_attempt(slot, t, attempt, probe),
             }
         }
+        // A drained queue holds no message, so every slot must be free: a
+        // held one is a message the simulator forgot.
+        debug_assert!(
+            !self.queue.is_empty() || self.flights.is_empty(),
+            "event queue drained with {} message slot(s) held",
+            self.flights.slots.len() - self.flights.free.len()
+        );
         let tripped = self.watchdog.as_ref().is_some_and(Watchdog::tripped);
         if !tripped {
             let stuck: Vec<&Node> = self.nodes.iter().filter(|n| !n.drained()).collect();
@@ -766,35 +819,26 @@ impl<'w> System<'w> {
     }
 
     fn launch<P: Probe>(&mut self, msg: Message, route: Route, t: Cycle, probe: &mut P) {
-        self.launch_attempt(msg, route, t, 0, probe);
+        let slot = self.flights.insert(InFlight { msg, route, hop: 0 });
+        self.launch_attempt(slot, t, 0, probe);
     }
 
-    /// Launches (or retransmits) a message. With fault injection active the
-    /// link may drop it: the sender's interface retries after exponential
-    /// backoff until [`FaultPlan::max_retries`], then the message is
-    /// permanently lost (the watchdog's problem).
-    fn launch_attempt<P: Probe>(
-        &mut self,
-        msg: Message,
-        route: Route,
-        t: Cycle,
-        attempt: u32,
-        probe: &mut P,
-    ) {
+    /// Launches (or retransmits) the message in `slot`. With fault
+    /// injection active the link may drop it: the sender's interface
+    /// retries after exponential backoff until [`FaultPlan::max_retries`],
+    /// then the message is permanently lost (the watchdog's problem).
+    fn launch_attempt<P: Probe>(&mut self, slot: u32, t: Cycle, attempt: u32, probe: &mut P) {
         if let Some(fs) = self.faults.as_mut() {
+            let msg = &self.flights.get(slot).msg;
             match fs.on_launch(msg.id, msg.kind, attempt) {
                 LaunchVerdict::Deliver => {}
                 LaunchVerdict::DropRetry { backoff } => {
-                    self.queue.schedule_at(
-                        t + backoff,
-                        Ev::Relaunch {
-                            flight: Box::new(InFlight { msg, route, hop: 0 }),
-                            attempt: attempt + 1,
-                        },
-                    );
+                    let relaunch = Ev::Relaunch { slot, attempt: attempt + 1 };
+                    self.queue.schedule_at(t + backoff, relaunch);
                     return;
                 }
                 LaunchVerdict::Lost => {
+                    let msg = self.flights.remove(slot);
                     self.lost_log.push(format!(
                         "{:?} msg {} for block {:#x} (attempt {attempt})",
                         msg.kind, msg.id, msg.block.0
@@ -803,10 +847,11 @@ impl<'w> System<'w> {
                 }
             }
         }
-        let flits = self.flits(&msg);
-        probe.msg_send(t, &msg);
+        let InFlight { msg, route, .. } = self.flights.get(slot);
+        let flits = msg.flits(self.cfg.l2.line_bytes, self.cfg.switch.flit_bytes);
+        probe.msg_send(t, msg);
         let arrive = self.net.traverse_link(route.link(0), t, flits, msg.kind, probe);
-        self.queue.schedule_at(arrive, Ev::Msg(Box::new(InFlight { msg, route, hop: 0 })));
+        self.queue.schedule_at(arrive, Ev::Msg(slot));
     }
 
     fn send_request<P: Probe>(
@@ -910,20 +955,22 @@ impl<'w> System<'w> {
     }
 
     fn switch_loc(&self, sw: SwitchId) -> SwitchLoc {
-        SwitchLoc { stage: sw.stage, index: sw.index, linear: self.linear(sw) as u16 }
+        let linear = sw.stage as usize * self.switches_per_stage + sw.index as usize;
+        SwitchLoc { stage: sw.stage, index: sw.index, linear: linear as u16 }
     }
 
-    fn on_msg<P: Probe>(&mut self, mut infl: Box<InFlight>, t: Cycle, probe: &mut P) {
-        let hop = infl.hop;
-        if hop < infl.route.switch_hops() {
-            let sw = infl.route.switch(hop);
-            let idx = self.linear(sw);
+    /// The message in `slot` reached the next switch on its route, or its
+    /// endpoint. It is snooped and forwarded in place.
+    fn on_msg<P: Probe>(&mut self, slot: u32, t: Cycle, probe: &mut P) {
+        let InFlight { route, hop, .. } = self.flights.get(slot);
+        if *hop < route.switch_hops() {
+            let sw = route.switch(*hop);
             let loc = self.switch_loc(sw);
-            probe.msg_hop(t, &infl.msg, loc);
-            let action = match self.sdirs[idx].as_mut() {
+            let msg = &mut self.flights.get_mut(slot).msg;
+            probe.msg_hop(t, msg, loc);
+            let action = match self.sdirs[usize::from(loc.linear)].as_mut() {
                 Some(sd) => {
-                    let action = sd.snoop(&mut infl.msg, loc, t, probe);
-                    let sd = self.sdirs[idx].as_ref().unwrap();
+                    let action = sd.snoop(msg, loc, t, probe);
                     probe.sd_occupancy(t, loc, sd.occupancy(), sd.transient_count());
                     action
                 }
@@ -931,65 +978,70 @@ impl<'w> System<'w> {
             };
             // A sunk ReadRequest reached its service point at this switch:
             // either an SD hit (CtoC generated) or an accumulated wait.
-            if infl.msg.kind == MsgType::ReadRequest
+            if msg.kind == MsgType::ReadRequest
                 && matches!(
                     action,
                     SnoopAction::Sink | SnoopAction::SinkSend(GenMsg::CtoCRequest { .. })
                 )
             {
-                probe.read_service_arrive(
-                    infl.msg.requester,
-                    infl.msg.block,
-                    ServicePoint::Switch(loc),
-                    t,
-                    infl.msg.txn,
-                );
+                let at = ServicePoint::Switch(loc);
+                probe.read_service_arrive(msg.requester, msg.block, at, t, msg.txn);
             }
             match action {
-                SnoopAction::Forward => self.forward_hop(infl, t, probe),
-                SnoopAction::Sink => probe.msg_sink(t, &infl.msg, loc),
+                SnoopAction::Forward => self.forward_hop(slot, t, probe),
+                SnoopAction::Sink => {
+                    probe.msg_sink(t, msg, loc);
+                    self.flights.remove(slot);
+                }
                 SnoopAction::SinkSend(gen) => {
-                    probe.msg_sink(t, &infl.msg, loc);
-                    self.send_from_switch(sw, gen, &infl.msg, t, probe);
+                    probe.msg_sink(t, msg, loc);
+                    let msg = self.flights.remove(slot);
+                    self.send_from_switch(sw, gen, &msg, t, probe);
                 }
                 SnoopAction::ForwardSend(readers) => {
+                    let msg = *msg;
                     for to in readers.iter() {
-                        self.send_from_switch(sw, GenMsg::DataReply { to }, &infl.msg, t, probe);
+                        self.send_from_switch(sw, GenMsg::DataReply { to }, &msg, t, probe);
                     }
-                    self.forward_hop(infl, t, probe);
+                    self.forward_hop(slot, t, probe);
                 }
             }
         } else {
             // Endpoint delivery: the header arrived at `t`; data-bearing
             // messages complete after the tail.
-            let InFlight { msg, .. } = *infl;
-            let flits = self.flits(&msg);
-            let t_full = t + self.net.tail_lag(flits);
-            probe.msg_deliver(t_full, &msg);
+            let msg = &self.flights.get(slot).msg;
+            let t_full = t + self.net.tail_lag(self.flits(msg));
+            probe.msg_deliver(t_full, msg);
             match msg.dst {
-                Endpoint::Mem(h) => self.on_home_arrival(h, msg, t_full, probe),
-                Endpoint::Proc(p) => self.on_proc_delivery(p, msg, t_full, probe),
+                Endpoint::Mem(h) => self.on_home_arrival(h, slot, t_full, probe),
+                Endpoint::Proc(p) => {
+                    let msg = self.flights.remove(slot);
+                    self.on_proc_delivery(p, msg, t_full, probe);
+                }
                 Endpoint::Switch { .. } => unreachable!("messages never terminate at switches"),
             }
         }
     }
 
-    /// Advances `infl` one hop, reusing its allocation: the box travels
-    /// through the event queue unchanged, only `hop` advances.
-    fn forward_hop<P: Probe>(&mut self, mut infl: Box<InFlight>, t: Cycle, probe: &mut P) {
-        let flits = self.flits(&infl.msg);
+    /// Advances the message in `slot` one hop: it keeps its slot, only
+    /// `hop` advances.
+    fn forward_hop<P: Probe>(&mut self, slot: u32, t: Cycle, probe: &mut P) {
         let depart = t + self.net.core_delay();
-        let link = infl.route.link(infl.hop + 1);
-        let arrive = self.net.traverse_link(link, depart, flits, infl.msg.kind, probe);
-        infl.hop += 1;
-        self.queue.schedule_at(arrive, Ev::Msg(infl));
+        let InFlight { msg, route, hop } = self.flights.get_mut(slot);
+        *hop += 1;
+        let flits = msg.flits(self.cfg.l2.line_bytes, self.cfg.switch.flit_bytes);
+        let arrive = self.net.traverse_link(route.link(*hop), depart, flits, msg.kind, probe);
+        self.queue.schedule_at(arrive, Ev::Msg(slot));
     }
 
     // ------------------------------------------------------------------
     // Home node (memory + directory controller)
     // ------------------------------------------------------------------
 
-    fn on_home_arrival<P: Probe>(&mut self, h: NodeId, msg: Message, t: Cycle, probe: &mut P) {
+    /// The message in `slot` arrived at home `h`. It keeps its slot until
+    /// the controller and DRAM have processed it.
+    fn on_home_arrival<P: Probe>(&mut self, h: NodeId, slot: u32, t: Cycle, probe: &mut P) {
+        let msg = &self.flights.get(slot).msg;
         let occ = self.cfg.memory.controller_occupancy as Cycle;
         let start = self.home_ctrl[h as usize].acquire(t, occ);
         let done = match msg.kind {
@@ -1006,10 +1058,11 @@ impl<'w> System<'w> {
         if msg.kind == MsgType::ReadRequest {
             probe.read_service_arrive(msg.requester, msg.block, ServicePoint::Home(h), t, msg.txn);
         }
-        self.queue.schedule_at(done, Ev::HomeExec { home: h, msg: Box::new(msg) });
+        self.queue.schedule_at(done, Ev::HomeExec { home: h, slot });
     }
 
-    fn on_home_exec<P: Probe>(&mut self, h: NodeId, msg: Message, t: Cycle, probe: &mut P) {
+    fn on_home_exec<P: Probe>(&mut self, h: NodeId, slot: u32, t: Cycle, probe: &mut P) {
+        let msg = self.flights.remove(slot);
         let sender = || match msg.src {
             Endpoint::Proc(p) => p,
             _ => unreachable!("completions originate at caches"),
@@ -1044,10 +1097,8 @@ impl<'w> System<'w> {
         t: Cycle,
         probe: &mut P,
     ) {
-        let dir = &mut self.homes[h as usize];
-        let (from, from_busy) = dir.fsm_state(block);
-        let out = dir.handle(block, req);
-        let (to, to_busy) = dir.fsm_state(block);
+        let out = self.homes[h as usize].handle(block, req);
+        let ((from, from_busy), (to, to_busy)) = (out.from, out.to);
         let nak = matches!(out.action, Some(DirAction::Nak { .. }));
         let queued = matches!(out.action, Some(DirAction::Queued));
         probe.home_fsm(
@@ -1557,6 +1608,24 @@ impl<'w> System<'w> {
     }
 }
 
+/// Attaches what the observers produced to `report`. The flight recorder
+/// is a black box: it records always, but its dump surfaces only when the
+/// run is anomalous (watchdog trip, failed audit, lost messages or sim
+/// errors), so healthy reports stay byte-identical with or without it.
+fn attach_observations(mut report: ExecutionReport, mut obs: ObsReport) -> ExecutionReport {
+    let anomalous = report.watchdog.is_some()
+        || report.coherence.as_ref().is_some_and(|c| !c.ok())
+        || report.faults.is_some_and(|f| f.lost > 0)
+        || !report.sim_errors.is_empty();
+    if !anomalous {
+        obs.flight = None;
+    }
+    if !obs.is_empty() {
+        report.obs = Some(obs);
+    }
+    report
+}
+
 /// Whether a holder in `state` serves a forwarded intervention rather than
 /// NAKing it: M always; E under MESI/MOESI; O under MOESI; S never.
 fn serves_intervention(protocol: Protocol, state: LineState) -> bool {
@@ -1858,6 +1927,64 @@ mod tests {
             max_cycles: 1, // absurdly small bound
             ..Default::default()
         });
+    }
+
+    /// Sixteen nodes sharing 24 blocks: enough traffic for a lossy plan
+    /// to drop, retransmit and lose messages.
+    fn sharing_workload() -> Workload {
+        let streams = (0..16u64)
+            .map(|p| {
+                (0..40u64)
+                    .flat_map(|i| {
+                        let addr = ((p + i) % 24) * 32;
+                        let r = if i % 3 == 0 {
+                            StreamItem::write(addr, 2)
+                        } else {
+                            StreamItem::read(addr, 2)
+                        };
+                        let barrier = (i % 10 == 9).then(|| StreamItem::barrier((i / 10) as u32));
+                        std::iter::once(r).chain(barrier)
+                    })
+                    .collect()
+            })
+            .collect();
+        wl(streams)
+    }
+
+    #[test]
+    fn every_message_slot_is_free_when_the_queue_drains() {
+        // `run_probed` debug-asserts that a drained queue leaves no
+        // message slot held. These runs drain it after a clean run and
+        // after drops, retransmissions and permanent losses.
+        let mut cfg = SystemConfig::paper_table2();
+        cfg.switch_dir = Some(SwitchDirConfig::paper_default());
+        let w = sharing_workload();
+        let clean = System::new(cfg, &w).run(RunOptions::default());
+        assert_eq!(clean.refs_executed, w.total_refs() as u64);
+        let plan =
+            FaultPlan { seed: 11, drop_ppm: 100_000, max_retries: 1, ..FaultPlan::default() };
+        let lossy = System::new(cfg, &w).run(RunOptions {
+            faults: Some(plan),
+            watchdog: Some(WatchdogConfig::default()),
+            ..RunOptions::default()
+        });
+        let stats = lossy.faults.expect("plan active");
+        assert!(stats.retransmissions > 0 && stats.lost > 0, "{stats:?}");
+        let verdict = lossy.watchdog.map(|wd| wd.kind);
+        assert_eq!(verdict, Some(WatchdogKind::QuiescenceFailure), "the queue must drain");
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "message slot(s) held")]
+    fn a_forgotten_message_fails_the_drain_check() {
+        let w = wl(vec![vec![StreamItem::read(0, 1)]]);
+        let mut sys = System::new(small_cfg(false), &w);
+        let (src, dst) = (Endpoint::Proc(0), Endpoint::Mem(1));
+        let msg = Message::new(1, MsgType::ReadRequest, BlockAddr(0), src, dst, 0, 0);
+        let route = routes::forward(&sys.bmin, 0, 1);
+        sys.flights.insert(InFlight { msg, route, hop: 0 });
+        sys.run(RunOptions { max_cycles: 10_000_000, ..Default::default() });
     }
 
     use dresar_types::Protocol;

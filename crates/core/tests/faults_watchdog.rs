@@ -3,9 +3,10 @@
 //! transactions — never hang and never panic — while a healthy run with the
 //! watchdog armed must be indistinguishable from one without it.
 
-use dresar::system::{RunOptions, System};
+use dresar::system::{ExecutionReport, RunOptions, System};
 use dresar_faults::{FaultPlan, WatchdogConfig, WatchdogKind};
-use dresar_obs::{ObserverConfig, DEFAULT_ATTRIB_WINDOW};
+use dresar_interconnect::Bmin;
+use dresar_obs::{FlightDump, MachineShape, ObserverConfig, ObserverSet, DEFAULT_ATTRIB_WINDOW};
 use dresar_types::config::{SwitchDirConfig, SystemConfig};
 use dresar_types::msg::MsgType;
 use dresar_types::{StreamItem, ToJson, Workload};
@@ -147,6 +148,38 @@ fn watchdog_trip_attaches_a_deterministic_flight_dump() {
         fc.to_json().dump(),
         "the flight dump must not depend on whether the trace is on"
     );
+}
+
+#[test]
+fn flight_only_run_matches_an_explicit_flight_only_observer_set() {
+    // `System::run` probes a default (flight-only) run with the event
+    // log's ring alone. An `ObserverSet` with only the flight recorder on
+    // must see the same run: the same flight dump and report JSON, on a
+    // run that drops, retransmits and loses messages.
+    let plan = FaultPlan { seed: 7, drop_ppm: 100_000, max_retries: 1, ..FaultPlan::default() };
+    let opts = RunOptions {
+        max_cycles: 500_000_000,
+        faults: Some(plan),
+        watchdog: Some(WatchdogConfig::default()),
+        verify_coherence: true,
+        ..Default::default()
+    };
+    let w = sharing_workload();
+    let direct = System::new(cfg(), &w).run(opts);
+    let stats = direct.faults.expect("plan active");
+    assert!(stats.retransmissions > 0 && stats.lost > 0, "{stats:?}");
+
+    let switches = Bmin::new(cfg().nodes, cfg().switch.radix as usize).total_switches();
+    let mut set = ObserverSet::new(opts.observers, MachineShape { nodes: cfg().nodes, switches });
+    let mut probed = System::new(cfg(), &w).run_probed(opts, &mut set);
+    probed.obs = Some(set.finish());
+
+    let flight = |r: &ExecutionReport| -> FlightDump {
+        r.obs.as_ref().and_then(|o| o.flight.clone()).expect("a lossy run attaches its dump")
+    };
+    assert!(!flight(&direct).is_empty());
+    assert_eq!(flight(&direct), flight(&probed));
+    assert_eq!(direct.to_json().dump(), probed.to_json().dump());
 }
 
 #[test]

@@ -168,7 +168,8 @@ pub enum DirAction {
     Queued,
 }
 
-/// What handling one [`Request`] asks of the surrounding simulator.
+/// What handling one [`Request`] asks of the surrounding simulator, and
+/// the FSM transition it made.
 #[derive(Debug, Default, PartialEq, Eq)]
 pub struct Outcome {
     /// The action to perform now, if any.
@@ -177,6 +178,10 @@ pub struct Outcome {
     /// caller performs `action` first, then hands each of these to
     /// [`HomeDirectory::handle`] again.
     pub replay: VecDeque<Request>,
+    /// The block's [`HomeDirectory::fsm_state`] before the request.
+    pub from: (DirStateKind, bool),
+    /// The block's [`HomeDirectory::fsm_state`] after the request.
+    pub to: (DirStateKind, bool),
 }
 
 /// Busy sub-state of an in-flight transaction.
@@ -207,6 +212,11 @@ type Step = (Option<DirAction>, bool);
 impl BlockEntry {
     fn stable_uncached() -> Self {
         BlockEntry { state: DirState::Uncached, busy: None, pending: VecDeque::new(), seq: 0 }
+    }
+
+    /// The stable-state kind and whether a transaction is in flight.
+    fn fsm_state(&self) -> (DirStateKind, bool) {
+        (kind_of(&self.state), self.busy.is_some())
     }
 
     fn is_quiescent(&self) -> bool {
@@ -678,7 +688,7 @@ impl HomeDirectory {
         self.stats.lookups += 1;
         let Some(req) = self.check(req) else {
             // A request from no node is NAK'd; a completion from no node
-            // is dropped.
+            // is dropped. Either leaves the block as it was.
             let action = match req {
                 Request::Read { requester } | Request::Write { requester } => {
                     Some(DirAction::Nak { to: requester })
@@ -686,7 +696,8 @@ impl HomeDirectory {
                 _ => None,
             };
             self.stats.count(req, action);
-            return Outcome { action, replay: VecDeque::new() };
+            let state = self.fsm_state(block);
+            return Outcome { action, replay: VecDeque::new(), from: state, to: state };
         };
         if let Request::CopyBack { carried, .. } | Request::WriteBack { carried, .. } = req {
             if !carried.is_empty() {
@@ -706,20 +717,22 @@ impl HomeDirectory {
             }
             _ => None,
         };
+        let from = e.fsm_state();
         if let Some((context, why)) = stray_ack {
             self.record_error(context, format!("InvalAck for {block:?} {why}"));
-            return Outcome::default();
+            return Outcome { from, to: from, ..Outcome::default() };
         }
         let before = (e.busy.is_some(), e.pending.len());
         let (action, release) = e.step(req, self.pending_limit, self.protocol);
         let replay = if release { std::mem::take(&mut e.pending) } else { VecDeque::new() };
+        let to = e.fsm_state();
         let after = (e.busy.is_some(), e.pending.len());
         self.busy_now = self.busy_now + after.0 as u64 - before.0 as u64;
         self.pending_now = self.pending_now + after.1 as u64 - before.1 as u64;
         self.stats.peak_busy = self.stats.peak_busy.max(self.busy_now);
         self.stats.peak_pending = self.stats.peak_pending.max(self.pending_now);
         self.stats.count(req, action);
-        Outcome { action, replay }
+        Outcome { action, replay, from, to }
     }
 
     /// Current stable state of a block (`Uncached` if never touched).
@@ -762,9 +775,7 @@ impl HomeDirectory {
     ///
     /// [`HomeTransition`]: dresar_obs::HomeTransition
     pub fn fsm_state(&self, block: BlockAddr) -> (DirStateKind, bool) {
-        self.blocks
-            .get(&block)
-            .map_or((DirStateKind::Uncached, false), |e| (kind_of(&e.state), e.busy.is_some()))
+        self.blocks.get(&block).map_or((DirStateKind::Uncached, false), BlockEntry::fsm_state)
     }
 
     /// Drops quiescent entries to bound memory in long runs.
@@ -786,6 +797,12 @@ mod tests {
 
     fn msi() -> HomeDirectory {
         HomeDirectory::new(8, 16, Protocol::Msi)
+    }
+
+    /// The outcome of a request that asks for no action and replays
+    /// nothing, moving the block `from` one FSM state `to` another.
+    fn quiet(from: (DirStateKind, bool), to: (DirStateKind, bool)) -> Outcome {
+        Outcome { from, to, ..Outcome::default() }
     }
 
     /// Handles a read or write request, which never hands back a queue.
@@ -860,7 +877,8 @@ mod tests {
         assert_eq!(act, DirAction::Invalidate { targets: expected, writer: 3 });
         assert!(d.is_busy(B));
         // First ack: still waiting.
-        assert_eq!(ack(&mut d, B), Outcome::default());
+        let busy_shared = (DirStateKind::Shared, true);
+        assert_eq!(ack(&mut d, B), quiet(busy_shared, busy_shared));
         // Second ack: grant.
         let c = ack(&mut d, B);
         assert_eq!(c.action, Some(DirAction::WriteReplyGrant { to: 3, seq: 1 }));
@@ -1010,7 +1028,8 @@ mod tests {
         read(&mut d, B, 1);
         // Writeback from a node that is not the owner: dropped.
         let c = writeback(&mut d, B, 9, SharerSet::EMPTY);
-        assert_eq!(c, Outcome::default());
+        let shared = (DirStateKind::Shared, false);
+        assert_eq!(c, quiet(shared, shared));
         assert_eq!(d.state(B), DirState::Shared(SharerSet::singleton(1)));
     }
 
@@ -1072,7 +1091,8 @@ mod tests {
     fn out_of_range_completion_sender_is_dropped() {
         let mut d = msi();
         write(&mut d, B, 7);
-        assert_eq!(writeback(&mut d, B, 99, SharerSet::EMPTY), Outcome::default());
+        let modified = (DirStateKind::Modified, false);
+        assert_eq!(writeback(&mut d, B, 99, SharerSet::EMPTY), quiet(modified, modified));
         assert_eq!(d.state(B), DirState::Modified(7));
         assert_eq!(d.take_errors()[0].context, "dir_writeback_bounds");
     }
@@ -1187,7 +1207,7 @@ mod tests {
         read(&mut d, B, 2);
         copyback(&mut d, B, 7, SharerSet::EMPTY, true); // Owned{7, {2}}
         let c = writeback(&mut d, B, 7, SharerSet::EMPTY);
-        assert_eq!(c, Outcome::default());
+        assert_eq!(c, quiet((DirStateKind::Owned, false), (DirStateKind::Shared, false)));
         assert_eq!(d.state(B), DirState::Shared(SharerSet::singleton(2)));
     }
 

@@ -44,7 +44,9 @@ fn directory(protocol: Protocol) -> HomeDirectory {
 }
 
 /// Handles `op` at `block`: the actions to perform and the parked
-/// requests handed back for replay, in queue order.
+/// requests handed back for replay, in queue order. The transition the
+/// outcome reports must be `fsm_state` read before and after, on every
+/// path, refused requesters and stray acks included.
 fn drive(d: &mut HomeDirectory, block: BlockAddr, op: Op) -> (Vec<DirAction>, Vec<Op>) {
     let req = match op {
         Op::Read(requester) => Request::Read { requester },
@@ -53,7 +55,10 @@ fn drive(d: &mut HomeDirectory, block: BlockAddr, op: Op) -> (Vec<DirAction>, Ve
         Op::CopyBack { from, carried, retained } => Request::CopyBack { from, carried, retained },
         Op::WriteBack { from, carried } => Request::WriteBack { from, carried },
     };
+    let before = d.fsm_state(block);
     let out = d.handle(block, req);
+    assert_eq!(out.from, before, "{op:?} at {block:?}: state before");
+    assert_eq!(out.to, d.fsm_state(block), "{op:?} at {block:?}: state after");
     let replay = out
         .replay
         .into_iter()

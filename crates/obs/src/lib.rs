@@ -32,6 +32,9 @@
 //!
 //! [`ObserverSet`] bundles any subset of the four behind one `Probe`
 //! implementation and is what [`ObserverConfig`] enables from run options.
+//! A run with the flight recorder alone needs no bundle: the event log is
+//! the probe ([`EventLog::flight_only`]), and every hook it does not record
+//! compiles away.
 
 pub mod attrib;
 pub mod breakdown;
@@ -54,8 +57,7 @@ pub use breakdown::{
 };
 pub use hostprof::{HostProfile, HostProfiler, PhaseTiming, RunTiming};
 pub use metrics::{MetricDelta, MetricValue, MetricsRegistry};
-use recorder::EventLog;
-pub use recorder::{FlightDump, Trace, DEFAULT_FLIGHT_CAPACITY};
+pub use recorder::{EventLog, FlightDump, Trace, DEFAULT_FLIGHT_CAPACITY};
 pub use sampler::{Sampler, TimeSeries, WindowSample};
 
 /// Identifies a switch: BMIN position plus the simulator's linear index
@@ -149,10 +151,12 @@ impl SdProbeEvent {
 }
 
 /// Stable-state kind of a home-directory block (the full state carries a
-/// sharer vector / owner; observers only need the discriminant).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// sharer vector / owner; observers only need the discriminant). The
+/// default is a block no request has touched.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum DirStateKind {
     /// Memory is the only copy.
+    #[default]
     Uncached,
     /// Read-only copies exist.
     Shared,
@@ -371,6 +375,14 @@ impl ObserverConfig {
             || self.heatmap_window.is_some()
     }
 
+    /// The flight capacity, when the flight recorder is the only observer
+    /// on (the default run's configuration).
+    pub fn flight_only(&self) -> Option<usize> {
+        let capacity = self.flight?;
+        (*self == ObserverConfig { flight: Some(capacity), ..ObserverConfig::default() })
+            .then_some(capacity)
+    }
+
     /// Everything on, with the given sampling window.
     pub fn all(window: Cycle) -> Self {
         ObserverConfig {
@@ -483,7 +495,7 @@ impl ObserverSet {
 
     /// Finalizes all observers into the report payload.
     pub fn finish(self) -> ObsReport {
-        let (trace, flight) = self.log.map(EventLog::finish).unwrap_or_default();
+        let (trace, flight) = self.log.map(EventLog::into_parts).unwrap_or_default();
         ObsReport {
             breakdown: self.recorder.map(LatencyRecorder::finish),
             timeseries: self.sampler.map(Sampler::finish),
@@ -624,6 +636,18 @@ mod tests {
         assert!(ObserverConfig { trace: true, ..Default::default() }.enabled());
         assert!(ObserverConfig { flight: Some(1024), ..Default::default() }.enabled());
         assert!(ObserverConfig::all(128).enabled());
+    }
+
+    #[test]
+    fn flight_only_names_the_lone_flight_recorder() {
+        assert_eq!(
+            ObserverConfig { flight: Some(64), ..Default::default() }.flight_only(),
+            Some(64)
+        );
+        assert_eq!(ObserverConfig::default().flight_only(), None);
+        assert_eq!(ObserverConfig::all(128).flight_only(), None);
+        let traced = ObserverConfig { flight: Some(64), trace: true, ..Default::default() };
+        assert_eq!(traced.flight_only(), None);
     }
 
     #[test]

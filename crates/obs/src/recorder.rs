@@ -10,6 +10,9 @@
 //! * **Flight dump.** With only `flight` configured the log is a bounded
 //!   ring of the last `capacity` records, cheap enough to leave armed on
 //!   every run, and skips the two trace-only kinds (home FSM and service).
+//!   [`EventLog::flight_only`] builds the ring as a type that can never
+//!   trace, so a run probed by it alone compiles those two hooks, and
+//!   every hook the log does not record, away.
 //!   It renders to JSON only when a run goes wrong (watchdog trip, failed
 //!   audit, fault anomaly); the simulator is deterministic, so the same
 //!   seed and fault plan reproduce the dump byte for byte.
@@ -23,7 +26,8 @@
 //! telemetry: "what were the last N protocol steps before the wreck".
 
 use crate::{
-    class_index, HomeTransition, MachineShape, Probe, SdProbeEvent, ServicePoint, SwitchLoc,
+    class_index, HomeTransition, MachineShape, ObsReport, Probe, SdProbeEvent, ServicePoint,
+    SwitchLoc,
 };
 use dresar_stats::ReadClass;
 use dresar_types::json::WriteJson;
@@ -151,12 +155,18 @@ fn sd_code(ev: SdProbeEvent) -> u64 {
 }
 
 /// The event log: the one observer that records protocol events.
+///
+/// `TRACE` says whether the log may keep every record for a trace. An
+/// `EventLog<false>`, built by [`EventLog::flight_only`], is the flight
+/// ring alone: its trace-only hooks are constant no-ops, so a run probed
+/// by it alone pays for nothing but the ring.
 #[derive(Debug)]
-pub(crate) struct EventLog {
+pub struct EventLog<const TRACE: bool = true> {
     records: Vec<Record>,
     /// Flight dump capacity, if a dump is wanted.
     flight: Option<usize>,
-    /// Keep every record (the trace is on) instead of a flight ring.
+    /// Keep every record (the trace is on) instead of a flight ring; only
+    /// read when `TRACE`.
     keep_all: bool,
     /// Index the next record overwrites once the ring is full.
     head: usize,
@@ -174,14 +184,36 @@ impl EventLog {
     /// neither output is wanted.
     pub(crate) fn new(flight: Option<usize>, trace: bool, shape: MachineShape) -> Option<Self> {
         let flight = flight.map(|c| c.max(1));
-        (trace || flight.is_some()).then(|| EventLog {
+        (trace || flight.is_some()).then(|| EventLog::build(flight, trace, shape))
+    }
+}
+
+impl EventLog<false> {
+    /// The flight ring alone: the last `capacity` flight-kind records
+    /// (clamped to >= 1), exactly the ring an [`crate::ObserverSet`] with
+    /// only `flight` on keeps.
+    pub fn flight_only(capacity: usize, shape: MachineShape) -> Self {
+        EventLog::build(Some(capacity.max(1)), false, shape)
+    }
+}
+
+impl<const TRACE: bool> EventLog<TRACE> {
+    fn build(flight: Option<usize>, trace: bool, shape: MachineShape) -> Self {
+        EventLog {
             records: Vec::with_capacity(if trace { 0 } else { flight.unwrap_or(0) }),
             flight,
             keep_all: trace,
             head: 0,
             total: 0,
             switches_per_stage: shape.switches_per_stage(),
-        })
+        }
+    }
+
+    /// Whether every record is kept; constant `false` for the flight-only
+    /// log.
+    #[inline]
+    fn keeps_all(&self) -> bool {
+        TRACE && self.keep_all
     }
 
     /// Logs a flight-kind record.
@@ -190,27 +222,38 @@ impl EventLog {
         let r = Record { t, loc, block, txn, linear, event };
         self.total += 1;
         let capacity = self.flight.unwrap_or(0);
-        if self.keep_all || self.records.len() < capacity {
+        if self.keeps_all() || self.records.len() < capacity {
             self.records.push(r);
         } else {
             self.records[self.head] = r;
-            self.head = (self.head + 1) % capacity;
+            self.head += 1;
+            if self.head == capacity {
+                self.head = 0;
+            }
         }
     }
 
     /// Logs a trace-only record; the flight ring skips these.
     #[inline]
     fn push_trace_only(&mut self, t: Cycle, home: NodeId, block: BlockAddr, event: Event) {
-        if self.keep_all {
+        if self.keeps_all() {
             let loc = encode_endpoint(Endpoint::Mem(home));
             self.records.push(Record { t, loc, block: block.0, txn: 0, linear: 0, event });
         }
     }
 
+    /// The report of a run this log observed alone: its trace (if traced)
+    /// and its flight dump (if configured).
+    pub fn finish(self) -> ObsReport {
+        let (trace, flight) = self.into_parts();
+        ObsReport { trace, flight, ..ObsReport::default() }
+    }
+
     /// Hands the records to the trace (if traced) and the flight dump (if
     /// configured).
-    pub(crate) fn finish(self) -> (Option<Trace>, Option<FlightDump>) {
-        let EventLog { mut records, flight, keep_all, head, total, .. } = self;
+    pub(crate) fn into_parts(self) -> (Option<Trace>, Option<FlightDump>) {
+        let keep_all = self.keeps_all();
+        let EventLog { mut records, flight, head, total, .. } = self;
         let flight = flight.map(|capacity| {
             let kept = if keep_all {
                 let mut kept: Vec<Record> = records
@@ -232,7 +275,7 @@ impl EventLog {
     }
 }
 
-impl Probe for EventLog {
+impl<const TRACE: bool> Probe for EventLog<TRACE> {
     #[inline]
     fn msg_send(&mut self, t: Cycle, msg: &Message) {
         let linear = match msg.src {
@@ -419,10 +462,10 @@ mod tests {
     }
 
     fn dump(log: EventLog) -> FlightDump {
-        log.finish().1.expect("flight configured")
+        log.into_parts().1.expect("flight configured")
     }
 
-    fn feed(r: &mut EventLog, n: u64) {
+    fn feed<const TRACE: bool>(r: &mut EventLog<TRACE>, n: u64) {
         for i in 0..n {
             r.read_issue((i % 16) as NodeId, BlockAddr(i), i * 10, i * 10 + 3, i + 1);
         }
@@ -500,6 +543,32 @@ mod tests {
         assert_eq!(aux(MsgType::Retry), 6, "the last Table 1 type");
         assert_eq!(aux(MsgType::ReadReply), 7);
         assert_eq!(aux(MsgType::WriteBackAck), 11);
+    }
+
+    #[test]
+    fn flight_only_log_dumps_exactly_what_the_ring_keeps() {
+        let tr = HomeTransition {
+            req: HomeReq::Write,
+            from: DirStateKind::Shared,
+            from_busy: false,
+            to: DirStateKind::Shared,
+            to_busy: true,
+            nak: false,
+            queued: false,
+        };
+        let mut ring = ring(8);
+        let mut lone = EventLog::flight_only(8, SHAPE);
+        for i in 0..21 {
+            feed(&mut ring, 1);
+            feed(&mut lone, 1);
+            ring.home_fsm(i, 0, BlockAddr(i), tr);
+            lone.home_fsm(i, 0, BlockAddr(i), tr);
+        }
+        let report = lone.finish();
+        assert!(report.trace.is_none());
+        let lone = report.flight.expect("flight configured");
+        assert_eq!(lone, dump(ring));
+        assert_eq!((lone.len(), lone.total), (8, 21));
     }
 
     #[test]

@@ -269,7 +269,7 @@ mod tests {
     }
 
     fn doc(log: EventLog) -> String {
-        log.finish().0.expect("trace configured").document()
+        log.finish().trace.expect("trace configured").document()
     }
 
     #[test]
