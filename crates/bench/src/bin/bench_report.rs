@@ -28,6 +28,9 @@
 //! document's `host.profile` (and its VmHWM peak) covers the 256-node
 //! machines — the CI figure job gates on that number.
 //!
+//! `--out` defaults to `BENCH_dresar.json`, the committed Tiny baseline,
+//! so any other scale must name its own `--out`.
+//!
 //! A bad command line exits 2 with one `error[<code>]` line on stderr
 //! ([`dresar_bench::cli::CliError`]).
 //!
@@ -54,6 +57,9 @@ use dresar_types::{FromJson, JsonValue, ToJson, SCHEMA_VERSION};
 use dresar_workloads::Scale;
 use std::process::ExitCode;
 
+/// Where the document goes without `--out`: the committed Tiny baseline.
+const DEFAULT_OUT: &str = "BENCH_dresar.json";
+
 struct Args {
     scale: Scale,
     out: String,
@@ -67,7 +73,7 @@ struct Args {
 fn parse_args() -> Result<Args, CliError> {
     let mut args = Args {
         scale: Scale::Tiny,
-        out: "BENCH_dresar.json".into(),
+        out: String::new(),
         heatmap: None,
         scaling: None,
         protocols: None,
@@ -75,6 +81,7 @@ fn parse_args() -> Result<Args, CliError> {
         tolerance_pct: 0.0,
     };
     let mut scale: Option<String> = None;
+    let mut out: Option<String> = None;
     let mut it = std::env::args().skip(1);
     while let Some(a) = it.next() {
         if !a.starts_with('-') {
@@ -90,7 +97,7 @@ fn parse_args() -> Result<Args, CliError> {
         }
         let mut value = || flag_value(&a, it.next());
         match a.as_str() {
-            "--out" => args.out = value()?,
+            "--out" => out = Some(value()?),
             "--heatmap" => args.heatmap = Some(value()?),
             "--scaling" => args.scaling = Some(value()?),
             "--protocols" => args.protocols = Some(value()?),
@@ -113,6 +120,19 @@ fn parse_args() -> Result<Args, CliError> {
             }
         }
     }
+    args.out = match (out, args.scale) {
+        (Some(path), _) => path,
+        (None, Scale::Tiny) => DEFAULT_OUT.into(),
+        (None, other) => {
+            return Err(CliError::new(
+                ErrorCode::BadField,
+                format!(
+                    "scale {other:?} needs --out PATH: the default, {DEFAULT_OUT}, is the \
+                     committed Tiny baseline"
+                ),
+            ))
+        }
+    };
     Ok(args)
 }
 

@@ -69,6 +69,17 @@ fn bench_report_and_dresar_diff_refuse_with_the_same_codes() {
     assert_bin_refused(report, &["--scaling", "--protocols", "FIG.md"], "bad_field");
     assert_bin_refused(report, &["huge"], "bad_scale");
 
+    // The default `--out` is the committed Tiny baseline; no other scale
+    // may write there by default.
+    for args in
+        [&["reduced", "--scaling", "FIG.md"][..], &["paper"], &["--protocols", "F", "paper"]]
+    {
+        let out = run(report, args);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains("--out"), "{args:?}: {stderr}");
+        assert_bin_refused(report, args, "bad_field");
+    }
+
     let diff = env!("CARGO_BIN_EXE_dresar_diff");
     assert_bin_refused(diff, &["a.json", "b.json", "--jsn"], "unknown_field");
     assert_bin_refused(diff, &["doc.json", "A", "B", "C"], "unknown_field");
