@@ -167,9 +167,9 @@ impl Flights {
         &mut self.slots[slot as usize]
     }
 
-    /// Whether no message holds a slot.
-    fn is_empty(&self) -> bool {
-        self.free.len() == self.slots.len()
+    /// Slots a message holds.
+    fn held(&self) -> usize {
+        self.slots.len() - self.free.len()
     }
 }
 
@@ -352,9 +352,9 @@ impl<'w> System<'w> {
         // A drained queue holds no message, so every slot must be free: a
         // held one is a message the simulator forgot.
         debug_assert!(
-            !self.queue.is_empty() || self.flights.is_empty(),
+            !self.queue.is_empty() || self.flights.held() == 0,
             "event queue drained with {} message slot(s) held",
-            self.flights.slots.len() - self.flights.free.len()
+            self.flights.held()
         );
         let tripped = self.watchdog.as_ref().is_some_and(Watchdog::tripped);
         if !tripped {
@@ -848,7 +848,7 @@ impl<'w> System<'w> {
             }
         }
         let InFlight { msg, route, .. } = self.flights.get(slot);
-        let flits = msg.flits(self.cfg.l2.line_bytes, self.cfg.switch.flit_bytes);
+        let flits = self.flits(msg);
         probe.msg_send(t, msg);
         let arrive = self.net.traverse_link(route.link(0), t, flits, msg.kind, probe);
         self.queue.schedule_at(arrive, Ev::Msg(slot));
@@ -1027,9 +1027,9 @@ impl<'w> System<'w> {
     /// `hop` advances.
     fn forward_hop<P: Probe>(&mut self, slot: u32, t: Cycle, probe: &mut P) {
         let depart = t + self.net.core_delay();
-        let InFlight { msg, route, hop } = self.flights.get_mut(slot);
-        *hop += 1;
-        let flits = msg.flits(self.cfg.l2.line_bytes, self.cfg.switch.flit_bytes);
+        self.flights.get_mut(slot).hop += 1;
+        let InFlight { msg, route, hop } = self.flights.get(slot);
+        let flits = self.flits(msg);
         let arrive = self.net.traverse_link(route.link(*hop), depart, flits, msg.kind, probe);
         self.queue.schedule_at(arrive, Ev::Msg(slot));
     }
@@ -1640,7 +1640,7 @@ fn serves_intervention(protocol: Protocol, state: LineState) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dresar_types::config::SwitchDirConfig;
+    use dresar_types::config::{SwitchDirConfig, TransientReadPolicy};
     use dresar_types::{StreamItem, ToJson};
 
     fn small_cfg(switch_dir: bool) -> SystemConfig {
@@ -1954,13 +1954,20 @@ mod tests {
     #[test]
     fn every_message_slot_is_free_when_the_queue_drains() {
         // `run_probed` debug-asserts that a drained queue leaves no
-        // message slot held. These runs drain it after a clean run and
-        // after drops, retransmissions and permanent losses.
+        // message slot held. These runs drain it after clean runs, whose
+        // switch directories sink reads under both transient policies,
+        // and after drops, retransmissions and permanent losses.
         let mut cfg = SystemConfig::paper_table2();
         cfg.switch_dir = Some(SwitchDirConfig::paper_default());
         let w = sharing_workload();
-        let clean = System::new(cfg, &w).run(RunOptions::default());
-        assert_eq!(clean.refs_executed, w.total_refs() as u64);
+        for transient_policy in [TransientReadPolicy::Retry, TransientReadPolicy::Accumulate] {
+            let sd = SwitchDirConfig { transient_policy, ..SwitchDirConfig::paper_default() };
+            let cfg = SystemConfig { switch_dir: Some(sd), ..cfg };
+            let clean = System::new(cfg, &w).run(RunOptions::default());
+            assert_eq!(clean.refs_executed, w.total_refs() as u64);
+            let sunk = clean.sd.transient_retries + clean.sd.readers_accumulated;
+            assert!(sunk > 0, "{transient_policy:?}: no read was sunk");
+        }
         let plan =
             FaultPlan { seed: 11, drop_ppm: 100_000, max_retries: 1, ..FaultPlan::default() };
         let lossy = System::new(cfg, &w).run(RunOptions {

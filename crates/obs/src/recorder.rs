@@ -10,12 +10,12 @@
 //! * **Flight dump.** With only `flight` configured the log is a bounded
 //!   ring of the last `capacity` records, cheap enough to leave armed on
 //!   every run, and skips the two trace-only kinds (home FSM and service).
-//!   [`EventLog::flight_only`] builds the ring as a type that can never
-//!   trace, so a run probed by it alone compiles those two hooks, and
-//!   every hook the log does not record, away.
 //!   It renders to JSON only when a run goes wrong (watchdog trip, failed
 //!   audit, fault anomaly); the simulator is deterministic, so the same
 //!   seed and fault plan reproduce the dump byte for byte.
+//!   [`EventLog::flight_only`] builds the ring as a type that can never
+//!   trace, so a run probed by it alone compiles those two hooks, and
+//!   every hook the log does not record, away.
 //! * **Trace.** With `trace` on the log keeps every record and `finish`
 //!   moves them into a [`Trace`], which renders the trace document only
 //!   when asked. The flight dump is then a copy of the last `capacity`
