@@ -45,7 +45,7 @@ use dresar_bench::sweep::{catch_job_panic, ServicePool, SubmitError, SweepRunner
 use dresar_obs::{hostprof, log2_bucket, MetricValue, MetricsRegistry};
 use dresar_types::{FastMap, FromJson, JsonValue, RunSpec, ToJson};
 use std::collections::BTreeMap;
-use std::net::{TcpListener, TcpStream};
+use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
@@ -289,14 +289,51 @@ impl DigestHists {
     }
 }
 
+/// The serving tier's one shutdown signal: a flag every path reads, and a
+/// condvar that wakes the threads that wait on it between frames.
+#[derive(Debug, Default)]
+struct ShutdownSignal {
+    flag: AtomicBool,
+    lock: Mutex<()>,
+    wake: Condvar,
+}
+
+impl ShutdownSignal {
+    fn is_set(&self) -> bool {
+        self.flag.load(Ordering::SeqCst)
+    }
+
+    /// Sets the flag and wakes every waiter; true only for the first call.
+    fn raise(&self) -> bool {
+        // Setting the flag under the lock means a waiter either sees it
+        // before it sleeps or is asleep when the notify arrives.
+        let _guard = lock_recover(&self.lock);
+        let first = !self.flag.swap(true, Ordering::SeqCst);
+        self.wake.notify_all();
+        first
+    }
+
+    /// Waits up to `timeout`, returning early once the signal is raised.
+    fn wait(&self, timeout: Duration) {
+        let guard = lock_recover(&self.lock);
+        let _ = self
+            .wake
+            .wait_timeout_while(guard, timeout, |_| !self.is_set())
+            .unwrap_or_else(PoisonError::into_inner);
+    }
+}
+
 struct Shared {
+    /// The bound address (ephemeral ports resolved); the stop path
+    /// connects to it to wake the acceptor.
+    addr: SocketAddr,
     pool: ServicePool,
     cache: Mutex<ResultCache>,
     /// Disk tier under the LRU; `None` when no `--store-dir` was given.
     store: Option<Mutex<ResultStore>>,
     inflight: Mutex<FastMap<u64, Arc<InFlight>>>,
     metrics: ServeMetrics,
-    shutting_down: AtomicBool,
+    shutting_down: ShutdownSignal,
     started: Instant,
     /// Server cap on per-request compute deadlines.
     max_deadline: Duration,
@@ -312,7 +349,6 @@ struct Shared {
 /// plus [`Server::join`].
 pub struct Server {
     shared: Arc<Shared>,
-    addr: std::net::SocketAddr,
     acceptor: Option<std::thread::JoinHandle<()>>,
     conns: Arc<Mutex<Vec<std::thread::JoinHandle<()>>>>,
 }
@@ -321,10 +357,9 @@ impl Server {
     /// Binds `addr` (use port 0 for an ephemeral port) and starts serving.
     pub fn start(addr: &str, cfg: ServerConfig) -> std::io::Result<Server> {
         let listener = TcpListener::bind(addr)?;
-        let local = listener.local_addr()?;
-        // Nonblocking accept + short sleep: lets the acceptor observe the
-        // shutdown flag without platform-specific signal machinery.
-        listener.set_nonblocking(true)?;
+        // The acceptor blocks in `accept`; `stop` wakes it for shutdown
+        // with one loopback connection, so no poll or signal is needed.
+        let addr = listener.local_addr()?;
         let runner = if cfg.workers == 0 {
             SweepRunner::from_env()
         } else {
@@ -339,12 +374,13 @@ impl Server {
             None => None,
         };
         let shared = Arc::new(Shared {
+            addr,
             pool: ServicePool::start(runner, cfg.queue_depth, cfg.start_paused),
             cache: Mutex::new(ResultCache::new(cfg.cache_entries)),
             store,
             inflight: Mutex::new(FastMap::default()),
             metrics: ServeMetrics::default(),
-            shutting_down: AtomicBool::new(false),
+            shutting_down: ShutdownSignal::default(),
             started: Instant::now(),
             max_deadline: cfg.max_deadline,
             chaos: cfg.chaos.filter(ServeFaultPlan::is_active).map(ServeChaos::arm),
@@ -356,12 +392,12 @@ impl Server {
             let conns = Arc::clone(&conns);
             std::thread::spawn(move || accept_loop(&listener, &shared, &conns))
         };
-        Ok(Server { shared, addr: local, acceptor: Some(acceptor), conns })
+        Ok(Server { shared, acceptor: Some(acceptor), conns })
     }
 
     /// The bound address (resolves ephemeral ports).
-    pub fn local_addr(&self) -> std::net::SocketAddr {
-        self.addr
+    pub fn local_addr(&self) -> SocketAddr {
+        self.shared.addr
     }
 
     /// Releases engine workers started paused (see
@@ -379,7 +415,7 @@ impl Server {
     /// Graceful shutdown: stop accepting, drain queued executions, join
     /// every thread. Idempotent with a prior `POST /shutdown`.
     pub fn shutdown(mut self) {
-        self.shared.shutting_down.store(true, Ordering::SeqCst);
+        stop(&self.shared);
         self.join_inner();
     }
 
@@ -417,13 +453,40 @@ impl Server {
     }
 }
 
+/// Starts the graceful drain; the one stop path of [`Server::shutdown`]
+/// and `POST /shutdown`. Raises the shutdown signal, then wakes the
+/// acceptor out of its blocking `accept` with one loopback connection,
+/// which it drops unrouted.
+fn stop(shared: &Shared) {
+    if shared.shutting_down.raise() {
+        // Refused or reset when the acceptor saw the flag before it
+        // blocked and has already closed the listener: nothing to wake.
+        let _ = TcpStream::connect(wake_addr(shared.addr));
+    }
+}
+
+/// Where the stop path connects: the bound address, with an unspecified
+/// IP (`0.0.0.0`, `[::]`) replaced by the loopback address of its family.
+fn wake_addr(mut addr: SocketAddr) -> SocketAddr {
+    if addr.ip().is_unspecified() {
+        addr.set_ip(match addr {
+            SocketAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
+            SocketAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
+        });
+    }
+    addr
+}
+
 fn accept_loop(
     listener: &TcpListener,
     shared: &Arc<Shared>,
     conns: &Arc<Mutex<Vec<std::thread::JoinHandle<()>>>>,
 ) {
-    while !shared.shutting_down.load(Ordering::SeqCst) {
+    while !shared.shutting_down.is_set() {
         match listener.accept() {
+            // The stop path's wake-up (or a client racing it): dropped
+            // unrouted, so it counts in no serve counter.
+            Ok(_) if shared.shutting_down.is_set() => break,
             Ok((stream, _)) => {
                 let shared = Arc::clone(shared);
                 let handle = std::thread::spawn(move || handle_conn(stream, &shared));
@@ -433,9 +496,8 @@ fn accept_loop(
                 reg.retain(|h| !h.is_finished());
                 reg.push(handle);
             }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(10));
-            }
+            // A real accept error (say, out of descriptors): back off
+            // rather than spin.
             Err(_) => std::thread::sleep(Duration::from_millis(10)),
         }
     }
@@ -534,7 +596,7 @@ fn route(request: &Request, shared: &Arc<Shared>) -> Result<Reply, ServeError> {
             }
         }
         ("POST", "/run") => {
-            if shared.shutting_down.load(Ordering::SeqCst) {
+            if shared.shutting_down.is_set() {
                 return Err(ServeError::ShuttingDown);
             }
             if let Some(trace_id) = request.header("x-dresar-trace") {
@@ -559,7 +621,7 @@ fn route(request: &Request, shared: &Arc<Shared>) -> Result<Reply, ServeError> {
             })
         }
         ("POST", "/shutdown") => {
-            shared.shutting_down.store(true, Ordering::SeqCst);
+            stop(shared);
             Ok(Reply::json(200, "{\"draining\":true}\n".to_string()))
         }
         ("GET" | "POST", _) => {
@@ -965,15 +1027,12 @@ fn serve_metrics_stream(stream: &mut TcpStream, request: &Request, shared: &Arc<
         }
         prev = Some(snap);
         seq += 1;
-        if (frames != 0 && seq >= frames) || shared.shutting_down.load(Ordering::SeqCst) {
+        if (frames != 0 && seq >= frames) || shared.shutting_down.is_set() {
             break;
         }
-        // Sleep in short steps so a drain is observed promptly even at
-        // slow frame intervals.
-        let wake = Instant::now() + interval;
-        while Instant::now() < wake && !shared.shutting_down.load(Ordering::SeqCst) {
-            std::thread::sleep(Duration::from_millis(10).min(interval));
-        }
+        // The shutdown signal cuts the wait short, so a drain is observed
+        // promptly even at slow frame intervals.
+        shared.shutting_down.wait(interval);
     }
     let _ = write_sse_end(stream);
 }
@@ -1098,7 +1157,7 @@ fn healthz_body(shared: &Shared) -> String {
     let mut text = JsonValue::obj()
         .field("ok", true)
         .field("tool", "dresar-serve")
-        .field("shutting_down", shared.shutting_down.load(Ordering::SeqCst))
+        .field("shutting_down", shared.shutting_down.is_set())
         .build()
         .dump();
     text.push('\n');
@@ -1140,12 +1199,13 @@ mod tests {
 
     fn bare_shared() -> Shared {
         Shared {
+            addr: SocketAddr::from((Ipv4Addr::LOCALHOST, 0)),
             pool: ServicePool::start(SweepRunner::with_threads(1), 1, false),
             cache: Mutex::new(ResultCache::new(4)),
             store: None,
             inflight: Mutex::new(FastMap::default()),
             metrics: ServeMetrics::default(),
-            shutting_down: AtomicBool::new(false),
+            shutting_down: ShutdownSignal::default(),
             started: Instant::now(),
             max_deadline: DEFAULT_MAX_DEADLINE,
             chaos: None,
@@ -1211,6 +1271,40 @@ mod tests {
         );
         shared.pool.drain();
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn wake_addr_maps_an_unspecified_ip_to_the_loopback_of_its_family() {
+        let wake = |a: &str| wake_addr(a.parse().unwrap()).to_string();
+        assert_eq!(wake("0.0.0.0:8757"), "127.0.0.1:8757");
+        assert_eq!(wake("[::]:8757"), "[::1]:8757");
+        assert_eq!(wake("127.0.0.1:8757"), "127.0.0.1:8757", "a specific IP is kept");
+        assert_eq!(wake("192.0.2.7:80"), "192.0.2.7:80");
+    }
+
+    #[test]
+    fn the_wake_up_connection_is_never_routed() {
+        // Both stop paths wake the acceptor with a loopback connection that
+        // sends nothing; routed, it would count as a request and a
+        // malformed-request error.
+        for via_route in [false, true] {
+            let server = Server::start("127.0.0.1:0", ServerConfig::default()).unwrap();
+            let shared = Arc::clone(&server.shared);
+            let addr = server.local_addr().to_string();
+            let health = crate::client::http_request(&addr, "GET", "/healthz", "").unwrap();
+            assert_eq!(health.status, 200);
+            if via_route {
+                let reply = crate::client::http_request(&addr, "POST", "/shutdown", "").unwrap();
+                assert_eq!(reply.status, 200);
+                server.join();
+            } else {
+                server.shutdown();
+            }
+            let reg = snapshot(&shared);
+            let routed = 1 + u64::from(via_route);
+            assert_eq!(reg.get("serve.requests"), Some(&MetricValue::Counter(routed)));
+            assert_eq!(reg.get("serve.errors"), Some(&MetricValue::Counter(0)));
+        }
     }
 
     #[test]

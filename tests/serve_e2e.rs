@@ -14,6 +14,7 @@ use dresar_server::client::{http_request, http_request_with, post_run, stream_me
 use dresar_server::serve::{Server, ServerConfig};
 use dresar_types::JsonValue;
 use std::io::{Read, Write};
+use std::sync::mpsc;
 use std::time::{Duration, Instant};
 
 const FFT_SPEC: &str = r#"{"workload":"FFT","scale":"tiny","nodes":16,"sd_entries":256,"seed":7}"#;
@@ -404,4 +405,80 @@ fn anomalous_run_deposits_a_flight_dump_retrievable_over_http() {
     assert!(!records.is_empty(), "flight dump must not be empty after an anomaly");
     assert!(dump.get("total").and_then(JsonValue::as_u64).unwrap_or(0) > 0);
     server.shutdown();
+}
+
+/// Runs `stop` on its own thread and requires it to return within 5 s: a
+/// drain that misses its wake-up fails here instead of hanging the suite.
+fn returns_within_5s(what: &str, stop: impl FnOnce() + Send + 'static) {
+    let (done, finished) = mpsc::channel();
+    std::thread::spawn(move || {
+        stop();
+        let _ = done.send(());
+    });
+    assert!(finished.recv_timeout(Duration::from_secs(5)).is_ok(), "{what} took over 5 s");
+}
+
+#[test]
+fn post_shutdown_drains_and_join_returns() {
+    let server = Server::start("127.0.0.1:0", ServerConfig::default()).unwrap();
+    let addr = server.local_addr().to_string();
+    let reply = http_request(&addr, "POST", "/shutdown", "").unwrap();
+    assert_eq!(reply.status, 200);
+    assert_eq!(reply.body, "{\"draining\":true}\n");
+    returns_within_5s("Server::join after POST /shutdown", move || server.join());
+}
+
+#[test]
+fn a_server_bound_to_the_unspecified_address_still_shuts_down() {
+    // An unspecified address is no address to connect to: the stop path
+    // wakes the acceptor through the loopback address of its family.
+    let server = Server::start("0.0.0.0:0", ServerConfig::default()).unwrap();
+    let addr = format!("127.0.0.1:{}", server.local_addr().port());
+    let reply = http_request(&addr, "POST", "/shutdown", "").unwrap();
+    assert_eq!(reply.status, 200);
+    returns_within_5s("Server::join on 0.0.0.0 after POST /shutdown", move || server.join());
+
+    let server = Server::start("0.0.0.0:0", ServerConfig::default()).unwrap();
+    returns_within_5s("Server::shutdown on 0.0.0.0", move || server.shutdown());
+}
+
+#[test]
+fn sequential_cache_hits_do_not_wait_on_the_acceptor() {
+    // One closed-loop client, one new connection per request: each hit is
+    // accepted as soon as it connects. An acceptor that polls would add
+    // its poll interval to every one of them.
+    let server = Server::start("127.0.0.1:0", ServerConfig::default()).unwrap();
+    let addr = server.local_addr().to_string();
+    let cold = post_run(&addr, FFT_SPEC).unwrap();
+    assert_eq!(cold.status, 200, "{}", cold.body);
+
+    let t0 = Instant::now();
+    for _ in 0..100 {
+        let hit = post_run(&addr, FFT_SPEC).unwrap();
+        assert_eq!(hit.status, 200);
+        assert_eq!(hit.header("X-Dresar-Cache"), Some("hit"));
+    }
+    let elapsed = t0.elapsed();
+    assert!(elapsed < Duration::from_millis(500), "100 sequential hits took {elapsed:?}");
+    server.shutdown();
+}
+
+#[test]
+fn shutdown_ends_an_open_metrics_stream_without_waiting_out_its_interval() {
+    let server = Server::start("127.0.0.1:0", ServerConfig::default()).unwrap();
+    let addr = server.local_addr().to_string();
+    let (first, first_seen) = mpsc::channel();
+    let watcher = std::thread::spawn(move || {
+        // Unbounded, one frame a minute: only the drain can end it soon.
+        stream_metrics(&addr, "interval_ms=60000", |_| {
+            let _ = first.send(());
+            true
+        })
+    });
+    first_seen.recv_timeout(Duration::from_secs(30)).expect("first frame");
+    returns_within_5s("Server::shutdown with an open metrics stream", move || server.shutdown());
+    // The drain wakes the stream: at most one last frame, then the
+    // terminating chunk.
+    let frames = watcher.join().unwrap().expect("stream ends cleanly");
+    assert!((1..=2).contains(&frames), "{frames} frames");
 }
