@@ -19,7 +19,7 @@
 //! asserts exact counters and byte-identical bodies, not "eventually ok".
 
 use dresar_obs::{MetricValue, MetricsRegistry};
-use dresar_server::client::{post_run, post_run_retry, RetryPolicy};
+use dresar_server::client::{http_request_with, post_run, post_run_retry, RetryPolicy};
 use dresar_server::serve::{Server, ServerConfig};
 use dresar_server::ServeFaultPlan;
 use dresar_types::JsonValue;
@@ -134,6 +134,57 @@ fn restarted_server_serves_prior_digests_from_disk_byte_identically() {
     let hot = post_run(&addr, FFT_SPEC).unwrap();
     assert_eq!(hot.header("x-dresar-cache"), Some("hit"));
     assert_eq!(hot.body, cold.body);
+    reborn.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The `/run` counters a script of one spec leaves behind, in the order
+/// `run_requests`, `cache_hits`, `cache_lookup_hits`, `cache_lookup_misses`,
+/// `store_hits`, `executions`, `coalesced`.
+fn run_counters(server: &Server) -> [u64; 7] {
+    let reg = server.metrics();
+    [
+        "serve.run_requests",
+        "serve.cache_hits",
+        "serve.cache_lookup_hits",
+        "serve.cache_lookup_misses",
+        "serve.store_hits",
+        "serve.executions",
+        "serve.coalesced",
+    ]
+    .map(|name| counter(&reg, name))
+}
+
+#[test]
+fn every_run_tier_keeps_its_cache_header_and_counters() {
+    let dir = scratch_dir("tiers");
+    let cfg = || ServerConfig { store_dir: Some(dir.clone()), ..Default::default() };
+
+    // First life: a cold execution, then an LRU hit.
+    let server = Server::start("127.0.0.1:0", cfg()).unwrap();
+    let addr = server.local_addr().to_string();
+    let cold = post_run(&addr, FFT_SPEC).unwrap();
+    assert_eq!(cold.status, 200, "{}", cold.body);
+    assert_eq!(cold.header("x-dresar-cache"), Some("miss"));
+    let hit = post_run(&addr, FFT_SPEC).unwrap();
+    assert_eq!(hit.header("x-dresar-cache"), Some("hit"));
+    assert_eq!(hit.body, cold.body);
+    assert_eq!(run_counters(&server), [2, 1, 1, 1, 0, 1, 0]);
+    server.shutdown();
+
+    // Second life on the same store: a disk hit, then a traced request,
+    // which looks the digest up (a lookup hit, since the disk hit refilled
+    // the LRU) but executes anyway and carries no cache header.
+    let reborn = Server::start("127.0.0.1:0", cfg()).unwrap();
+    let addr = reborn.local_addr().to_string();
+    let disk = post_run(&addr, FFT_SPEC).unwrap();
+    assert_eq!(disk.header("x-dresar-cache"), Some("disk"));
+    assert_eq!(disk.body, cold.body);
+    let traced =
+        http_request_with(&addr, "POST", "/run", &[("X-Dresar-Trace", "pin")], FFT_SPEC).unwrap();
+    assert_eq!(traced.status, 200, "{}", traced.body);
+    assert_eq!(traced.header("x-dresar-cache"), None);
+    assert_eq!(run_counters(&reborn), [2, 0, 1, 1, 1, 1, 0]);
     reborn.shutdown();
     let _ = std::fs::remove_dir_all(&dir);
 }
