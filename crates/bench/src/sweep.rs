@@ -29,7 +29,7 @@ use dresar_types::config::SystemConfig;
 use dresar_types::{JsonValue, ToJson};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::sync::{Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
 /// A boxed sweep job: runs once on a worker thread, yielding `R`.
@@ -133,11 +133,8 @@ impl SweepRunner {
                             if i >= n {
                                 return (done, failed);
                             }
-                            let job = slots[i]
-                                .lock()
-                                .unwrap_or_else(std::sync::PoisonError::into_inner)
-                                .take()
-                                .expect("sweep job claimed twice");
+                            let job =
+                                lock_recover(&slots[i]).take().expect("sweep job claimed twice");
                             // A panicking job is contained here: the worker
                             // records it and moves on to the next slot, so
                             // one bad job never strands the rest of the
@@ -240,6 +237,14 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 pub fn catch_job_panic<R>(f: impl FnOnce() -> R) -> Result<R, SubmitError> {
     catch_unwind(AssertUnwindSafe(f))
         .map_err(|payload| SubmitError::JobPanicked { message: panic_message(&*payload) })
+}
+
+/// Locks `m`, recovering the guard from a poisoned mutex. Pool and serving
+/// state must stay usable after a panic elsewhere: the panic is already
+/// contained and counted, and cascading the poison into every later
+/// operation would turn one bug into an outage.
+pub fn lock_recover<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 /// The standard `bench_report` run set, executed through `runner`: every
@@ -530,7 +535,7 @@ impl ServicePool {
 
     /// Queues one job, or reports why it cannot be accepted. Never blocks.
     pub fn try_submit(&self, job: Box<dyn FnOnce() + Send>) -> Result<(), SubmitError> {
-        let mut st = lock_pool(&self.inner.state);
+        let mut st = lock_recover(&self.inner.state);
         if st.stopping {
             return Err(SubmitError::ShuttingDown);
         }
@@ -547,14 +552,14 @@ impl ServicePool {
 
     /// Releases paused workers.
     pub fn resume(&self) {
-        lock_pool(&self.inner.state).paused = false;
+        lock_recover(&self.inner.state).paused = false;
         self.inner.takeable.notify_all();
     }
 
     /// `(queued + active, peak, scheduled)` — the admission gauges the
     /// server exports as `serve.queue_depth` and `serve.scheduled`.
     pub fn depth(&self) -> (u64, u64, u64) {
-        let st = lock_pool(&self.inner.state);
+        let st = lock_recover(&self.inner.state);
         ((st.queue.len() + st.active) as u64, st.peak_depth, st.scheduled)
     }
 
@@ -562,7 +567,7 @@ impl ServicePool {
     /// worker alive and the pool serving — exported as
     /// `serve.worker_panics`).
     pub fn panics(&self) -> u64 {
-        lock_pool(&self.inner.state).panics
+        lock_recover(&self.inner.state).panics
     }
 
     /// Graceful drain: stops admissions, runs every queued job to
@@ -575,12 +580,12 @@ impl ServicePool {
     /// forever.
     pub fn drain(&self) -> DrainReport {
         {
-            let mut st = lock_pool(&self.inner.state);
+            let mut st = lock_recover(&self.inner.state);
             st.stopping = true;
             st.paused = false;
         }
         self.inner.takeable.notify_all();
-        let mut st = lock_pool(&self.inner.state);
+        let mut st = lock_recover(&self.inner.state);
         let mut jobs_abandoned = 0usize;
         while !st.queue.is_empty() || st.active > 0 {
             // Bounded wait so worker liveness is re-checked: if no worker
@@ -590,10 +595,10 @@ impl ServicePool {
                 .inner
                 .drained
                 .wait_timeout(st, Duration::from_millis(50))
-                .unwrap_or_else(std::sync::PoisonError::into_inner);
+                .unwrap_or_else(PoisonError::into_inner);
             st = guard;
             let all_dead =
-                lock_pool_list(&self.workers).iter().all(std::thread::JoinHandle::is_finished);
+                lock_recover(&self.workers).iter().all(std::thread::JoinHandle::is_finished);
             if all_dead && st.active == 0 && !st.queue.is_empty() {
                 jobs_abandoned = st.queue.len();
                 st.queue.clear();
@@ -603,7 +608,7 @@ impl ServicePool {
         let worker_panics = st.panics;
         drop(st);
         let mut workers_lost = 0usize;
-        for w in lock_pool_list(&self.workers).drain(..) {
+        for w in lock_recover(&self.workers).drain(..) {
             if w.join().is_err() {
                 workers_lost += 1;
             }
@@ -612,22 +617,10 @@ impl ServicePool {
     }
 }
 
-/// Poison-tolerant pool-state lock: a panic elsewhere must degrade to a
-/// contained, counted error — never cascade into every pool operation.
-fn lock_pool(m: &Mutex<PoolState>) -> std::sync::MutexGuard<'_, PoolState> {
-    m.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
-}
-
-fn lock_pool_list(
-    m: &Mutex<Vec<std::thread::JoinHandle<()>>>,
-) -> std::sync::MutexGuard<'_, Vec<std::thread::JoinHandle<()>>> {
-    m.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
-}
-
 fn worker_loop(shared: &PoolShared) {
     loop {
         let job = {
-            let mut st = lock_pool(&shared.state);
+            let mut st = lock_recover(&shared.state);
             loop {
                 if !st.paused {
                     if let Some(job) = st.queue.pop_front() {
@@ -643,7 +636,7 @@ fn worker_loop(shared: &PoolShared) {
                     st.paused = false;
                     continue;
                 }
-                st = shared.takeable.wait(st).unwrap_or_else(std::sync::PoisonError::into_inner);
+                st = shared.takeable.wait(st).unwrap_or_else(PoisonError::into_inner);
             }
         };
         // Contain a panicking job here: the worker survives (in-place
@@ -651,7 +644,7 @@ fn worker_loop(shared: &PoolShared) {
         // every path so a panic can never leak an active count and hang
         // the drain, and the panic is counted for `serve.worker_panics`.
         let panicked = catch_unwind(AssertUnwindSafe(job)).is_err();
-        let mut st = lock_pool(&shared.state);
+        let mut st = lock_recover(&shared.state);
         st.active -= 1;
         if panicked {
             st.panics += 1;

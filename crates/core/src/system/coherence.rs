@@ -32,7 +32,7 @@ use std::collections::BTreeMap;
 
 use dresar_cache::LineState;
 use dresar_directory::DirState;
-use dresar_types::{BlockAddr, JsonValue, NodeId, Protocol, ToJson};
+use dresar_types::{fnv1a, BlockAddr, JsonValue, NodeId, Protocol, ToJson, FNV_OFFSET};
 
 use super::{Node, System};
 use crate::switchdir::SdState;
@@ -103,13 +103,6 @@ struct BlockView {
     holders: Vec<(NodeId, LineState)>,
     sd_modified: Vec<(usize, NodeId)>,
     sd_transients: u64,
-}
-
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
-fn fnv1a(hash: u64, bytes: &[u8]) -> u64 {
-    bytes.iter().fold(hash, |h, &b| (h ^ u64::from(b)).wrapping_mul(FNV_PRIME))
 }
 
 /// What the home directory claims about one (block, holder) pair.

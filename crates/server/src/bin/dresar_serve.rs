@@ -14,9 +14,8 @@
 //! persisted under the directory (one content-addressed file per digest),
 //! and a restarted server re-serves those digests byte-identically without
 //! recomputing. `--max-deadline-ms` caps per-request `deadline_ms` values.
-//! `--chaos` (or the `DRESAR_SERVE_CHAOS` environment variable, which
-//! `--chaos` overrides) arms the seeded fault-injection plan — a test
-//! harness, never for production.
+//! `--chaos` arms the seeded fault-injection plan — a test harness, never
+//! for production.
 //!
 //! A bad command line is refused with exit status 2 and one
 //! `error[<code>]` line on stderr, as `dresar` refuses one
@@ -48,7 +47,7 @@ fn main() {
 fn parse_args() -> Result<(String, ServerConfig), CliError> {
     let mut addr = "127.0.0.1:8757".to_string();
     let mut cfg = ServerConfig::default();
-    let mut chaos = std::env::var("DRESAR_SERVE_CHAOS").ok();
+    let mut chaos = None;
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         let mut value = || flag_value(&arg, args.next());

@@ -10,9 +10,8 @@
 //! pinned seed, reproducibly.
 //!
 //! Arming is deliberately awkward in production paths: a plan only exists
-//! if constructed explicitly ([`crate::ServerConfig`]`::chaos`), parsed
-//! from a `--chaos` flag, or read from the `DRESAR_SERVE_CHAOS`
-//! environment variable by the binary. The default for every config is
+//! if constructed explicitly ([`crate::ServerConfig`]`::chaos`) or parsed
+//! from the binary's `--chaos` flag. The default for every config is
 //! `None` — zero plan, zero overhead, zero injected faults.
 
 use dresar_types::{kvspec, SmallRng};

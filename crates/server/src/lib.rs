@@ -52,7 +52,7 @@ pub mod run;
 pub mod serve;
 pub mod store;
 
-pub use cache::ResultCache;
+pub use cache::LruMap;
 pub use chaos::{ServeChaos, ServeFaultPlan};
 pub use client::{
     http_request, post_run, post_run_retry, run_load, HttpResponse, LoadOptions, LoadReport,

@@ -4,18 +4,19 @@
 //!
 //! A `POST /run` request travels:
 //!
-//! 1. **Validate** — before touching any shared state; malformed requests
-//!    cost one parse, never a queue slot.
-//! 2. **Cache** — the spec's canonical digest indexes the bounded LRU
-//!    [`ResultCache`]. A hit serves the stored body; determinism makes it
-//!    byte-identical to a fresh run.
+//! 1. **Admit** — count the request, parse and validate the spec, take its
+//!    digest and deadline, before touching any shared state; malformed
+//!    requests cost one parse, never a queue slot.
+//! 2. **Cache** — the spec's canonical digest indexes the bounded
+//!    [`LruMap`] of bodies, then the durable [`ResultStore`]. A hit serves
+//!    the stored body; determinism makes it byte-identical to a fresh run.
 //! 3. **Coalesce** — misses consult the in-flight table. If an execution
 //!    for the same digest is already queued or running, the request
 //!    *attaches* to it (one engine execution, N responses) instead of
 //!    re-running. The table entry is created before the job is submitted,
 //!    under the same lock admission runs under, so there is no window in
 //!    which two leaders can start for one digest.
-//! 4. **Admit** — new digests are submitted to the bounded
+//! 4. **Queue** — new digests are submitted to the bounded
 //!    [`ServicePool`]. A full queue sheds the request with a structured
 //!    429 `overloaded` error — published to the in-flight entry too, so
 //!    any follower that attached in the same instant also gets the error
@@ -32,22 +33,21 @@
 //! `POST /shutdown` triggers a graceful drain (stop admissions, finish
 //! queued work, join workers).
 
-use crate::cache::ResultCache;
+use crate::cache::LruMap;
 use crate::chaos::{ServeChaos, ServeFaultPlan};
 use crate::error::ServeError;
 use crate::http::{
     read_request, write_response, write_response_with, write_sse_end, write_sse_event,
     write_sse_head, Request,
 };
-use crate::run::{validate, ExecOutput, ValidatedSpec};
+use crate::run::{validate, ValidatedSpec};
 use crate::store::ResultStore;
-use dresar_bench::sweep::{catch_job_panic, ServicePool, SubmitError, SweepRunner};
+use dresar_bench::sweep::{catch_job_panic, lock_recover, ServicePool, SubmitError, SweepRunner};
 use dresar_obs::{hostprof, log2_bucket, MetricValue, MetricsRegistry};
 use dresar_types::{FastMap, FromJson, JsonValue, RunSpec, ToJson};
-use std::collections::BTreeMap;
 use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
 /// Number of log2 buckets in the service-time histogram (microseconds).
@@ -98,7 +98,7 @@ pub struct ServerConfig {
     pub max_deadline: Duration,
     /// Seeded serve-tier fault injection; `None` (the default) injects
     /// nothing. Test/CI-only — the binary arms it behind an explicit
-    /// `--chaos` flag or `DRESAR_SERVE_CHAOS` env var.
+    /// `--chaos` flag.
     pub chaos: Option<ServeFaultPlan>,
 }
 
@@ -116,32 +116,29 @@ impl Default for ServerConfig {
     }
 }
 
-/// A finished execution as published to waiting requests: the shared body
-/// plus the phase timings every attached request reports.
+/// A finished execution, as its flight hands it to every waiting request.
 #[derive(Debug, Clone)]
-struct RunOutcome {
+struct Executed {
+    /// The response body, shared by the LRU, the store write and every
+    /// waiter.
     body: Arc<String>,
+    /// The simulator's trace document (traced executions only).
+    trace: Option<Arc<String>>,
     /// Microseconds the job waited in the admission queue.
     queue_us: u64,
-    /// Microseconds the engine execution (and serialization) took.
+    /// Microseconds the engine run and serialization took.
     exec_us: u64,
 }
 
-/// One pending result that any number of requests await.
-#[derive(Debug)]
-struct Flight<T> {
-    result: Mutex<Option<Result<T, ServeError>>>,
+/// One pending execution that any number of requests await.
+#[derive(Debug, Default)]
+struct Flight {
+    result: Mutex<Option<Result<Executed, ServeError>>>,
     ready: Condvar,
 }
 
-impl<T> Default for Flight<T> {
-    fn default() -> Self {
-        Flight { result: Mutex::new(None), ready: Condvar::new() }
-    }
-}
-
-impl<T: Clone> Flight<T> {
-    fn publish(&self, result: Result<T, ServeError>) {
+impl Flight {
+    fn publish(&self, result: Result<Executed, ServeError>) {
         *lock_recover(&self.result) = Some(result);
         self.ready.notify_all();
     }
@@ -150,42 +147,19 @@ impl<T: Clone> Flight<T> {
     /// *own* deadline here — a coalesced follower with a tighter deadline
     /// than the leader gives up on time even though the shared execution
     /// keeps running (and lands in the cache for its retry).
-    fn wait(&self, deadline: Instant, deadline_ms: u64) -> Result<T, ServeError> {
-        self.published(deadline, deadline_ms)?.as_ref().expect("published").clone()
-    }
-
-    /// [`Flight::wait`] for a result with one waiter: moves it out instead
-    /// of copying it.
-    fn take(&self, deadline: Instant, deadline_ms: u64) -> Result<T, ServeError> {
-        self.published(deadline, deadline_ms)?.take().expect("published")
-    }
-
-    /// The result slot once it holds a result, or the deadline error.
-    fn published(
-        &self,
-        deadline: Instant,
-        deadline_ms: u64,
-    ) -> Result<MutexGuard<'_, Option<Result<T, ServeError>>>, ServeError> {
+    fn wait(&self, deadline: Instant, deadline_ms: u64) -> Result<Executed, ServeError> {
         let mut slot = lock_recover(&self.result);
-        while slot.is_none() {
+        loop {
+            if let Some(result) = slot.as_ref() {
+                return result.clone();
+            }
             let left = deadline.saturating_duration_since(Instant::now());
             if left.is_zero() {
                 return Err(ServeError::DeadlineExceeded { deadline_ms, at: "waiting" });
             }
-            let (guard, _) =
-                self.ready.wait_timeout(slot, left).unwrap_or_else(PoisonError::into_inner);
-            slot = guard;
+            slot = self.ready.wait_timeout(slot, left).unwrap_or_else(PoisonError::into_inner).0;
         }
-        Ok(slot)
     }
-}
-
-/// Poison-tolerant lock: serving state must stay usable after a panic
-/// elsewhere — the panic is already contained and counted; cascading a
-/// poisoned mutex into every later request would turn one bug into an
-/// outage.
-fn lock_recover<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 /// The effective compute deadline for a request: the spec's `deadline_ms`
@@ -195,11 +169,8 @@ fn effective_deadline_ms(spec: &RunSpec, max_deadline: Duration) -> u64 {
     spec.deadline_ms.map_or(cap, |d| d.clamp(1, cap.max(1)))
 }
 
-/// One in-flight coalesced execution that same-digest requests share.
-type InFlight = Flight<RunOutcome>;
-
 /// Serving counters, all monotone and lock-free on the request path.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 struct ServeMetrics {
     requests: AtomicU64,
     run_requests: AtomicU64,
@@ -220,73 +191,9 @@ struct ServeMetrics {
     store_write_errors: AtomicU64,
     /// `GET /metrics/stream` connections accepted.
     metric_streams: AtomicU64,
-    service_us_hist: Mutex<[u64; SERVICE_HIST_BUCKETS]>,
-    /// Per-digest service-time histograms (bounded at [`MAX_DIGEST_HISTS`]
-    /// with least-recently-updated eviction).
-    digest_us_hists: Mutex<DigestHists>,
-}
-
-impl Default for ServeMetrics {
-    fn default() -> Self {
-        ServeMetrics {
-            requests: AtomicU64::new(0),
-            run_requests: AtomicU64::new(0),
-            cache_hits: AtomicU64::new(0),
-            coalesced: AtomicU64::new(0),
-            shed: AtomicU64::new(0),
-            executions: AtomicU64::new(0),
-            errors: AtomicU64::new(0),
-            inflight_peak: AtomicU64::new(0),
-            worker_panics: AtomicU64::new(0),
-            deadline_expired: AtomicU64::new(0),
-            store_write_errors: AtomicU64::new(0),
-            metric_streams: AtomicU64::new(0),
-            service_us_hist: Mutex::new([0; SERVICE_HIST_BUCKETS]),
-            digest_us_hists: Mutex::new(DigestHists::default()),
-        }
-    }
-}
-
-/// One digest's service-time histogram plus its recency stamp.
-#[derive(Debug)]
-struct DigestHist {
-    buckets: [u64; SERVICE_HIST_BUCKETS],
-    last_touch: u64,
-}
-
-/// Bounded per-digest service-time histograms. `BTreeMap` keeps `/metrics`
-/// emission sorted by digest; the logical clock orders evictions.
-#[derive(Debug, Default)]
-struct DigestHists {
-    clock: u64,
-    /// Histograms dropped to admit newer digests at the cap.
-    evicted: u64,
-    hists: BTreeMap<u64, DigestHist>,
-}
-
-impl DigestHists {
-    /// Records one observation. At [`MAX_DIGEST_HISTS`] a new digest
-    /// evicts the least-recently-updated histogram instead of being
-    /// silently dropped, so late-arriving hot digests are still tracked.
-    fn record(&mut self, digest: u64, bucket: usize) {
-        self.clock += 1;
-        if !self.hists.contains_key(&digest) && self.hists.len() >= MAX_DIGEST_HISTS {
-            let coldest = self
-                .hists
-                .iter()
-                .min_by_key(|(_, h)| h.last_touch)
-                .map(|(&d, _)| d)
-                .expect("map is nonempty at the cap");
-            self.hists.remove(&coldest);
-            self.evicted += 1;
-        }
-        let h = self
-            .hists
-            .entry(digest)
-            .or_insert(DigestHist { buckets: [0; SERVICE_HIST_BUCKETS], last_touch: 0 });
-        h.buckets[bucket] += 1;
-        h.last_touch = self.clock;
-    }
+    /// Service-time histogram over log2 microsecond buckets, grown to its
+    /// highest nonempty bucket.
+    service_us_hist: Mutex<Vec<u64>>,
 }
 
 /// The serving tier's one shutdown signal: a flag every path reads, and a
@@ -328,10 +235,13 @@ struct Shared {
     /// connects to it to wake the acceptor.
     addr: SocketAddr,
     pool: ServicePool,
-    cache: Mutex<ResultCache>,
+    cache: Mutex<LruMap<Arc<String>>>,
+    /// Per-digest service-time histograms, as `service_us_hist`, bounded
+    /// at [`MAX_DIGEST_HISTS`].
+    digest_hists: Mutex<LruMap<Vec<u64>>>,
     /// Disk tier under the LRU; `None` when no `--store-dir` was given.
     store: Option<Mutex<ResultStore>>,
-    inflight: Mutex<FastMap<u64, Arc<InFlight>>>,
+    inflight: Mutex<FastMap<u64, Arc<Flight>>>,
     metrics: ServeMetrics,
     shutting_down: ShutdownSignal,
     started: Instant,
@@ -376,7 +286,8 @@ impl Server {
         let shared = Arc::new(Shared {
             addr,
             pool: ServicePool::start(runner, cfg.queue_depth, cfg.start_paused),
-            cache: Mutex::new(ResultCache::new(cfg.cache_entries)),
+            cache: Mutex::new(LruMap::new(cfg.cache_entries)),
+            digest_hists: Mutex::new(LruMap::new(MAX_DIGEST_HISTS)),
             store,
             inflight: Mutex::new(FastMap::default()),
             metrics: ServeMetrics::default(),
@@ -508,12 +419,12 @@ struct Reply {
     status: u16,
     content_type: &'static str,
     headers: Vec<(&'static str, String)>,
-    body: String,
+    body: Arc<String>,
 }
 
 impl Reply {
-    fn json(status: u16, body: String) -> Reply {
-        Reply { status, content_type: "application/json", headers: Vec::new(), body }
+    fn json(status: u16, body: impl Into<Arc<String>>) -> Reply {
+        Reply { status, content_type: "application/json", headers: Vec::new(), body: body.into() }
     }
 }
 
@@ -579,10 +490,8 @@ fn route(request: &Request, shared: &Arc<Shared>) -> Result<Reply, ServeError> {
                 || request.header("accept").is_some_and(|a| a.contains("text/plain"));
             if wants_prom {
                 Ok(Reply {
-                    status: 200,
                     content_type: "text/plain; version=0.0.4",
-                    headers: Vec::new(),
-                    body: snapshot(shared).to_prometheus(),
+                    ..Reply::json(200, snapshot(shared).to_prometheus())
                 })
             } else {
                 Ok(Reply::json(200, metrics_body(shared)))
@@ -590,36 +499,12 @@ fn route(request: &Request, shared: &Arc<Shared>) -> Result<Reply, ServeError> {
         }
         ("GET", "/debug/flight") => {
             let dump = lock_recover(&shared.last_flight).clone();
-            match dump {
-                Some(body) => Ok(Reply::json(200, (*body).clone())),
-                None => Err(ServeError::FlightUnavailable),
-            }
+            dump.map(|body| Reply::json(200, body)).ok_or(ServeError::FlightUnavailable)
         }
-        ("POST", "/run") => {
-            if shared.shutting_down.is_set() {
-                return Err(ServeError::ShuttingDown);
-            }
-            if let Some(trace_id) = request.header("x-dresar-trace") {
-                let trace_id = trace_id.to_string();
-                return serve_run_traced(&request.body, &trace_id, shared);
-            }
-            let t0 = Instant::now();
-            let out = serve_run(&request.body, shared);
-            out.map(|(served, digest)| {
-                record_service_time(shared, digest, t0.elapsed());
-                let mut reply = Reply::json(200, served.body);
-                reply.headers = match served.source {
-                    RunSource::Cache => vec![("X-Dresar-Cache", "hit".to_string())],
-                    RunSource::Disk => vec![("X-Dresar-Cache", "disk".to_string())],
-                    RunSource::Executed { queue_us, exec_us } => vec![
-                        ("X-Dresar-Cache", "miss".to_string()),
-                        ("X-Dresar-Queue-Us", queue_us.to_string()),
-                        ("X-Dresar-Exec-Us", exec_us.to_string()),
-                    ],
-                };
-                reply
-            })
-        }
+        ("POST", "/run") => match request.header("x-dresar-trace") {
+            Some(trace_id) => serve_run_traced(&request.body, trace_id, shared),
+            None => serve_run(&request.body, shared),
+        },
         ("POST", "/shutdown") => {
             stop(shared);
             Ok(Reply::json(200, "{\"draining\":true}\n".to_string()))
@@ -631,59 +516,62 @@ fn route(request: &Request, shared: &Arc<Shared>) -> Result<Reply, ServeError> {
     }
 }
 
-/// Where a `/run` body came from, with phase timings when it was executed
-/// (coalesced followers report the shared execution's timings).
-enum RunSource {
-    Cache,
-    /// Served from the durable store after a restart (or an LRU eviction):
-    /// the body was verified against its framing before being trusted.
-    Disk,
-    Executed {
-        /// Microseconds the execution waited in the admission queue.
-        queue_us: u64,
-        /// Microseconds the engine run and serialization took.
-        exec_us: u64,
-    },
+/// A `/run` request that passed admission.
+struct Admitted {
+    validated: ValidatedSpec,
+    digest: u64,
+    deadline: Instant,
+    deadline_ms: u64,
 }
 
-struct ServedRun {
-    body: String,
-    source: RunSource,
-}
-
-/// The `/run` pipeline: parse, validate, cache, store, coalesce, admit,
-/// wait — each tier falling through to the next on a miss.
-fn serve_run(body: &str, shared: &Arc<Shared>) -> Result<(ServedRun, u64), ServeError> {
+/// The admission step both `/run` paths start with: refuse while draining,
+/// count the request, parse and validate its spec, and take its digest and
+/// deadline.
+fn admit(body: &str, shared: &Shared) -> Result<Admitted, ServeError> {
+    if shared.shutting_down.is_set() {
+        return Err(ServeError::ShuttingDown);
+    }
     shared.metrics.run_requests.fetch_add(1, Ordering::Relaxed);
     let spec = parse_spec(body)?;
     let validated = validate(&spec)?;
-    let digest = spec.digest();
     let deadline_ms = effective_deadline_ms(&spec, shared.max_deadline);
-    let deadline = Instant::now() + Duration::from_millis(deadline_ms);
+    Ok(Admitted {
+        validated,
+        digest: spec.digest(),
+        deadline: Instant::now() + Duration::from_millis(deadline_ms),
+        deadline_ms,
+    })
+}
 
-    if let Some(cached) = lock_recover(&shared.cache).get(digest) {
+/// The `/run` pipeline: admit, then the LRU, the disk store and a
+/// coalesced execution, each tier falling through to the next on a miss.
+/// The reply's `X-Dresar-Cache` header names the tier that answered.
+fn serve_run(body: &str, shared: &Arc<Shared>) -> Result<Reply, ServeError> {
+    let t0 = Instant::now();
+    let Admitted { validated, digest, deadline, deadline_ms } = admit(body, shared)?;
+    let cached = lock_recover(&shared.cache).get(digest).cloned();
+    let (body, headers) = if let Some(body) = cached {
         shared.metrics.cache_hits.fetch_add(1, Ordering::Relaxed);
-        return Ok((ServedRun { body: (*cached).clone(), source: RunSource::Cache }, digest));
-    }
-
-    // Disk tier: a verified hit repopulates the LRU (so the next request is
-    // a memory hit) and is served with the `disk` cache marker. A corrupt
-    // entry was quarantined inside `load` — fall through and re-execute.
-    if let Some(stored) = store_load(shared, digest) {
-        lock_recover(&shared.cache).insert(digest, Arc::clone(&stored));
-        return Ok((ServedRun { body: (*stored).clone(), source: RunSource::Disk }, digest));
-    }
-
-    let flight =
-        attach_or_lead(digest, spec.digest_hex(), validated, deadline, deadline_ms, shared)?;
-    let outcome = flight.wait(deadline, deadline_ms)?;
-    Ok((
-        ServedRun {
-            body: (*outcome.body).clone(),
-            source: RunSource::Executed { queue_us: outcome.queue_us, exec_us: outcome.exec_us },
-        },
-        digest,
-    ))
+        (body, vec![("X-Dresar-Cache", "hit".to_string())])
+    } else if let Some(body) = store_load(shared, digest) {
+        // A verified disk hit repopulates the LRU, so the next request is
+        // a memory hit. A corrupt entry was quarantined inside `load`:
+        // fall through and re-execute.
+        lock_recover(&shared.cache).insert(digest, Arc::clone(&body));
+        (body, vec![("X-Dresar-Cache", "disk".to_string())])
+    } else {
+        let flight = attach_or_lead(digest, validated, deadline, deadline_ms, shared)?;
+        // Coalesced followers report the shared execution's timings.
+        let done = flight.wait(deadline, deadline_ms)?;
+        let headers = vec![
+            ("X-Dresar-Cache", "miss".to_string()),
+            ("X-Dresar-Queue-Us", done.queue_us.to_string()),
+            ("X-Dresar-Exec-Us", done.exec_us.to_string()),
+        ];
+        (done.body, headers)
+    };
+    record_service_time(shared, digest, t0.elapsed());
+    Ok(Reply { headers, ..Reply::json(200, body) })
 }
 
 /// Loads `digest` from the disk tier, if one is configured. Chaos may
@@ -738,18 +626,17 @@ fn store_save(shared: &Shared, digest: u64, body: &str) {
 /// follower attaching to an entry that was shed between insert and submit.
 fn attach_or_lead(
     digest: u64,
-    digest_hex: String,
     validated: ValidatedSpec,
     deadline: Instant,
     deadline_ms: u64,
     shared: &Arc<Shared>,
-) -> Result<Arc<InFlight>, ServeError> {
+) -> Result<Arc<Flight>, ServeError> {
     let mut inflight = lock_recover(&shared.inflight);
     if let Some(existing) = inflight.get(&digest) {
         shared.metrics.coalesced.fetch_add(1, Ordering::Relaxed);
         return Ok(Arc::clone(existing));
     }
-    let flight = Arc::new(InFlight::default());
+    let flight = Arc::new(Flight::default());
     inflight.insert(digest, Arc::clone(&flight));
     let peak = inflight.len() as u64;
     shared.metrics.inflight_peak.fetch_max(peak, Ordering::Relaxed);
@@ -757,14 +644,9 @@ fn attach_or_lead(
     let finish = {
         let flight = Arc::clone(&flight);
         move |shared: &Shared, result: Result<Executed, ServeError>| {
-            let result = result.map(|done| RunOutcome {
-                body: Arc::new(done.out.body),
-                queue_us: done.queue_us,
-                exec_us: done.exec_us,
-            });
-            if let Ok(outcome) = &result {
-                lock_recover(&shared.cache).insert(digest, Arc::clone(&outcome.body));
-                store_save(shared, digest, &outcome.body);
+            if let Ok(done) = &result {
+                lock_recover(&shared.cache).insert(digest, Arc::clone(&done.body));
+                store_save(shared, digest, &done.body);
             }
             // Unregister before publishing: a request arriving after this
             // point must hit the cache (or start a fresh run), never attach
@@ -774,7 +656,7 @@ fn attach_or_lead(
         }
     };
     let path = ExecPath::Cached { deadline, deadline_ms };
-    if let Err(err) = submit_execution(shared, validated, digest_hex, path, finish) {
+    if let Err(err) = submit_execution(shared, validated, digest, path, finish) {
         inflight.remove(&digest);
         // Any follower that attached before this lock was taken gets the
         // same structured error instead of waiting forever.
@@ -794,16 +676,6 @@ enum ExecPath {
     Traced,
 }
 
-/// A finished execution with its phase timings.
-#[derive(Debug, Clone)]
-struct Executed {
-    out: ExecOutput,
-    /// Microseconds the job waited in the admission queue.
-    queue_us: u64,
-    /// Microseconds the engine run and serialization took.
-    exec_us: u64,
-}
-
 /// Queues one execution of `validated` on the engine pool and hands its
 /// outcome to `finish` on the worker. The job times its queue wait and its
 /// run, counts the execution, contains a panic as a structured 500 (counted
@@ -813,10 +685,11 @@ struct Executed {
 fn submit_execution(
     shared: &Arc<Shared>,
     validated: ValidatedSpec,
-    digest_hex: String,
+    digest: u64,
     path: ExecPath,
     finish: impl FnOnce(&Shared, Result<Executed, ServeError>) + Send + 'static,
 ) -> Result<(), ServeError> {
+    let digest_hex = format!("{digest:016x}");
     let job = {
         let shared = Arc::clone(shared);
         let digest_hex = digest_hex.clone();
@@ -849,8 +722,11 @@ fn submit_execution(
             };
             let exec_us = us(t_exec.elapsed());
             let result = result.map(|out| {
-                deposit_flight(&shared, out.flight.as_deref());
-                Executed { out, queue_us, exec_us }
+                if let Some(dump) = out.flight {
+                    *lock_recover(&shared.last_flight) = Some(Arc::new(dump));
+                }
+                let (body, trace) = (Arc::new(out.body), out.trace.map(Arc::new));
+                Executed { body, trace, queue_us, exec_us }
             });
             finish(&shared, result);
         })
@@ -867,23 +743,18 @@ fn submit_execution(
     })
 }
 
-/// The traced `/run` pipeline (`X-Dresar-Trace` header). Admission runs
-/// the same phases — parse/validate, cache lookup, bounded queue — but the
-/// execution is instrumented and never shared: the cache verdict is
-/// recorded yet bypassed and the run does not register in the in-flight
-/// table, because the merged-trace response is request-specific. The body
-/// is one Chrome-trace/Perfetto document: server request spans (pid
-/// [`PID_SERVER`]) plus the simulator's causal spans, linked by the trace
-/// id and spec digest carried in every server span's args.
+/// The traced `/run` pipeline (`X-Dresar-Trace` header): the same
+/// admission step and bounded queue, but the execution is instrumented and
+/// never shared — the cache verdict is recorded yet bypassed and the run
+/// does not register in the in-flight table, because the merged-trace
+/// response is request-specific. The body is one Chrome-trace/Perfetto
+/// document: server request spans (pid [`PID_SERVER`]) plus the
+/// simulator's causal spans, linked by the trace id and spec digest
+/// carried in every server span's args.
 fn serve_run_traced(body: &str, trace_id: &str, shared: &Arc<Shared>) -> Result<Reply, ServeError> {
     let t0 = Instant::now();
-    shared.metrics.run_requests.fetch_add(1, Ordering::Relaxed);
-    let spec = parse_spec(body)?;
-    let validated = validate(&spec)?;
-    let digest = spec.digest();
-    let digest_hex = spec.digest_hex();
-    let deadline_ms = effective_deadline_ms(&spec, shared.max_deadline);
-    let deadline = Instant::now() + Duration::from_millis(deadline_ms);
+    let Admitted { validated, digest, deadline, deadline_ms } = admit(body, shared)?;
+    let digest_hex = format!("{digest:016x}");
     let admit_end = us(t0.elapsed());
 
     let cache_hit = lock_recover(&shared.cache).get(digest).is_some();
@@ -891,17 +762,17 @@ fn serve_run_traced(body: &str, trace_id: &str, shared: &Arc<Shared>) -> Result<
 
     // Real queue wait: the instrumented run goes through the same bounded
     // admission as every other execution.
-    let flight: Arc<Flight<Executed>> = Arc::default();
+    let flight = Arc::new(Flight::default());
     let submit_off = us(t0.elapsed());
     let finish = {
         let flight = Arc::clone(&flight);
         move |_: &Shared, result| flight.publish(result)
     };
-    submit_execution(shared, validated, digest_hex.clone(), ExecPath::Traced, finish)?;
-    let Executed { out, queue_us, exec_us } = flight.take(deadline, deadline_ms)?;
+    submit_execution(shared, validated, digest, ExecPath::Traced, finish)?;
+    let Executed { trace, queue_us, exec_us, .. } = flight.wait(deadline, deadline_ms)?;
 
     let ser_off = us(t0.elapsed());
-    let sim_events = out.trace.as_deref().map(trace_inner).unwrap_or_default();
+    let sim_events = trace.as_deref().map_or("", |doc| trace_inner(doc));
     let serialize_us = us(t0.elapsed()).saturating_sub(ser_off);
 
     let tid_json = JsonValue::Str(trace_id.to_string()).dump();
@@ -941,7 +812,7 @@ fn serve_run_traced(body: &str, trace_id: &str, shared: &Arc<Shared>) -> Result<
         .field("trace_id", trace_id)
         .field("digest", digest_hex.as_str())
         .field("cache_hit_bypassed", cache_hit)
-        .field("sim_trace", out.trace.is_some())
+        .field("sim_trace", trace.is_some())
         .field("phases_us", phase_json)
         .build();
 
@@ -956,16 +827,12 @@ fn serve_run_traced(body: &str, trace_id: &str, shared: &Arc<Shared>) -> Result<
     doc.push_str("}\n");
 
     record_service_time(shared, digest, t0.elapsed());
-    Ok(Reply {
-        status: 200,
-        content_type: "application/json",
-        headers: vec![
-            ("X-Dresar-Trace", trace_id.to_string()),
-            ("X-Dresar-Queue-Us", queue_us.to_string()),
-            ("X-Dresar-Exec-Us", exec_us.to_string()),
-        ],
-        body: doc,
-    })
+    let headers = vec![
+        ("X-Dresar-Trace", trace_id.to_string()),
+        ("X-Dresar-Queue-Us", queue_us.to_string()),
+        ("X-Dresar-Exec-Us", exec_us.to_string()),
+    ];
+    Ok(Reply { headers, ..Reply::json(200, doc) })
 }
 
 /// `GET /metrics/stream`: pushes windowed metric snapshots as chunked
@@ -1061,17 +928,19 @@ fn us(elapsed: Duration) -> u64 {
     elapsed.as_micros().min(u128::from(u64::MAX)) as u64
 }
 
-/// Deposits an anomalous run's flight dump into the `/debug/flight` slot.
-fn deposit_flight(shared: &Shared, flight: Option<&str>) {
-    if let Some(dump) = flight {
-        *lock_recover(&shared.last_flight) = Some(Arc::new(dump.to_string()));
-    }
-}
-
 fn record_service_time(shared: &Shared, digest: u64, elapsed: Duration) {
     let bucket = log2_bucket(us(elapsed), SERVICE_HIST_BUCKETS);
-    lock_recover(&shared.metrics.service_us_hist)[bucket] += 1;
-    lock_recover(&shared.metrics.digest_us_hists).record(digest, bucket);
+    count(&mut lock_recover(&shared.metrics.service_us_hist), bucket);
+    count(lock_recover(&shared.digest_hists).get_or_insert_with(digest, Vec::new), bucket);
+}
+
+/// Counts one observation in `bucket`, growing `hist` only as far as its
+/// highest nonempty bucket: the trimmed form `/metrics` emits.
+fn count(hist: &mut Vec<u64>, bucket: usize) {
+    if hist.len() <= bucket {
+        hist.resize(bucket + 1, 0);
+    }
+    hist[bucket] += 1;
 }
 
 /// Assembles the serving registry: every admission/coalescing/cache
@@ -1122,19 +991,12 @@ fn snapshot(shared: &Shared) -> MetricsRegistry {
     reg.counter("serve.scheduled", scheduled);
     let inflight_now = lock_recover(&shared.inflight).len() as u64;
     reg.gauge("serve.inflight", inflight_now, m.inflight_peak.load(Ordering::Relaxed));
-    let hist = lock_recover(&m.service_us_hist);
-    let last = hist.iter().rposition(|&c| c > 0).map_or(0, |i| i + 1);
-    reg.hist("serve.service_us_log2", hist[..last].to_vec());
-    drop(hist);
+    reg.hist("serve.service_us_log2", lock_recover(&m.service_us_hist).clone());
     reg.counter("serve.metric_streams", m.metric_streams.load(Ordering::Relaxed));
-    let per = lock_recover(&m.digest_us_hists);
-    reg.counter("serve.hist_digests_evicted", per.evicted);
-    for (digest, h) in per.hists.iter() {
-        let last = h.buckets.iter().rposition(|&c| c > 0).map_or(0, |i| i + 1);
-        reg.hist(
-            &format!("serve.digest.{digest:016x}.service_us_log2"),
-            h.buckets[..last].to_vec(),
-        );
+    let per_digest = lock_recover(&shared.digest_hists);
+    reg.counter("serve.hist_digests_evicted", per_digest.stats().2);
+    for (digest, hist) in per_digest.iter() {
+        reg.hist(&format!("serve.digest.{digest:016x}.service_us_log2"), hist.clone());
     }
     reg
 }
@@ -1168,40 +1030,12 @@ fn healthz_body(shared: &Shared) -> String {
 mod tests {
     use super::*;
 
-    #[test]
-    fn digest_hists_evict_least_recently_updated_at_the_cap() {
-        let mut d = DigestHists::default();
-        for digest in 0..MAX_DIGEST_HISTS as u64 {
-            d.record(digest, 0);
-        }
-        assert_eq!(d.hists.len(), MAX_DIGEST_HISTS);
-        assert_eq!(d.evicted, 0);
-        // Touch digest 0 so digest 1 becomes the coldest, then overflow.
-        d.record(0, 1);
-        d.record(10_000, 0);
-        assert_eq!(d.hists.len(), MAX_DIGEST_HISTS, "cap holds");
-        assert_eq!(d.evicted, 1);
-        assert!(d.hists.contains_key(&0), "recently touched digest survives");
-        assert!(!d.hists.contains_key(&1), "coldest digest was evicted");
-        assert!(d.hists.contains_key(&10_000), "new digest gets a histogram, not a silent drop");
-    }
-
-    #[test]
-    fn digest_hists_at_the_cap_keep_counting_known_digests() {
-        let mut d = DigestHists::default();
-        for digest in 0..MAX_DIGEST_HISTS as u64 {
-            d.record(digest, 0);
-        }
-        d.record(3, 2);
-        assert_eq!(d.evicted, 0, "existing digest never evicts");
-        assert_eq!(d.hists[&3].buckets[2], 1);
-    }
-
     fn bare_shared() -> Shared {
         Shared {
             addr: SocketAddr::from((Ipv4Addr::LOCALHOST, 0)),
             pool: ServicePool::start(SweepRunner::with_threads(1), 1, false),
-            cache: Mutex::new(ResultCache::new(4)),
+            cache: Mutex::new(LruMap::new(4)),
+            digest_hists: Mutex::new(LruMap::new(MAX_DIGEST_HISTS)),
             store: None,
             inflight: Mutex::new(FastMap::default()),
             metrics: ServeMetrics::default(),

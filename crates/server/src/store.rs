@@ -1,5 +1,5 @@
 //! Durable content-addressed result store: the disk tier under the
-//! in-memory [`crate::ResultCache`].
+//! in-memory [`crate::LruMap`].
 //!
 //! The same determinism argument that makes the LRU sound makes the disk
 //! tier sound: equal [`dresar_types::RunSpec`] digests produce
@@ -29,6 +29,7 @@
 //! not durable — a flight is a promise between live connections, and a
 //! crash voids it honestly (clients retry; see DESIGN §13).
 
+use dresar_types::{fnv1a, FNV_OFFSET};
 use std::io::{Read, Write};
 use std::path::{Path, PathBuf};
 
@@ -40,14 +41,11 @@ const MAGIC: &[u8; 5] = b"DRSR\x01";
 /// lie.
 const MAX_BODY_BYTES: u64 = 256 * 1024 * 1024;
 
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
 /// FNV-1a over the stored body — the integrity check, independent of the
 /// spec digest in the filename (which addresses the *request*, not the
 /// bytes).
 fn body_check(bytes: &[u8]) -> u64 {
-    bytes.iter().fold(FNV_OFFSET, |h, &b| (h ^ u64::from(b)).wrapping_mul(FNV_PRIME))
+    fnv1a(FNV_OFFSET, bytes)
 }
 
 /// Why a stored entry could not be used. Everything here degrades to a

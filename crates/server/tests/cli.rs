@@ -5,11 +5,7 @@
 use std::process::Command;
 
 fn assert_refused(bin: &str, args: &[&str], code: &str) {
-    let out = Command::new(bin)
-        .args(args)
-        .env_remove("DRESAR_SERVE_CHAOS")
-        .output()
-        .expect("binary runs");
+    let out = Command::new(bin).args(args).output().expect("binary runs");
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
     assert!(out.stdout.is_empty(), "{args:?} printed output before refusing");

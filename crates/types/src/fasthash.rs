@@ -11,6 +11,10 @@
 //! The mix is the Firefox/rustc "Fx" multiply-rotate: not DoS-resistant,
 //! which is fine — every key hashed here is a simulator-internal integer
 //! (block addresses, message ids), never attacker-controlled input.
+//!
+//! [`fnv1a`] is the other hash here: the workspace's stable content digest
+//! (spec digests, store checksums, the coherence audit's state digest),
+//! whose values are pinned and persisted, so it must never change.
 
 use std::collections::{HashMap, HashSet};
 use std::hash::{BuildHasherDefault, Hasher};
@@ -75,6 +79,17 @@ impl Hasher for FastHasher {
     fn write_usize(&mut self, n: usize) {
         self.mix(n as u64);
     }
+}
+
+/// The 64-bit FNV-1a offset basis: the digest of no bytes, where every
+/// [`fnv1a`] chain starts.
+pub const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+
+const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
+
+/// Folds `bytes` into the 64-bit FNV-1a digest `hash`.
+pub fn fnv1a(hash: u64, bytes: &[u8]) -> u64 {
+    bytes.iter().fold(hash, |h, &b| (h ^ u64::from(b)).wrapping_mul(FNV_PRIME))
 }
 
 /// `BuildHasher` for [`FastHasher`] (zero-sized, `Default`).

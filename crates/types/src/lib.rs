@@ -50,7 +50,7 @@ pub mod sharers;
 
 pub use addr::{Addr, BlockAddr, NodeId};
 pub use config::{SystemConfig, TraceSimConfig, MAX_NODES};
-pub use fasthash::{FastBuildHasher, FastHasher, FastMap, FastSet};
+pub use fasthash::{fnv1a, FastBuildHasher, FastHasher, FastMap, FastSet, FNV_OFFSET};
 pub use json::{FromJson, JsonError, JsonValue, ObjBuilder, ToJson, SCHEMA_VERSION};
 pub use msg::{Message, MsgType};
 pub use protocol::Protocol;

@@ -15,26 +15,20 @@
 //!    (`runspec_digest_stability`) turns that accident into a tier-1
 //!    failure.
 //!
-//! The hash is FNV-1a over a length-delimited field encoding, the same
-//! digest idiom the coherence audit uses for its machine-state digest
+//! The hash is [`fnv1a`] over a length-delimited field encoding, the same
+//! function the coherence audit uses for its machine-state digest
 //! (`dresar::system::coherence`). Determinism of the *simulator* is what
 //! makes the digest sound as a cache key: equal specs produce byte-identical
 //! reports, so a cache hit is indistinguishable from a re-run.
 
+use crate::fasthash::{fnv1a, FNV_OFFSET};
 use crate::json::{FromJson, JsonError, JsonValue, ToJson};
 use crate::protocol::Protocol;
-
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 
 /// Domain-separation prefix folded into every digest. Bump the version
 /// suffix whenever the field encoding changes shape so old and new digests
 /// can never collide.
 const DIGEST_DOMAIN: &[u8] = b"dresar.runspec.v1";
-
-fn fnv1a(hash: u64, bytes: &[u8]) -> u64 {
-    bytes.iter().fold(hash, |h, &b| (h ^ u64::from(b)).wrapping_mul(FNV_PRIME))
-}
 
 /// One simulation run request, as accepted by the serving layer.
 ///
