@@ -127,7 +127,7 @@ mod tests {
     }
 
     #[test]
-    fn hit_returns_the_inserted_value() {
+    fn hit_returns_the_inserted_body() {
         let mut c = LruMap::new(4);
         assert!(c.get(1).is_none());
         c.insert(1, body("one"));
