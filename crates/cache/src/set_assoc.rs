@@ -159,9 +159,23 @@ impl SetAssocCache {
         self.base(chunk << self.chunk_shift)
     }
 
-    /// The next LRU stamp (see [`next_stamp`] for the wrap). The wrap
-    /// walks only the written chunks: an unwritten one has no live way.
+    /// The next LRU stamp. Every lookup ticks, so the common case stays
+    /// inline and only a clock about to wrap calls out.
+    #[inline]
     fn tick(&mut self) -> u32 {
+        match self.stamp.checked_add(1) {
+            Some(stamp) => {
+                self.stamp = stamp;
+                stamp
+            }
+            None => self.wrap_clock(),
+        }
+    }
+
+    /// The clock's wrap (see [`next_stamp`]). It walks only the written
+    /// chunks: an unwritten one has no live way.
+    #[cold]
+    fn wrap_clock(&mut self) -> u32 {
         next_stamp(&mut self.stamp, || {
             self.data.iter_mut().filter(|w| w.state.is_some()).map(|w| &mut w.lru)
         })
