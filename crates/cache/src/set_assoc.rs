@@ -26,7 +26,7 @@
 //! 4 KB blocks among a run's other allocations; in a loop of runs that
 //! fragmented the heap, which grew by about 1 MB per run.) The LRU clock's
 //! wrap and `occupancy` walk only the written chunks; `resident_blocks`
-//! walks them in set order.
+//! visits the sets in order and reads the ways of written ones only.
 
 use dresar_types::config::CacheGeometry;
 use dresar_types::lru::next_stamp;
@@ -153,12 +153,6 @@ impl SetAssocCache {
         self.bias[set >> self.chunk_shift].wrapping_add(set * self.ways as usize)
     }
 
-    /// Where chunk `chunk`'s ways start in `data`, as [`Self::base`] does
-    /// for its first set.
-    fn chunk_start(&self, chunk: usize) -> usize {
-        self.base(chunk << self.chunk_shift)
-    }
-
     /// The next LRU stamp. Every lookup ticks, so the common case stays
     /// inline and only a clock about to wrap calls out.
     #[inline]
@@ -282,27 +276,19 @@ impl SetAssocCache {
 
     /// Iterates all resident blocks (diagnostic; ordered by set then way).
     pub fn resident_blocks(&self) -> impl Iterator<Item = (BlockAddr, LineState)> + '_ {
-        let ways = self.ways as usize;
-        let chunk_ways = ways << self.chunk_shift;
-        let written = (0..self.bias.len()).filter_map(move |chunk| {
-            let at = self.chunk_start(chunk);
-            Some((chunk, self.data.get(at..at + chunk_ways)?))
-        });
-        written.flat_map(move |(chunk, ways_of_chunk)| {
-            let sets = ways_of_chunk.chunks_exact(ways).enumerate();
-            sets.flat_map(move |(local, set_ways)| {
-                let set = ((chunk << self.chunk_shift) | local) as u64;
-                set_ways.iter().filter_map(move |w| {
-                    Some((BlockAddr((w.tag << self.set_shift) | set), w.state?))
-                })
-            })
+        (0..=self.set_mask).flat_map(move |set| {
+            self.set_slice(set as usize)
+                .unwrap_or_default()
+                .iter()
+                .filter_map(move |w| Some((BlockAddr((w.tag << self.set_shift) | set), w.state?)))
         })
     }
 
     /// Number of chunks written so far.
     #[cfg(test)]
     fn written_chunks(&self) -> usize {
-        (0..self.bias.len()).filter(|&chunk| self.chunk_start(chunk) < self.data.len()).count()
+        let shift = self.chunk_shift;
+        (0..self.bias.len()).filter(|&chunk| self.base(chunk << shift) < self.data.len()).count()
     }
 }
 
