@@ -1,7 +1,7 @@
 //! Stream identity: every item of every generator's streams, folded into
 //! one FNV-1a digest and pinned. A change to how stream items are
-//! represented must leave every reference and barrier unchanged, so the
-//! digest must not move.
+//! represented or generated must leave every reference and barrier
+//! unchanged, so the digests must not move.
 //!
 //! The fold reads items only through `decode`, so it states each item
 //! independently of the item's internal form.
@@ -64,4 +64,18 @@ fn every_stream_matches_the_pinned_digest() {
         fold(&mut h, w);
     }
     assert_eq!(h, 0x149b_94c3_4211_0a96, "stream digest moved: {h:#018x}");
+}
+
+#[test]
+fn tpc_streams_at_uneven_processor_counts_match_the_pinned_digest() {
+    // Processor counts that split unevenly over 2 or 4 generating threads,
+    // with trace lengths that do not divide evenly among the processors.
+    let mut h = FNV_OFFSET;
+    for (processors, refs, seed) in
+        [(1, 40_000, 7), (3, 39_999, 5), (7, 40_000, 1009), (64, 40_000, 3)]
+    {
+        fold(&mut h, &commercial::tpcc(processors, refs, seed));
+        fold(&mut h, &commercial::tpcd(processors, refs, seed));
+    }
+    assert_eq!(h, 0x7ffe_5987_2faa_93eb, "uneven TPC stream digest moved: {h:#018x}");
 }
