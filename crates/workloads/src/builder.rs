@@ -124,13 +124,20 @@ impl StreamRecorder {
     /// Finishes recording, handing each stream over with no spare
     /// capacity.
     pub fn into_workload(self, name: impl Into<String>) -> Workload {
+        let w = Workload { name: name.into(), streams: self.into_streams() };
+        debug_assert!(w.validate().is_ok());
+        w
+    }
+
+    /// Finishes recording, handing the streams over, each with no spare
+    /// capacity, for a generator that records its processors' streams in
+    /// groups and joins them into one workload itself.
+    pub(crate) fn into_streams(self) -> Vec<Vec<StreamItem>> {
         let mut streams = self.streams;
         for s in &mut streams {
             s.shrink_to_fit();
         }
-        let w = Workload { name: name.into(), streams };
-        debug_assert!(w.validate().is_ok());
-        w
+        streams
     }
 }
 
