@@ -164,7 +164,6 @@ fn generate_on(params: &CommercialParams, threads: usize) -> Workload {
         }
         rec.into_streams()
     };
-    let record_group = &record_group;
     let streams = std::thread::scope(|scope| {
         let helpers: Vec<_> = (1..groups).map(|g| scope.spawn(move || record_group(g))).collect();
         let mut streams = record_group(0);

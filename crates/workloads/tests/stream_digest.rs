@@ -1,7 +1,10 @@
 //! Stream identity: every item of every generator's streams, folded into
 //! one FNV-1a digest and pinned. A change to how stream items are
 //! represented or generated must leave every reference and barrier
-//! unchanged, so the digests must not move.
+//! unchanged, so the digests must not move. The commercial generators
+//! record their processors' streams on as many threads as the host
+//! offers, so the same pins must hold on every host; under `taskset -c 0`
+//! they are generated with no helper thread.
 //!
 //! The fold reads items only through `decode`, so it states each item
 //! independently of the item's internal form.
